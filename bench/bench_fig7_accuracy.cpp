@@ -259,7 +259,8 @@ void isdf_rank_sweep(MiniSystem& sys) {
                   "-", "-");
   }
   std::printf("(observables measured with the dense FP64 operator; the fit "
-              "is rebuilt on every ACE outer iteration)\n");
+              "is rebuilt on every ACE outer iteration, on points held from "
+              "each step's first midpoint build)\n");
 
   const char* path = "BENCH_isdf_accuracy.json";
   if (std::FILE* f = std::fopen(path, "w")) {

@@ -309,6 +309,7 @@ void EnsembleCampaign::run_job(ptmpi::Comm& group, int id) {
         r.exchange_applications = st.exchange_applications;
         r.residual = st.residual;
         r.converged = st.converged ? 1 : 0;
+        r.outer_converged = st.outer_converged ? 1 : 0;
         msink->write(r);
         msampler.begin(job_counters(*h, group));
       }
@@ -355,6 +356,7 @@ void EnsembleCampaign::run_job(ptmpi::Comm& group, int id) {
       r.exchange_applications = st.exchange_applications;
       r.residual = st.residual;
       r.converged = st.converged ? 1 : 0;
+      r.outer_converged = st.outer_converged ? 1 : 0;
       msink->write(r);
       msampler.begin(job_counters(*h, group));
     }

@@ -80,8 +80,12 @@ std::vector<EnsembleJobResult> EnsembleDriver::run_batch(
   const bool staged =
       cfg_.variant == td::PtImVariant::kAce && cfg_.hybrid;
   // Every slot's operator is configured identically, so slot 0's can apply
-  // the whole pack (bit-identical to per-slot application).
+  // the whole dense pack (bit-identical to per-slot application). ISDF
+  // shares no FFT batch between jobs, and each trajectory's held point set
+  // lives on its own slot's operator, so ISDF jobs apply there.
   const ham::ExchangeOperator* xop = n ? &slots[0].h->exchange_op() : nullptr;
+  const bool per_slot =
+      n && xop->compression() == ham::ExchangeCompression::kIsdf;
 
   std::vector<td::PtImPropagator::StepSession> sess;
   std::vector<la::MatC> w(n);
@@ -100,10 +104,14 @@ std::vector<EnsembleJobResult> EnsembleDriver::run_batch(
         jobs.reserve(active.size());
         for (const size_t i : active) {
           w[i].resize(sess[i].ace_phi.rows(), sess[i].ace_phi.cols());
-          jobs.push_back(
-              {&sess[i].ace_phi, &sess[i].ace_occ, &sess[i].ace_phi, &w[i]});
+          if (per_slot)
+            slots[i].h->exchange_op().apply_diag(
+                sess[i].ace_phi, sess[i].ace_occ, sess[i].ace_phi, w[i]);
+          else
+            jobs.push_back({&sess[i].ace_phi, &sess[i].ace_occ,
+                            &sess[i].ace_phi, &w[i]});
         }
-        xop->apply_diag_packed(jobs);
+        if (!per_slot) xop->apply_diag_packed(jobs);
         std::vector<size_t> next;
         next.reserve(active.size());
         for (const size_t i : active)

@@ -11,7 +11,10 @@
 //  * the ACE builds — the exchange hot path — run through
 //    ExchangeOperator::apply_diag_packed, which concatenates every
 //    in-flight trajectory's pair-density blocks into shared batched FFTs
-//    (driven by the PtImPropagator staged-step protocol).
+//    (driven by the PtImPropagator staged-step protocol). Under ISDF
+//    compression, which has no pair FFTs to share, each trajectory's
+//    builds apply through its own slot's operator, where its step holds
+//    its interpolation points.
 //
 // Per-job results are BITWISE identical to N independent serial runs: the
 // staged protocol replays step() exactly and the packed exchange is

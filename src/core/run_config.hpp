@@ -55,10 +55,12 @@ struct RunConfig {
   std::optional<size_t> exchange_batch;  // batched-FFT block width
   // Low-rank (ISDF) compression of the exchange apply and its rank factor
   // (ham/isdf). Deliberately HASH-NEUTRAL (unlike precision): the fit is
-  // derived state, rebuilt from the checkpointed wavefunctions at every
-  // apply, so a checkpoint carries no ISDF state and a resume may tighten,
-  // relax or drop the compression without invalidating earlier snapshots
-  // (the accuracy-continuation workflow the rank sweep supports).
+  // derived state, rebuilt from the wavefunctions at every apply, and its
+  // interpolation points are held at most for the step that selected them
+  // (td/ptim.hpp), so a checkpoint — always taken between steps — carries
+  // no ISDF state and a resume may tighten, relax or drop the compression
+  // without invalidating earlier snapshots (the accuracy-continuation
+  // workflow the rank sweep supports).
   std::optional<ham::ExchangeCompression> compression;
   std::optional<real_t> isdf_rank_factor;
 

@@ -35,6 +35,7 @@ void fill_step_stats(obs::StepReport* r, const td::PtImStepStats& st) {
   r->exchange_applications = st.exchange_applications;
   r->residual = st.residual;
   r->converged = st.converged ? 1 : 0;
+  r->outer_converged = st.outer_converged ? 1 : 0;
 }
 
 }  // namespace

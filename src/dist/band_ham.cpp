@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dist/exchange_dist.hpp"
+#include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
 #include "la/blas.hpp"
@@ -139,7 +140,8 @@ void BandDistributedHamiltonian::set_exchange_source_mixed_diag(
 }
 
 real_t BandDistributedHamiltonian::build_ace(const la::MatC& phi_local,
-                                             la::MatC sigma) {
+                                             la::MatC sigma,
+                                             ham::IsdfPointHold* hold) {
   const int me = c_->rank();
   la::hermitize(sigma);
   const auto eig = la::eig_herm(sigma);
@@ -148,6 +150,10 @@ real_t BandDistributedHamiltonian::build_ace(const la::MatC& phi_local,
       eig.w.begin() + static_cast<long>(bands_.offset(me)),
       eig.w.begin() + static_cast<long>(bands_.offset(me) +
                                         bands_.count(me)));
+  if (hold &&
+      h_->exchange_compression() == ham::ExchangeCompression::kIsdf)
+    *hold = h_->hold_isdf_points(isdf_select_distributed(
+        *c_, h_->exchange_op(), rotated_local, eig.w, rotated_local, bands_));
 
   // W = (alpha Vx) Phi' via the circulating batched-FFT exchange (slab
   // pipeline under the 2-D layout).

@@ -105,7 +105,12 @@ class BandDistributedHamiltonian {
   // ACE build from (phi, sigma): distributed exchange application on the
   // rotated orbitals, Cholesky compression, xi = W L^{-H}. Returns the
   // exchange-energy estimate (replicated). Switches the mode to kAce.
-  real_t build_ace(const la::MatC& phi_local, la::MatC sigma);
+  // Under ISDF compression a non-null `hold` first selects interpolation
+  // points collectively on the rotated sources (dist/isdf_dist) and
+  // installs them on the local exchange operator — rank-identical, and
+  // used by this and every later build until *hold is released.
+  real_t build_ace(const la::MatC& phi_local, la::MatC sigma,
+                   ham::IsdfPointHold* hold = nullptr);
   BandExchangeMode exchange_mode() const { return xmode_; }
 
   // --- application ------------------------------------------------------

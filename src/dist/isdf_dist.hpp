@@ -20,6 +20,12 @@
 // Serial and distributed fits agree to summation-association rounding
 // (partial sums + Allreduce vs one GEMM), pinned by tests at tolerance;
 // across ranks the fit and the selected points are bitwise identical.
+//
+// Point selection follows the serial per-step rule (ham/isdf): while the
+// rank-local operator holds an ISDF point set, the fit uses it and skips
+// the sketch, its three Allreduces and the QRCP. The distributed PT-IM
+// step installs the set from isdf_select_distributed, run collectively on
+// the Allreduced sketch, so every rank holds the same points.
 
 #include <vector>
 
@@ -29,6 +35,16 @@
 #include "ptmpi/comm.hpp"
 
 namespace ptim::dist {
+
+// Collective point selection on the Allreduced sketch and quasi-density:
+// the set isdf_fit_distributed selects when none is held, bitwise
+// identical on every rank. Arguments as below; empty for a null operator.
+std::vector<size_t> isdf_select_distributed(ptmpi::Comm& c,
+                                            const ham::ExchangeOperator& xop,
+                                            const la::MatC& src_local,
+                                            const std::vector<real_t>& d_all,
+                                            const la::MatC& tgt_local,
+                                            const BlockLayout& src_bands);
 
 // Build the band-parallel ISDF fit: src_local holds this rank's band slice
 // (sphere coefficients), d_all the FULL occupation vector (already

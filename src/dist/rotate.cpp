@@ -13,6 +13,9 @@ namespace ptim::dist {
 la::MatC scatter_bands(const la::MatC& full, const BlockLayout& bands,
                        int rank) {
   const size_t npw = full.rows();
+  PTIM_CHECK_MSG(bands.offset(rank) + bands.count(rank) <= full.cols(),
+                 "scatter_bands: layout of " << bands.total()
+                     << " bands overruns a block of " << full.cols());
   la::MatC local(npw, bands.count(rank));
   for (size_t b = 0; b < bands.count(rank); ++b)
     std::copy(full.col(bands.offset(rank) + b),

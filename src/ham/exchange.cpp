@@ -758,6 +758,12 @@ void ExchangeOperator::set_isdf_rank_factor(real_t c) {
   opt_.isdf_rank_factor = c;
 }
 
+IsdfPointHold ExchangeOperator::hold_isdf_points(std::vector<size_t> points) {
+  for (const size_t r : points) PTIM_CHECK(r < map_->grid().size());
+  isdf_points_ = std::move(points);
+  return IsdfPointHold(this);
+}
+
 void ExchangeOperator::apply_diag(const la::MatC& src,
                                   const std::vector<real_t>& d,
                                   const la::MatC& tgt, la::MatC& out,
@@ -903,7 +909,7 @@ void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
   if (opt_.compression == ExchangeCompression::kIsdf) {
     // Each job gets its own fit (sources differ per trajectory), so there
     // is no shared FFT batch to pack; the per-job result is identical to a
-    // standalone apply_diag by construction.
+    // standalone apply_diag on this operator by construction.
     for (const DiagApplyJob& job : jobs)
       isdf::apply_diag(*this, *job.src, *job.d, *job.tgt, *job.out,
                        /*accumulate=*/true);

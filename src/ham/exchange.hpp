@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -44,6 +45,36 @@ namespace ptim::ham {
 // dense GEMMs plus 2 Nmu fit FFTs — O(nb * Nmu) instead of O(nb^2)
 // transforms. The dense path is bitwise-unaffected by the knob existing.
 enum class ExchangeCompression { kDense, kIsdf };
+
+class ExchangeOperator;
+
+// Scope of an ISDF point set held on an exchange operator
+// (ExchangeOperator::hold_isdf_points): the set is released when the scope
+// ends or release() is called, whether the PT-IM step that installed it
+// finished or was abandoned, so no set outlives its step. Move-only.
+class IsdfPointHold {
+ public:
+  IsdfPointHold() = default;
+  IsdfPointHold(IsdfPointHold&& o) noexcept
+      : x_(std::exchange(o.x_, nullptr)) {}
+  IsdfPointHold& operator=(IsdfPointHold&& o) noexcept {
+    if (this != &o) {
+      release();
+      x_ = std::exchange(o.x_, nullptr);
+    }
+    return *this;
+  }
+  IsdfPointHold(const IsdfPointHold&) = delete;
+  IsdfPointHold& operator=(const IsdfPointHold&) = delete;
+  ~IsdfPointHold() { release(); }
+
+  void release();
+
+ private:
+  friend class ExchangeOperator;
+  explicit IsdfPointHold(ExchangeOperator* x) : x_(x) {}
+  ExchangeOperator* x_ = nullptr;
+};
 
 struct ExchangeOptions {
   real_t alpha = 0.25;  // hybrid mixing fraction (HSE06)
@@ -62,9 +93,10 @@ struct ExchangeOptions {
   // previous slab's compute. Bit-identical in every mode.
   backend::Kind backend = backend::default_kind();
   // Low-rank compression of the diag apply (see enum above). The ISDF fit
-  // is rebuilt from the sources at every apply — refreshed on each PT-IM /
-  // ACE outer iteration, with no persistent state (checkpoints stay
-  // compression-agnostic).
+  // is rebuilt from the sources at every apply, on interpolation points
+  // selected fresh unless the operator holds a set for the current PT-IM
+  // step (ExchangeOperator::hold_isdf_points). No set outlives its step,
+  // so checkpoints stay compression-agnostic.
   ExchangeCompression compression = ExchangeCompression::kDense;
   // ISDF rank factor c: Nmu = min(Ng, ceil(c * max(nb_active, ntgt))).
   // c = 8 lands the apply within ~1e-6 relative of kDense on the systems
@@ -115,12 +147,22 @@ class ExchangeOperator {
 
   // Low-rank compression of the diag apply (ham/isdf). Unlike the
   // throughput knobs above this changes the NUMBERS (within the rank
-  // sweep's accuracy envelope), but carries no state: the fit is derived
-  // from the sources at every apply.
+  // sweep's accuracy envelope). The fit is derived from the sources at
+  // every apply; only its interpolation points may be held (below).
   void set_compression(ExchangeCompression c) { opt_.compression = c; }
   ExchangeCompression compression() const { return opt_.compression; }
   void set_isdf_rank_factor(real_t c);
   real_t isdf_rank_factor() const { return opt_.isdf_rank_factor; }
+
+  // ISDF interpolation points held across applies: per-step state of a
+  // PT-IM-ACE step (installed through Hamiltonian::hold_isdf_points, the
+  // way set_ace installs the ACE surrogate). While a set is held every
+  // kIsdf diag apply fits on it and skips the sketch, the quasi-density
+  // and the QRCP selection (serial and band-parallel); with none held
+  // (empty, the default) each apply selects its own points. kDense
+  // ignores it. The set stays until the returned scope ends.
+  [[nodiscard]] IsdfPointHold hold_isdf_points(std::vector<size_t> points);
+  const std::vector<size_t>& isdf_points() const { return isdf_points_; }
 
   // Γ-point real-pair fast path (see ExchangeOptions::gamma_real). Safe to
   // toggle at any time: applies whose fields are not actually real fall
@@ -151,7 +193,8 @@ class ExchangeOperator {
   // BITWISE identical to a standalone apply_diag call: every job keeps its
   // own column order, block partitioning and FP64 accumulation order, and
   // each lane of the batched FFT transforms independently of its neighbors
-  // (see fft/fft.hpp).
+  // (see fft/fft.hpp). Under kIsdf there is no shared batch: every job is
+  // a standalone apply on THIS operator, fitted on its held point set.
   void apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                          bool accumulate = false) const;
 
@@ -417,6 +460,14 @@ class ExchangeOperator {
   ExchangeOptions opt_;
   std::vector<real_t> kernel_;    // K(G) on the wavefunction grid
   std::vector<realf_t> kernelf_;  // K(G) rounded once for the FP32 path
+  std::vector<size_t> isdf_points_;  // held ISDF points (empty: none)
+
+  friend class IsdfPointHold;
 };
+
+inline void IsdfPointHold::release() {
+  if (x_) x_->isdf_points_.clear();
+  x_ = nullptr;
+}
 
 }  // namespace ptim::ham

@@ -83,8 +83,8 @@ class Hamiltonian {
   void set_exchange_batch(size_t bs) { xop_.set_batch_size(bs); }
   size_t exchange_batch() const { return xop_.batch_size(); }
   // Low-rank (ISDF) compression of the diag-exchange apply and its rank
-  // factor; see ham/isdf. The fit is rebuilt at every apply, so toggling
-  // the knobs never leaves stale operator state behind.
+  // factor; see ham/isdf. The fit is rebuilt at every apply; the only
+  // operator state is a step's held point set (below).
   void set_exchange_compression(ExchangeCompression c) {
     xop_.set_compression(c);
   }
@@ -93,6 +93,13 @@ class Hamiltonian {
   }
   void set_isdf_rank_factor(real_t c) { xop_.set_isdf_rank_factor(c); }
   real_t isdf_rank_factor() const { return xop_.isdf_rank_factor(); }
+  // Install the ISDF interpolation points every later kIsdf apply of the
+  // exchange operator fits on — the PT-IM propagators hold their first
+  // midpoint selection for the rest of a step, the way set_ace installs
+  // the ACE surrogate. The set stays until the returned scope ends.
+  [[nodiscard]] IsdfPointHold hold_isdf_points(std::vector<size_t> points) {
+    return xop_.hold_isdf_points(std::move(points));
+  }
   // Γ-point real-wavefunction fast path of the exchange pair pipeline
   // (detection-gated; complex orbitals fall back bitwise — see
   // ham/exchange.hpp).

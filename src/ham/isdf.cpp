@@ -230,29 +230,62 @@ void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
     x.gather_accumulate(acc.col(j), scratch.data(), out.col(j));
 }
 
-Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
-             const std::vector<real_t>& d, const la::MatC& tgt_real) {
+namespace {
+
+// The occupied sources of a diag problem, compacted; phid carries d into
+// the occupation-weighted G block.
+struct ActiveSources {
+  std::vector<size_t> idx;  // column of src_real per active source
+  la::MatC phi, phid;       // Ng x na
+};
+
+ActiveSources compact_active(const la::MatC& src_real,
+                             const std::vector<real_t>& d, bool weighted) {
+  ActiveSources a;
+  for (size_t i = 0; i < d.size(); ++i)
+    if (d[i] != 0.0) a.idx.push_back(i);
+  const size_t ng = src_real.rows(), na = a.idx.size();
+  a.phi.resize(ng, na);
+  if (weighted) a.phid.resize(ng, na);
+  for (size_t i = 0; i < na; ++i) {
+    const cplx* s = src_real.col(a.idx[i]);
+    std::copy(s, s + ng, a.phi.col(i));
+    if (!weighted) continue;
+    const real_t di = d[a.idx[i]];
+    cplx* pd = a.phid.col(i);
+    for (size_t r = 0; r < ng; ++r) pd[r] = di * s[r];
+  }
+  return a;
+}
+
+}  // namespace
+
+la::MatC to_real_policy(const ExchangeOperator& x, const la::MatC& v) {
+  la::MatC out;
+  if (x.precision() != Precision::kDouble) {
+    la::MatCf f;
+    x.map().to_real_batch(v, f);
+    out.resize(f.rows(), f.cols());
+#pragma omp parallel for schedule(static)
+    for (size_t i = 0; i < f.size(); ++i)
+      out.data()[i] = static_cast<cplx>(f.data()[i]);
+  } else {
+    x.map().to_real_batch(v, out);
+  }
+  return out;
+}
+
+std::vector<size_t> select_diag(const ExchangeOperator& x,
+                                const la::MatC& src_real,
+                                const std::vector<real_t>& d,
+                                const la::MatC& tgt_real) {
   const size_t ng = x.map().grid().size();
   PTIM_CHECK(src_real.rows() == ng && tgt_real.rows() == ng);
   PTIM_CHECK(d.size() == src_real.cols());
   const size_t ntgt = tgt_real.cols();
-
-  std::vector<size_t> active;
-  active.reserve(d.size());
-  for (size_t i = 0; i < d.size(); ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty() || ntgt == 0) return Fit{};
-  const size_t na = active.size();
-
-  // Occupied sources, compacted; a diagonal-scaled twin carries d into G.
-  la::MatC phi(ng, na), phid(ng, na);
-  for (size_t i = 0; i < na; ++i) {
-    const cplx* s = src_real.col(active[i]);
-    std::copy(s, s + ng, phi.col(i));
-    const real_t di = d[active[i]];
-    cplx* pd = phid.col(i);
-    for (size_t r = 0; r < ng; ++r) pd[r] = di * s[r];
-  }
+  const ActiveSources act = compact_active(src_real, d, /*weighted=*/false);
+  const size_t na = act.idx.size();
+  if (na == 0 || ntgt == 0) return {};
 
   const size_t nmu = rank(x.isdf_rank_factor(), na, ntgt, ng);
   const size_t k = sketch_width(nmu);
@@ -264,11 +297,11 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
   const la::MatC r2 = sketch_matrix(ntgt, k, kSeedTargets);
   la::MatC r1a(na, k);
   for (size_t j = 0; j < k; ++j)
-    for (size_t i = 0; i < na; ++i) r1a(i, j) = r1(active[i], j);
+    for (size_t i = 0; i < na; ++i) r1a(i, j) = r1(act.idx[i], j);
 
   Timer tsk;
   la::MatC g1(ng, k), g2(ng, k);
-  la::gemm_nn(phi, r1a, g1);
+  la::gemm_nn(act.phi, r1a, g1);
   la::gemm_nn(tgt_real, r2, g2);
 
   std::vector<real_t> rho(ng, 0.0);
@@ -276,14 +309,27 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
   for (size_t r = 0; r < ng; ++r) {
     real_t s = 0.0;
     for (size_t i = 0; i < na; ++i)
-      s += std::abs(d[active[i]]) * std::norm(phi(r, i));
+      s += std::abs(d[act.idx[i]]) * std::norm(act.phi(r, i));
     for (size_t j = 0; j < ntgt; ++j) s += std::norm(tgt_real(r, j));
     rho[r] = s;
   }
 
   ProfileRegistry::instance().add("isdf.sketch", tsk.seconds());
-  std::vector<size_t> points = select_points(g1, g2, rho, nmu);
-  tsk = Timer();
+  return select_points(g1, g2, rho, nmu);
+}
+
+Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
+             const std::vector<real_t>& d, const la::MatC& tgt_real,
+             std::vector<size_t> points) {
+  const size_t ng = x.map().grid().size();
+  PTIM_CHECK(src_real.rows() == ng && tgt_real.rows() == ng);
+  PTIM_CHECK(d.size() == src_real.cols());
+  const size_t ntgt = tgt_real.cols();
+  const ActiveSources act = compact_active(src_real, d, /*weighted=*/true);
+  const size_t na = act.idx.size();
+  if (na == 0 || ntgt == 0 || points.empty()) return Fit{};
+  const size_t nmu = points.size();
+  Timer tsk;
 
   // Point samples and the band-summed Gram blocks (plain GEMMs serially;
   // the distributed fit sums the same blocks across ranks instead). When
@@ -292,11 +338,11 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
   const bool tgt_is_src = tgt_real.data() == src_real.data() && na == d.size();
   la::MatC p1(nmu, na);
   for (size_t i = 0; i < na; ++i)
-    for (size_t mu = 0; mu < nmu; ++mu) p1(mu, i) = phi(points[mu], i);
+    for (size_t mu = 0; mu < nmu; ++mu) p1(mu, i) = act.phi(points[mu], i);
 
   la::MatC c_src(ng, nmu), g(ng, nmu);
-  la::gemm_nc(phi, p1, c_src);
-  la::gemm_nc(phid, p1, g);
+  la::gemm_nc(act.phi, p1, c_src);
+  la::gemm_nc(act.phid, p1, g);
   la::MatC c_tgt_own;
   if (!tgt_is_src) {
     la::MatC p2(nmu, ntgt);
@@ -320,35 +366,19 @@ void apply_diag(const ExchangeOperator& x, const la::MatC& src,
   PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
   if (tgt.cols() == 0) return;
 
-  // Real-space edge, honoring the precision policy: under kSingle* the
-  // orbitals are rounded through the FP32 transform exactly like kDense;
-  // the fit algebra then runs FP64 on the rounded values.
-  // When the target block IS the source block (the PT-IM / ACE shape),
-  // one transform serves both: downstream stages detect the aliasing by
-  // data pointer and skip the duplicated target-side work.
+  // Real-space edge, honoring the precision policy. When the target block
+  // IS the source block (the PT-IM / ACE shape), one transform serves
+  // both: downstream stages detect the aliasing by data pointer and skip
+  // the duplicated target-side work.
   const bool same_block = &src == &tgt;
-  la::MatC src_real, tgt_real_own;
-  if (x.precision() != Precision::kDouble) {
-    la::MatCf src_f, tgt_f;
-    x.map().to_real_batch(src, src_f);
-    src_real.resize(src_f.rows(), src_f.cols());
-#pragma omp parallel for schedule(static)
-    for (size_t i = 0; i < src_f.size(); ++i)
-      src_real.data()[i] = static_cast<cplx>(src_f.data()[i]);
-    if (!same_block) {
-      x.map().to_real_batch(tgt, tgt_f);
-      tgt_real_own.resize(tgt_f.rows(), tgt_f.cols());
-#pragma omp parallel for schedule(static)
-      for (size_t i = 0; i < tgt_f.size(); ++i)
-        tgt_real_own.data()[i] = static_cast<cplx>(tgt_f.data()[i]);
-    }
-  } else {
-    x.map().to_real_batch(src, src_real);
-    if (!same_block) x.map().to_real_batch(tgt, tgt_real_own);
-  }
+  const la::MatC src_real = to_real_policy(x, src);
+  const la::MatC tgt_real_own = same_block ? la::MatC() : to_real_policy(x, tgt);
   const la::MatC& tgt_real = same_block ? src_real : tgt_real_own;
 
-  const Fit f = fit_diag(x, src_real, d, tgt_real);
+  std::vector<size_t> points = x.isdf_points().empty()
+                                   ? select_diag(x, src_real, d, tgt_real)
+                                   : x.isdf_points();
+  const Fit f = fit_diag(x, src_real, d, tgt_real, std::move(points));
   if (f.points.empty()) return;
 
   la::MatC tgt_pts(f.points.size(), tgt_real.cols());

@@ -18,12 +18,17 @@
 // FFTs. The Ng factor undoes the inverse-FFT scaling exactly like the
 // dense accumulate stage, so kDense and kIsdf share every convention.
 //
-// Pipeline per refresh (the fit is rebuilt from scratch at every
-// apply_diag, i.e. on each PT-IM/ACE outer iteration — no persistent
-// state, which is what keeps checkpoints compression-agnostic):
+// Pipeline per refresh (the fit is rebuilt at every apply_diag, i.e. on
+// each PT-IM/ACE outer iteration):
 //  1. point selection: centroid-weighted randomized QRCP (la/qr) on the
 //     sketched band-product matrix M[(a,b), r] = conj(g1_a(r)) g2_b(r)
-//     sqrt(rho(r)), candidates pre-ranked by the quasi-density rho;
+//     sqrt(rho(r)), candidates pre-ranked by the quasi-density rho.
+//     Skipped while the operator holds a point set
+//     (ExchangeOperator::hold_isdf_points): within one PT-IM-ACE step the
+//     propagator selects at the t_n build and once more at the first
+//     midpoint build, then holds that midpoint set for the step's later
+//     builds, so the outer loop sees one fit basis and converges. No set
+//     outlives its step, which keeps checkpoints compression-agnostic;
 //  2. least-squares fit of zeta via the separable normal equations
 //     (Gram-matrix Hadamard products; ridged Cholesky solve);
 //  3. kernel filter of zeta through the SAME batched-FFT stage primitive
@@ -106,16 +111,32 @@ Fit fit(const ExchangeOperator& x, std::vector<size_t> points,
 void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
            la::MatC& out);
 
-// Serial fit for diag sources/targets already in real space (FP64
-// containers; under an FP32 policy the values have already been rounded
-// through the FP32 real-space edge). Builds the sketches, selects points,
-// assembles the Gram blocks with GEMMs and solves.
+// Orbitals (sphere coefficients) to real space through the operator's
+// precision edge: under kSingle* they round through the FP32 transform
+// exactly like kDense, then promote so the fit algebra runs FP64 on the
+// rounded values.
+la::MatC to_real_policy(const ExchangeOperator& x, const la::MatC& v);
+
+// Serial point selection for diag sources/targets already in real space
+// (FP64 containers, already through the precision edge): builds the
+// sketches and the quasi-density of the active sources and runs
+// select_points: the set apply_diag selects when none is held. Empty when
+// no source is occupied or there are no targets.
+std::vector<size_t> select_diag(const ExchangeOperator& x,
+                                const la::MatC& src_real,
+                                const std::vector<real_t>& d,
+                                const la::MatC& tgt_real);
+
+// Serial fit on the given interpolation points: samples the active sources
+// and targets there, assembles the Gram blocks with GEMMs and solves.
 Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
-             const std::vector<real_t>& d, const la::MatC& tgt_real);
+             const std::vector<real_t>& d, const la::MatC& tgt_real,
+             std::vector<size_t> points);
 
 // Full serial ISDF diag apply (the ExchangeCompression::kIsdf route of
 // ExchangeOperator::apply_diag): sphere-coefficient sources/targets,
-// handles the precision edge conversion, fit and apply.
+// handles the precision edge conversion, then fits on the operator's held
+// point set, or on a fresh select_diag when none is held, and applies.
 void apply_diag(const ExchangeOperator& x, const la::MatC& src,
                 const std::vector<real_t>& d, const la::MatC& tgt,
                 la::MatC& out, bool accumulate);

@@ -65,7 +65,8 @@ std::string to_jsonl(const StepReport& r) {
      << ",\"exchange_applications\":" << r.exchange_applications
      << ",\"residual\":";
   put_double(os, r.residual);
-  os << ",\"converged\":" << r.converged << ",\"ffts\":" << r.ffts
+  os << ",\"converged\":" << r.converged
+     << ",\"outer_converged\":" << r.outer_converged << ",\"ffts\":" << r.ffts
      << ",\"ring_bytes\":" << r.ring_bytes
      << ",\"alltoallv_bytes\":" << r.alltoallv_bytes
      << ",\"allreduce_bytes\":" << r.allreduce_bytes << ",\"comm_seconds\":";
@@ -90,6 +91,8 @@ bool from_jsonl(const std::string& line, StepReport* out) {
       r.exchange_applications = static_cast<int>(v);
     else if (key == "residual") r.residual = v;
     else if (key == "converged") r.converged = static_cast<int>(v);
+    else if (key == "outer_converged")
+      r.outer_converged = static_cast<int>(v);
     else if (key == "ffts") r.ffts = static_cast<long>(v);
     else if (key == "ring_bytes") r.ring_bytes = static_cast<long long>(v);
     else if (key == "alltoallv_bytes")

@@ -40,7 +40,8 @@ struct StepReport {
   int outer_iterations = 0;
   int exchange_applications = 0;
   double residual = 0.0;
-  int converged = 1;
+  int converged = 1;        // inner fixed point reached tol
+  int outer_converged = 1;  // ACE outer loop passed its Fock-energy test
 
   // Counter deltas across the step.
   long ffts = 0;                 // ExchangeOperator::fft_count

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "ham/density.hpp"
+#include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
@@ -145,27 +146,6 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
   return it;
 }
 
-real_t PtImPropagator::build_ace_from(const la::MatC& phi, la::MatC sigma) {
-  ScopedTimer t("ptim.ace_prepare");
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  la::MatC rotated(phi.rows(), phi.cols());
-  la::gemm_nn(phi, eig.V, rotated);
-
-  la::MatC w;
-  ham::AceOperator ace =
-      ham::AceOperator::build_diag(h_->exchange_op(), rotated, eig.w, &w);
-  if (stats_) ++stats_->exchange_applications;
-
-  real_t ex = 0.0;
-  for (size_t b = 0; b < phi.cols(); ++b)
-    ex += eig.w[b] *
-          std::real(la::dotc(phi.rows(), rotated.col(b), w.col(b)));
-
-  h_->set_ace(std::move(ace));
-  return ex;
-}
-
 // Alg. 1 line 13: orthogonalize Phi, conjugate-symmetrize sigma. The
 // congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
 static void orthonormalize_commit(TdState& s, la::MatC phi1, la::MatC sigma1,
@@ -208,8 +188,8 @@ PtImPropagator::StepSession PtImPropagator::step_begin(const TdState& s) {
 bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
                                   const la::MatC& w) {
   // Install the ACE surrogate compressed from the staged sources and their
-  // freshly applied exchange W, and estimate the Fock energy — exactly
-  // build_ace_from with the apply_diag hoisted out to the caller.
+  // freshly applied exchange W (applied by the caller), and estimate the
+  // Fock energy.
   ham::AceOperator ace = ham::AceOperator::build(sess.ace_phi, w);
   ++sess.stats.exchange_applications;
   real_t ex = 0.0;
@@ -224,7 +204,9 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
   } else {
     const real_t dex = std::abs(ex - sess.ex_prev);
     sess.ex_prev = ex;
-    if (dex < opt_.tol_fock || sess.outer >= opt_.max_outer) return false;
+    sess.stats.outer_converged = dex < opt_.tol_fock;
+    if (sess.stats.outer_converged || sess.outer >= opt_.max_outer)
+      return false;
   }
 
   ++sess.stats.outer_iterations;
@@ -242,10 +224,21 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
   for (size_t i = 0; i < sigmah.size(); ++i)
     sigmah.data()[i] = 0.5 * (sess.sigma1.data()[i] + s.sigma.data()[i]);
   stage_ace_sources(sess, phih, std::move(sigmah));
+  // ISDF: the first midpoint build selects its points once more and every
+  // later build of the step fits on that set, so successive Fock energies
+  // differ by the iterate alone, not by a new point set.
+  if (sess.outer == 1 &&
+      h_->exchange_compression() == ham::ExchangeCompression::kIsdf) {
+    const ham::ExchangeOperator& xop = h_->exchange_op();
+    const la::MatC ace_real = ham::isdf::to_real_policy(xop, sess.ace_phi);
+    sess.isdf_points = h_->hold_isdf_points(
+        ham::isdf::select_diag(xop, ace_real, sess.ace_occ, ace_real));
+  }
   return true;
 }
 
 PtImStepStats PtImPropagator::step_finish(TdState& s, StepSession& sess) {
+  sess.isdf_points.release();
   sess.stats.residual = sess.residual;
   sess.stats.converged = sess.residual < opt_.tol;
   orthonormalize_commit(s, std::move(sess.phi1), std::move(sess.sigma1),
@@ -279,6 +272,7 @@ PtImStepStats PtImPropagator::step(TdState& s) {
   la::MatC sigma1 = s.sigma;
 
   stats.outer_iterations = 1;
+  stats.outer_converged = true;
   real_t res = 0.0;
   stats.scf_iterations = fixed_point(s, phi1, sigma1, t_half, &res);
   stats.residual = res;

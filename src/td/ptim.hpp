@@ -54,9 +54,13 @@ struct PtImOptions {
   std::optional<backend::Kind> exchange_backend;
   // Low-rank (ISDF) compression of the exchange apply (ham/isdf), applied
   // like exchange_precision at propagator construction. The fit is rebuilt
-  // at every apply — i.e. refreshed on each ACE outer iteration together
-  // with the ACE projector itself — so there is no cross-step operator
-  // state. Unset keeps the Hamiltonian's configuration.
+  // at every ACE build. Under kAce a step selects interpolation points at
+  // the t_n build and once more at the first midpoint build, then holds
+  // that midpoint set for the step's later builds, so the outer loop
+  // compares Fock energies of one fit basis; the set is released when the
+  // step ends, so there is no cross-step operator state. kBaseline and
+  // kDiag select points at every apply. Unset keeps the Hamiltonian's
+  // configuration.
   std::optional<ham::ExchangeCompression> exchange_compression;
   std::optional<real_t> isdf_rank_factor;
   // 2-D band x grid process layout of distributed runs (ignored by the
@@ -77,7 +81,11 @@ struct PtImStepStats {
   int outer_iterations = 0;      // 1 for non-ACE variants
   int exchange_applications = 0; // full Vx*Phi evaluations this step
   real_t residual = 0.0;
-  bool converged = false;
+  bool converged = false;        // inner fixed point: residual < tol
+  // ACE outer loop: true iff the Fock-energy test (|dE_x| < tol_fock)
+  // ended the loop, false when max_outer stopped it first. Variants
+  // without an outer loop report true.
+  bool outer_converged = false;
 };
 
 class PtImPropagator {
@@ -117,6 +125,12 @@ class PtImPropagator {
   // several sessions gets per-trajectory results bitwise identical to
   // serial step() calls (each session keeps its own iteration order, and
   // the packed exchange is bitwise per job).
+  //
+  // Under ISDF compression the session's interpolation points live on the
+  // Hamiltonian's exchange operator, so the W call above must go through
+  // THAT operator (or one holding the same set): step_advance installs the
+  // first midpoint build's selection there, and the session releases it
+  // at step_finish or, abandoned, when it is destroyed.
   struct StepSession {
     real_t t_half = 0.0;
     la::MatC phi1, sigma1;        // fixed-point iterate
@@ -125,6 +139,7 @@ class PtImPropagator {
     real_t ex_prev = 0.0;         // last exchange-energy estimate
     real_t residual = 0.0;
     int outer = 0;                // fixed-point rounds completed
+    ham::IsdfPointHold isdf_points;  // the step's held set (kIsdf only)
     PtImStepStats stats;
   };
 
@@ -134,7 +149,9 @@ class PtImPropagator {
   // Consume W = (alpha Vx[ace_phi, ace_occ]) ace_phi for the pending
   // sources: install the ACE operator, run the convergence check, and —
   // when another round is due — run the inner fixed point and stage the
-  // midpoint sources. Returns true while another W is needed.
+  // midpoint sources (under kIsdf, the first midpoint staging also selects
+  // and holds the step's interpolation points). Returns true while another
+  // W is needed.
   bool step_advance(const TdState& s, StepSession& sess, const la::MatC& w);
   // Orthonormalization epilogue; commits the new state and returns stats.
   PtImStepStats step_finish(TdState& s, StepSession& sess);
@@ -144,10 +161,6 @@ class PtImPropagator {
   // (phi1, sigma1) in place and returns iterations used.
   int fixed_point(const TdState& start, la::MatC& phi1, la::MatC& sigma1,
                   real_t t_half, real_t* residual_out);
-
-  // Exact-exchange application + ACE compression from (phi, sigma);
-  // returns the exchange energy estimate.
-  real_t build_ace_from(const la::MatC& phi, la::MatC sigma);
 
   // Stage ACE build sources into the session: hermitize-copy sigma,
   // diagonalize, rotate phi into the eigenbasis (the expensive exchange

@@ -177,9 +177,10 @@ int DistPtImPropagator::fixed_point(const DistTdState& start, la::MatC& phi1,
 }
 
 real_t DistPtImPropagator::build_ace_from(const la::MatC& phi_local,
-                                          const la::MatC& sigma) {
+                                          const la::MatC& sigma,
+                                          ham::IsdfPointHold* hold) {
   ScopedTimer t("ptim.ace_prepare_dist");
-  const real_t ex = h_->build_ace(phi_local, sigma);
+  const real_t ex = h_->build_ace(phi_local, sigma, hold);
   if (stats_) ++stats_->exchange_applications;
   return ex;
 }
@@ -197,6 +198,9 @@ PtImStepStats DistPtImPropagator::step(DistTdState& s) {
     // First inner SCF runs with the ACE built at t_n (Fig. 4b).
     real_t ex_prev = build_ace_from(s.phi_local, s.sigma);
     real_t res = 0.0;
+    // ISDF points of the first midpoint build, held for the rest of the
+    // step and released when the step returns (or throws).
+    ham::IsdfPointHold isdf_points;
     for (int outer = 1; outer <= opt_.max_outer; ++outer) {
       ++stats.outer_iterations;
       stats.scf_iterations += fixed_point(s, phi1, sigma1, t_half, &res);
@@ -207,15 +211,18 @@ PtImStepStats DistPtImPropagator::step(DistTdState& s) {
         phih.data()[i] = 0.5 * (phi1.data()[i] + s.phi_local.data()[i]);
       for (size_t i = 0; i < sigmah.size(); ++i)
         sigmah.data()[i] = 0.5 * (sigma1.data()[i] + s.sigma.data()[i]);
-      const real_t ex = build_ace_from(phih, sigmah);
+      const real_t ex =
+          build_ace_from(phih, sigmah, outer == 1 ? &isdf_points : nullptr);
       const real_t dex = std::abs(ex - ex_prev);
       ex_prev = ex;
-      if (dex < opt_.tol_fock) break;
+      stats.outer_converged = dex < opt_.tol_fock;
+      if (stats.outer_converged) break;
     }
     stats.residual = res;
     stats.converged = res < opt_.tol;
   } else {
     stats.outer_iterations = 1;
+    stats.outer_converged = true;
     real_t res = 0.0;
     stats.scf_iterations = fixed_point(s, phi1, sigma1, t_half, &res);
     stats.residual = res;

@@ -10,7 +10,10 @@
 //
 // The trajectory matches td::PtImPropagator to rounding for every variant
 // (kBaseline / kDiag / kAce) — the serial-vs-distributed regression tests
-// pin agreement to 1e-10 over 10 steps.
+// pin agreement to 1e-10 over 10 steps. Under ISDF compression a kAce step
+// follows the serial point rule (td/ptim.hpp): the first midpoint build
+// selects collectively and every rank holds that set for the step's later
+// builds (pinned against the serial trajectory at 1e-8 relative).
 
 #include "dist/band_ham.hpp"
 #include "td/laser.hpp"
@@ -46,7 +49,8 @@ class DistPtImPropagator {
  private:
   int fixed_point(const DistTdState& start, la::MatC& phi1, la::MatC& sigma1,
                   real_t t_half, real_t* residual_out);
-  real_t build_ace_from(const la::MatC& phi_local, const la::MatC& sigma);
+  real_t build_ace_from(const la::MatC& phi_local, const la::MatC& sigma,
+                        ham::IsdfPointHold* hold = nullptr);
   void configure_exchange_midpoint(const la::MatC& phih_local,
                                    const la::MatC& sigmah,
                                    la::MatC theta_local = {});

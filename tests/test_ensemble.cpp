@@ -13,6 +13,7 @@
 
 #include "core/ensemble.hpp"
 #include "core/simulation.hpp"
+#include "ham/isdf.hpp"
 #include "td/observables.hpp"
 #include "test_helpers.hpp"
 
@@ -241,6 +242,70 @@ TEST(Ensemble, BatchedBitwiseEqualsIndependentRuns) {
     EXPECT_TRUE(bitwise_equal(paired[i].final_state.phi,
                               batched[i].final_state.phi))
         << "width=2 job " << i;
+}
+
+TEST(Ensemble, IsdfBatchedBitwiseEqualsIndependentRuns) {
+  // Under ISDF each trajectory holds its own interpolation points for the
+  // step, so the batch must fit every job with its OWN set. Jobs start from
+  // distinct states, and c = 2 keeps Nmu below Ng, so fresh selections
+  // genuinely differ between trajectories.
+  auto& sim = shared_sim();
+  core::RunConfig cfg = ace_config(2);
+  cfg.compression = ham::ExchangeCompression::kIsdf;
+  cfg.isdf_rank_factor = 2.0;
+  constexpr int kJobs = 3;
+  const td::TdState ground = sim.initial_state();
+  const size_t ng = sim.hamiltonian().exchange_op().map().grid().size();
+  const size_t nb = ground.phi.cols();
+  ASSERT_LT(ham::isdf::rank(*cfg.isdf_rank_factor, nb, nb, ng), ng);
+
+  // Distinct starting states: the ground state after k strongly kicked
+  // dense steps.
+  std::vector<td::TdState> starts;
+  {
+    auto h = sim.make_rank_hamiltonian();
+    h->set_vector_potential({2e-2, 0.0, 0.0});
+    td::PtImPropagator prop(*h, ace_config(1).ptim(), nullptr);
+    td::TdState s = ground;
+    for (int k = 0; k < kJobs; ++k) {
+      starts.push_back(s);
+      prop.step(s);
+    }
+  }
+  auto make_jobs = [&] {
+    std::vector<core::EnsembleJob> jobs;
+    for (int i = 0; i < kJobs; ++i) {
+      core::EnsembleJob j;
+      j.name = "isdf" + std::to_string(i);
+      j.kick = {1e-3 * (i + 1), 0.0, 0.0};
+      j.initial = starts[static_cast<size_t>(i)];
+      jobs.push_back(std::move(j));
+    }
+    return jobs;
+  };
+
+  std::vector<td::TdState> independent;
+  for (const auto& job : make_jobs()) {
+    auto h = sim.make_rank_hamiltonian();
+    h->set_vector_potential(job.kick);
+    td::PtImPropagator prop(*h, cfg.ptim(), nullptr);
+    td::TdState s = *job.initial;
+    for (int i = 0; i < cfg.steps; ++i) prop.step(s);
+    independent.push_back(std::move(s));
+  }
+
+  core::EnsembleDriver ens(sim, cfg);
+  for (auto& j : make_jobs()) ens.submit(std::move(j));
+  const auto batched = ens.run_all();
+  ASSERT_EQ(batched.size(), static_cast<size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_TRUE(bitwise_equal(batched[i].final_state.phi,
+                              independent[i].phi))
+        << "job " << i;
+    EXPECT_TRUE(bitwise_equal(batched[i].final_state.sigma,
+                              independent[i].sigma))
+        << "job " << i;
+  }
 }
 
 // --- failure containment: unrun jobs stay recoverable ---------------------

@@ -19,6 +19,7 @@
 #include "core/simulation.hpp"
 #include "dist/band_ham.hpp"
 #include "ham/density.hpp"
+#include "ham/isdf.hpp"
 #include "io/checkpoint.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
@@ -350,6 +351,65 @@ TEST(CheckpointResume, SimulationRunSplitIsBitExact) {
   wider.exchange_batch = 4;
   wider.nranks = 2;
   EXPECT_EQ(sim.config_hash(cfg), sim.config_hash(wider));
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, IsdfSplitIsBitExactAndDenseCheckpointsResume) {
+  // ISDF holds interpolation points only within a step, so a checkpoint
+  // carries no ISDF state: a split kIsdf run resumes bitwise, and a kDense
+  // checkpoint resumes under kIsdf exactly like an in-memory switch.
+  core::SystemSpec spec;
+  spec.ecut = 1.5;
+  spec.temperature_k = 8000.0;
+  spec.scf.tol_rho = 5e-5;
+  spec.scf.max_scf = 120;
+  spec.scf.davidson_tol = 1e-6;
+  spec.scf.max_outer_ace = 3;
+  core::Simulation sim(spec);
+  sim.prepare_ground_state();
+
+  core::RunConfig cfg;
+  cfg.steps = 4;
+  cfg.dt = 1.0;
+  cfg.variant = td::PtImVariant::kAce;
+  cfg.tol = 1e-7;
+  cfg.t_horizon = cfg.steps * cfg.dt;
+  cfg.compression = ham::ExchangeCompression::kIsdf;
+  cfg.isdf_rank_factor = 2.0;  // Nmu < Ng: held and fresh sets can differ
+  const size_t ng = sim.hamiltonian().exchange_op().map().grid().size();
+  const size_t nb = sim.initial_state().phi.cols();
+  ASSERT_LT(ham::isdf::rank(*cfg.isdf_rank_factor, nb, nb, ng), ng);
+  core::RunConfig half = cfg;
+  half.steps = 2;
+
+  const std::string path = "test_io_isdf.ckpt";
+  const auto full = sim.run(cfg);
+  const auto seg1 = sim.run(half);
+  io::save_checkpoint(path, sim.checkpoint(cfg, seg1.final_state, 2));
+  {
+    const io::Checkpoint c = io::load_checkpoint(path, sim.config_hash(cfg));
+    td::TdState s = sim.restore(c);
+    const auto seg2 = sim.run(half, {}, &s, c.step_index);
+    EXPECT_TRUE(bitwise_equal(seg2.final_state.phi, full.final_state.phi));
+    EXPECT_TRUE(
+        bitwise_equal(seg2.final_state.sigma, full.final_state.sigma));
+  }
+
+  // Dense first half, checkpointed; the ISDF config accepts the file.
+  core::RunConfig dense_half = half;
+  dense_half.compression = ham::ExchangeCompression::kDense;
+  EXPECT_EQ(sim.config_hash(dense_half), sim.config_hash(half));
+  const auto dense1 = sim.run(dense_half);
+  io::save_checkpoint(path, sim.checkpoint(dense_half, dense1.final_state, 2));
+  td::TdState in_memory = dense1.final_state;
+  const auto switched = sim.run(half, {}, &in_memory, 2);
+  const io::Checkpoint c = io::load_checkpoint(path, sim.config_hash(half));
+  td::TdState s = sim.restore(c);
+  const auto resumed = sim.run(half, {}, &s, c.step_index);
+  EXPECT_TRUE(
+      bitwise_equal(resumed.final_state.phi, switched.final_state.phi));
+  EXPECT_TRUE(
+      bitwise_equal(resumed.final_state.sigma, switched.final_state.sigma));
   std::remove(path.c_str());
 }
 

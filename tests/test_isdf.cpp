@@ -9,13 +9,19 @@
 //    ranks of a band-parallel fit);
 //  * band-parallel ISDF vs the serial operator, packed-vs-single routing,
 //    and the pg > 1 rejection;
-//  * a 10-step golden-trajectory replay under kIsdf within 1e-7.
+//  * a 10-step golden-trajectory replay under kIsdf within 1e-7;
+//  * the per-step held point set: the staged protocol driven from outside
+//    equals step() bitwise with two selections per step, an abandoned
+//    session releases its set, and the band-parallel trajectory tracks the
+//    serial one with rank-identical held sets.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/isdf_dist.hpp"
@@ -27,6 +33,7 @@
 #include "la/qr.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
+#include "td/ptim_dist.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -208,8 +215,13 @@ TEST(Isdf, PointSelectionIsBitwiseDeterministic) {
   map.to_real_batch(p.tgt, tgt_real);
   ASSERT_EQ(src_real.rows(), ng);
 
-  const ham::isdf::Fit f1 = ham::isdf::fit_diag(xop, src_real, p.d, tgt_real);
-  const ham::isdf::Fit f2 = ham::isdf::fit_diag(xop, src_real, p.d, tgt_real);
+  auto select_and_fit = [&] {
+    return ham::isdf::fit_diag(
+        xop, src_real, p.d, tgt_real,
+        ham::isdf::select_diag(xop, src_real, p.d, tgt_real));
+  };
+  const ham::isdf::Fit f1 = select_and_fit();
+  const ham::isdf::Fit f2 = select_and_fit();
   ASSERT_FALSE(f1.points.empty());
   EXPECT_EQ(f1.points, f2.points);
   ASSERT_EQ(f1.apply_mat.size(), f2.apply_mat.size());
@@ -227,13 +239,16 @@ TEST(IsdfDist, FitIsBitwiseIdenticalAcrossRanks) {
   const auto p = ApplyProblem::make(npw, nb, 421);
   const int nranks = 3;
   const dist::BlockLayout bands(nb, nranks);
+  // The 4 targets are sliced by their own layout (the fit takes target
+  // widths independent of the source bands).
+  const dist::BlockLayout tgt_bands(p.tgt.cols(), nranks);
 
   std::vector<ham::isdf::Fit> fits(nranks);
   ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
     const int me = c.rank();
     const auto xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
     const la::MatC src_local = dist::scatter_bands(p.phi, bands, me);
-    const la::MatC tgt_local = dist::scatter_bands(p.tgt, bands, me);
+    const la::MatC tgt_local = dist::scatter_bands(p.tgt, tgt_bands, me);
     fits[static_cast<size_t>(me)] =
         dist::isdf_fit_distributed(c, xop, src_local, p.d, tgt_local, bands);
   });
@@ -404,5 +419,201 @@ TEST(Isdf, GoldenTrajectoryWithinContinuationBound) {
         << "step " << k;
     EXPECT_NEAR(dipole, ref.steps[static_cast<size_t>(k)].dipole, 1e-7)
         << "step " << k;
+  }
+}
+
+// ---------------------------------------------- held points per step ----
+
+namespace {
+
+constexpr size_t kHeldBands = 6;
+
+// The golden trajectory's setup under kIsdf at the default rank factor:
+// Nmu = 48 of Ng = 343 grid points, so fresh selections can differ.
+td::PtImOptions held_options() {
+  td::PtImOptions opt;
+  opt.dt = 0.5;
+  opt.tol = 1e-8;
+  opt.variant = td::PtImVariant::kAce;
+  opt.exchange_compression = ham::ExchangeCompression::kIsdf;
+  return opt;
+}
+
+td::TdState held_initial(size_t npw, size_t nb = kHeldBands) {
+  td::TdState s;
+  s.phi = test::random_orbitals(npw, nb, 641);
+  s.sigma = test::random_occupation_matrix(nb, 642);
+  return s;
+}
+
+bool bitwise_equal(const la::MatC& a, const la::MatC& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+long select_calls() {
+  return ProfileRegistry::instance().get("isdf.select").count;
+}
+
+}  // namespace
+
+TEST(IsdfHeld, StagedProtocolMatchesStepWithTwoSelectionsPerStep) {
+  constexpr int kSteps = 5;
+  test::TinySystem ref_sys = test::TinySystem::make(3.0);
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t npw = sys.sphere->npw();
+  const size_t ng = sys.wfc_grid->size();
+  const size_t nmu = ham::isdf::rank(8.0, kHeldBands, kHeldBands, ng);
+  ASSERT_LT(nmu, ng);
+
+  const td::PtImOptions opt = held_options();
+  td::PtImPropagator ref_prop(*ref_sys.ham, opt, nullptr);
+  td::PtImPropagator prop(*sys.ham, opt, nullptr);
+  const ham::ExchangeOperator& xop = sys.ham->exchange_op();
+  td::TdState ref = held_initial(npw);
+  td::TdState s = ref;
+  for (int k = 0; k < kSteps; ++k) {
+    long calls = select_calls();
+    const td::PtImStepStats want = ref_prop.step(ref);
+    EXPECT_EQ(select_calls() - calls, 2) << "step() " << k;
+    EXPECT_TRUE(want.outer_converged) << "step " << k;
+    EXPECT_LT(want.outer_iterations, opt.max_outer) << "step " << k;
+
+    // The same step driven from outside, as perfbench and the ensemble
+    // driver do: the t_n build selects its own points, every later build
+    // fits on the set step_advance installed.
+    calls = select_calls();
+    auto sess = prop.step_begin(s);
+    la::MatC w;
+    int applies = 0;
+    do {
+      EXPECT_EQ(xop.isdf_points().empty(), applies == 0)
+          << "step " << k << " apply " << applies;
+      if (applies > 0) {
+        EXPECT_EQ(xop.isdf_points().size(), nmu);
+      }
+      w.resize(sess.ace_phi.rows(), sess.ace_phi.cols());
+      xop.apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi, w, false);
+      ++applies;
+    } while (prop.step_advance(s, sess, w));
+    const td::PtImStepStats got = prop.step_finish(s, sess);
+    EXPECT_TRUE(xop.isdf_points().empty()) << "released at step_finish";
+    EXPECT_EQ(select_calls() - calls, 2) << "staged " << k;
+
+    EXPECT_EQ(applies, want.exchange_applications);
+    EXPECT_EQ(got.scf_iterations, want.scf_iterations);
+    EXPECT_EQ(got.outer_iterations, want.outer_iterations);
+    EXPECT_EQ(got.outer_converged, want.outer_converged);
+    EXPECT_TRUE(bitwise_equal(s.phi, ref.phi)) << "step " << k;
+    EXPECT_TRUE(bitwise_equal(s.sigma, ref.sigma)) << "step " << k;
+  }
+}
+
+TEST(IsdfHeld, AbandonedSessionReleasesItsPoints) {
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t npw = sys.sphere->npw();
+  const size_t ng = sys.wfc_grid->size();
+  ASSERT_LT(ham::isdf::rank(8.0, kHeldBands, 4, ng), ng);
+  td::PtImPropagator prop(*sys.ham, held_options(), nullptr);
+  const ham::ExchangeOperator& xop = sys.ham->exchange_op();
+  const td::TdState s = held_initial(npw);
+  {
+    auto sess = prop.step_begin(s);
+    la::MatC w(npw, kHeldBands);
+    xop.apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi, w, false);
+    ASSERT_TRUE(prop.step_advance(s, sess, w));
+    ASSERT_FALSE(xop.isdf_points().empty());
+  }  // abandoned: no step_finish
+  EXPECT_TRUE(xop.isdf_points().empty());
+
+  // The next plain apply selects fresh points: bitwise a fresh operator's.
+  const auto p = ApplyProblem::make(npw, kHeldBands, 437);
+  la::MatC got(npw, p.tgt.cols()), want(npw, p.tgt.cols());
+  xop.apply_diag(p.phi, p.d, p.tgt, got);
+  const ham::ExchangeOperator fresh(xop.map(), xop.options());
+  fresh.apply_diag(p.phi, p.d, p.tgt, want);
+  EXPECT_TRUE(bitwise_equal(got, want));
+
+  // And the next step starts clean: bitwise a fresh propagator's.
+  test::TinySystem ref_sys = test::TinySystem::make(3.0);
+  td::PtImPropagator ref_prop(*ref_sys.ham, held_options(), nullptr);
+  td::TdState a = s, b = s;
+  prop.step(a);
+  ref_prop.step(b);
+  EXPECT_TRUE(bitwise_equal(a.phi, b.phi));
+  EXPECT_TRUE(bitwise_equal(a.sigma, b.sigma));
+}
+
+TEST(IsdfDist, TrajectoryMatchesSerialWithRankIdenticalHeldSets) {
+  // Serial vs band-parallel kIsdf PT-IM-ACE: every rank holds the same
+  // collectively selected point set, and the observables track the serial
+  // trajectory to the per-apply tolerance of MatchesSerialOperator.
+  constexpr int kSteps = 5;
+  constexpr real_t kRel = 1e-8;
+  const size_t nb = 7;  // non-divisible over 2 and 3 ranks
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t npw = sys.sphere->npw();
+  const size_t ng = sys.wfc_grid->size();
+  ASSERT_LT(ham::isdf::rank(8.0, nb, nb, ng), ng);
+  const td::TdState init = held_initial(npw, nb);
+
+  std::vector<real_t> ser_dipole;
+  td::TdState ser = init;
+  {
+    td::PtImPropagator prop(*sys.ham, held_options(), nullptr);
+    for (int k = 0; k < kSteps; ++k) {
+      EXPECT_TRUE(prop.step(ser).outer_converged) << "serial step " << k;
+      const auto rho = ham::density_sigma(ser.phi, ser.sigma,
+                                          sys.ham->den_map());
+      ser_dipole.push_back(td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0}));
+    }
+  }
+
+  for (const int nranks : {2, 3}) {
+    const dist::BlockLayout bands(nb, nranks);
+    std::vector<real_t> dipole(kSteps, 0.0);
+    // held[k][rank]: the set a midpoint-style build installs on the
+    // committed state of step k.
+    std::vector<std::vector<std::vector<size_t>>> held(
+        kSteps, std::vector<std::vector<size_t>>(nranks));
+    std::vector<int> outer_ok(nranks, 1);
+    td::TdState dst;
+    ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
+      const int me = c.rank();
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, ham::HamiltonianOptions{});
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      td::DistTdState s = td::scatter_state(init, bands, me);
+      td::DistPtImPropagator prop(bdh, held_options(), nullptr);
+      for (int k = 0; k < kSteps; ++k) {
+        if (!prop.step(s).outer_converged) outer_ok[me] = 0;
+        EXPECT_TRUE(h.exchange_op().isdf_points().empty());
+        const auto rho = bdh.density(s.phi_local, s.sigma);
+        if (me == 0)
+          dipole[k] = td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
+        ham::IsdfPointHold hold;
+        (void)bdh.build_ace(s.phi_local, s.sigma, &hold);
+        held[k][me] = h.exchange_op().isdf_points();
+      }
+      const td::TdState full = td::gather_state(c, s, bands);
+      if (me == 0) dst = full;
+    });
+
+    for (int r = 0; r < nranks; ++r)
+      EXPECT_EQ(outer_ok[r], 1) << "p=" << nranks << " rank " << r;
+    for (int k = 0; k < kSteps; ++k) {
+      EXPECT_NEAR(dipole[k], ser_dipole[k], kRel * std::abs(ser_dipole[k]))
+          << "p=" << nranks << " step " << k;
+      ASSERT_FALSE(held[k][0].empty());
+      EXPECT_LT(held[k][0].size(), ng);
+      for (int r = 1; r < nranks; ++r)
+        EXPECT_EQ(held[k][r], held[k][0])
+            << "p=" << nranks << " step " << k << " rank " << r;
+    }
+    EXPECT_LE(la::frob_diff(dst.sigma, ser.sigma),
+              kRel * la::frob_norm(ser.sigma))
+        << "p=" << nranks;
+    EXPECT_LE(la::frob_diff(dst.phi, ser.phi), kRel * la::frob_norm(ser.phi))
+        << "p=" << nranks;
   }
 }

@@ -281,6 +281,7 @@ TEST(ObsMetrics, StepReportJsonlRoundTrips) {
   r.exchange_applications = 4;
   r.residual = 3.25e-8;
   r.converged = 0;
+  r.outer_converged = 0;
   r.ffts = 400;
   r.ring_bytes = 123456789012LL;
   r.alltoallv_bytes = 987;
@@ -302,6 +303,7 @@ TEST(ObsMetrics, StepReportJsonlRoundTrips) {
   EXPECT_EQ(p.exchange_applications, 4);
   EXPECT_EQ(p.residual, 3.25e-8);
   EXPECT_EQ(p.converged, 0);
+  EXPECT_EQ(p.outer_converged, 0);
   EXPECT_EQ(p.ffts, 400);
   EXPECT_EQ(p.ring_bytes, 123456789012LL);
   EXPECT_EQ(p.alltoallv_bytes, 987);

@@ -258,6 +258,37 @@ TEST(PtImDist, SimulationDistributedMatchesSerial) {
   EXPECT_GT(res.comm[0].ops.at("Wait").bytes, 0);
 }
 
+TEST(PtImDist, OuterCapIsReportedOnEveryRank) {
+  // tol_fock = 0 can never pass, so every rank reports the capped outer
+  // loop; a variant without an outer loop reports true.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 5;
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const dist::BlockLayout bands(nb, 2);
+  for (const td::PtImVariant variant :
+       {td::PtImVariant::kAce, td::PtImVariant::kDiag}) {
+    td::PtImOptions opt = ptim_options(variant);
+    opt.max_outer = 2;
+    opt.tol_fock = 0.0;
+    std::vector<int> outer(2, -1), iters(2, -1);
+    ptmpi::run_ranks(2, 1, [&](ptmpi::Comm& c) {
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, ham::HamiltonianOptions{});
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      td::DistTdState s = td::scatter_state(init, bands, c.rank());
+      td::DistPtImPropagator prop(bdh, opt, nullptr);
+      const td::PtImStepStats st = prop.step(s);
+      outer[static_cast<size_t>(c.rank())] = st.outer_converged ? 1 : 0;
+      iters[static_cast<size_t>(c.rank())] = st.outer_iterations;
+    });
+    const bool ace = variant == td::PtImVariant::kAce;
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_EQ(outer[static_cast<size_t>(r)], ace ? 0 : 1) << "rank " << r;
+      EXPECT_EQ(iters[static_cast<size_t>(r)], ace ? opt.max_outer : 1);
+    }
+  }
+}
+
 TEST(PtImDist, SingleRankIsExactlySerialShape) {
   // p = 1 must work (degenerate world) and agree with serial.
   test::TinySystem sys = test::TinySystem::make(3.0);

@@ -220,6 +220,30 @@ TEST(PtIm, AceReducesExchangeApplications) {
             2 * stats_ace.exchange_applications);
 }
 
+TEST(PtIm, OuterConvergenceIsReported) {
+  // outer_converged reports the ACE Fock-energy test, not the inner fixed
+  // point: with tol_fock = 0 the test can never pass, so every step stops
+  // at max_outer and says so, while converged keeps its inner meaning.
+  auto& env = TdEnv::get();
+  td::PtImOptions opt;
+  opt.dt = 2.0;
+  opt.variant = td::PtImVariant::kAce;
+  opt.max_outer = 2;
+  opt.tol_fock = 0.0;
+  td::TdState s = env.initial();
+  td::PtImPropagator capped(*env.sys.ham, opt, nullptr);
+  const td::PtImStepStats st = capped.step(s);
+  EXPECT_FALSE(st.outer_converged);
+  EXPECT_EQ(st.outer_iterations, opt.max_outer);
+  EXPECT_TRUE(st.converged);
+
+  // A variant without an outer loop has no Fock-energy test to fail.
+  opt.variant = td::PtImVariant::kDiag;
+  td::TdState sd = env.initial();
+  td::PtImPropagator diag(*env.sys.ham, opt, nullptr);
+  EXPECT_TRUE(diag.step(sd).outer_converged);
+}
+
 TEST(PtIm, MatchesRk4UnderLaser) {
   // Gauge consistency: PT-IM with a 25x larger step reproduces RK4 dipole
   // dynamics (Fig. 7's central accuracy claim, shrunk to a 2-atom cell).
