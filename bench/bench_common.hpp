@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "common/timer.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
@@ -165,21 +164,18 @@ inline std::vector<ptmpi::CommStats> run_distributed_steps(
 }
 
 // Best-of-`reps` wall time of one distributed diag-exchange application
-// over `nranks` thread ranks under the given execution backend and
-// circulation pattern — the shared measurement behind the overlap benches
+// over `nranks` thread ranks under the given circulation pattern — the
+// shared measurement behind the overlap benches
 // (bench_overlap and the closing section of bench_table1_comm), so the
 // serialized-vs-overlapped protocol cannot drift between them.
 // comm_seconds (optional) receives rank 0's Sendrecv + Wait + Bcast
 // seconds from the SAME repetition the returned time comes from.
 inline double time_exchange_apply(const MiniSystem& sys,
                                   const pw::SphereGridMap& map,
-                                  backend::Kind kind,
                                   dist::ExchangePattern pat, int nranks,
                                   int reps = 3,
                                   double* comm_seconds = nullptr) {
-  ham::ExchangeOptions xopt;
-  xopt.backend = kind;
-  ham::ExchangeOperator xop(map, xopt);
+  ham::ExchangeOperator xop(map, {});
   double best = 1e99;
   for (int rep = 0; rep < reps; ++rep) {
     Timer t;

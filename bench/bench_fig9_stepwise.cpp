@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "bench_common.hpp"
 #include "common/timer.hpp"
 #include "core/simulation.hpp"
@@ -133,7 +132,6 @@ int main() {
     cfg.nranks = 4;
     cfg.ranks_per_node = 2;
     cfg.pattern = dist::ExchangePattern::kAsyncRing;
-    cfg.backend = backend::Kind::kHostAsync;
     cfg.trace_path = "TRACE_fig9_stepwise.json";
     cfg.metrics_path = "METRICS_fig9_stepwise.jsonl";
     std::remove(cfg.metrics_path.c_str());  // the sink appends

@@ -1,10 +1,11 @@
-// Overlap pipeline benchmark: serialized (kSync) vs stream-overlapped
-// (HostAsync double-buffered ring) distributed exchange, measured on
-// in-process thread ranks with a synthetic wire model so the transfer time
-// is non-trivial — the one-machine analogue of the paper's Async rows.
+// Overlap benchmark: the serialized Sendrecv ring vs the posted Isend/Irecv
+// ring (the transfer of slab k+1 in flight while slab k is applied),
+// measured on in-process thread ranks with a synthetic wire model so the
+// transfer time is non-trivial — the one-machine analogue of the paper's
+// Async rows.
 //
 // Per circulation round the serialized ring pays compute + wire while the
-// pipelined ring pays ~max(compute, wire); the difference is the measured
+// posted ring pays ~max(compute, wire); the difference is the measured
 // wait-time reduction. Results (and the per-op CommStats wait seconds)
 // are written to BENCH_overlap.json for the perf trajectory. The shared
 // measurement protocol lives in bench::time_exchange_apply.
@@ -13,15 +14,13 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "bench_common.hpp"
 #include "dist/exchange_dist.hpp"
 
 using namespace ptim;
 
 int main() {
-  bench::header(
-      "Overlap pipeline — serialized vs stream-overlapped ring exchange");
+  bench::header("Overlap — serialized vs posted (Isend/Irecv) ring exchange");
 
   bench::MiniSystem sys = bench::MiniSystem::make(8000.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
@@ -29,8 +28,8 @@ int main() {
 
   // Compute-only reference (no wire): what a circulation costs with free
   // comm.
-  const double compute_only = bench::time_exchange_apply(
-      sys, map, backend::Kind::kSync, dist::ExchangePattern::kRing, p);
+  const double compute_only =
+      bench::time_exchange_apply(sys, map, dist::ExchangePattern::kRing, p);
   // Wire time per slab chosen relative to the compute so the overlap has
   // something real to hide: roughly one circulation's worth of compute in
   // pure transfer (the comm-bound regime of the paper's large runs, where
@@ -42,26 +41,16 @@ int main() {
               p, wire_per_msg * 1e3, compute_only * 1e3);
 
   // Baseline: the fully serialized Sendrecv ring (transfer stalls the hot
-  // path every round). Every overlapped engine is measured against it:
-  //  * host-overlapped  — the legacy kAsyncRing (Isend/Irecv posted before
-  //    the apply, waits after),
-  //  * stream-overlapped — the backend pipeline (comm rounds as tasks on a
-  //    comm stream, double-buffered, waits posted as stream events).
+  // path every round). The host-overlapped kAsyncRing (Isend/Irecv posted
+  // before the apply, waits after) is measured against it.
   struct Config {
     const char* engine;
     const char* pattern;
     dist::ExchangePattern pat;
-    backend::Kind kind;
   };
   const Config configs[] = {
-      {"serialized", "ring", dist::ExchangePattern::kRing,
-       backend::Kind::kSync},
-      {"host-overlapped", "async", dist::ExchangePattern::kAsyncRing,
-       backend::Kind::kSync},
-      {"stream-overlapped", "ring", dist::ExchangePattern::kRing,
-       backend::Kind::kHostAsync},
-      {"stream-overlapped", "async", dist::ExchangePattern::kAsyncRing,
-       backend::Kind::kHostAsync},
+      {"serialized", "ring", dist::ExchangePattern::kRing},
+      {"host-overlapped", "async", dist::ExchangePattern::kAsyncRing},
   };
   struct Row {
     const Config* cfg;
@@ -73,8 +62,8 @@ int main() {
   double base_s = 0.0;
   for (const Config& cfg : configs) {
     Row r{&cfg, 0.0, 0.0};
-    r.step_s = bench::time_exchange_apply(sys, map, cfg.kind, cfg.pat, p,
-                                          /*reps=*/3, &r.comm_s);
+    r.step_s = bench::time_exchange_apply(sys, map, cfg.pat, p, /*reps=*/3,
+                                          &r.comm_s);
     if (base_s == 0.0) base_s = r.step_s;
     std::printf("%-20s %-8s %10.2fms %9.2fx %10.2fms\n", cfg.engine,
                 cfg.pattern, r.step_s * 1e3, base_s / r.step_s,
@@ -84,10 +73,10 @@ int main() {
   ptmpi::set_wire_model(0.0, 0.0);
   std::printf(
       "(comm s = rank 0 Sendrecv + Wait + Bcast seconds. Under the "
-      "overlapped engines the wire wait runs concurrently with the "
-      "previous slab's compute — off the critical path — which is what "
-      "the vs-serial column measures; on a single-core host only the "
-      "wait, not the compute, can be hidden.)\n");
+      "posted ring the wire wait runs concurrently with the slab's "
+      "compute — off the critical path — which is what the vs-serial "
+      "column measures; on a single-core host only the wait, not the "
+      "compute, can be hidden.)\n");
 
   const char* path = "BENCH_overlap.json";
   if (std::FILE* f = std::fopen(path, "w")) {

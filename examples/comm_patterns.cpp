@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "backend/backend.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/transpose.hpp"
 #include "gs/scf.hpp"
@@ -66,35 +65,6 @@ int main(int argc, char** argv) {
     std::printf("  %-12s %8s %14s\n", "MPI op", "calls", "bytes (rank 0)");
     for (const auto& [op, st] : ptmpi::last_run_stats()[0].ops)
       std::printf("  %-12s %8ld %14lld\n", op.c_str(), st.calls, st.bytes);
-  }
-
-  // Execution backends: the same ring, serialized vs stream-pipelined.
-  // kSync is the legacy host loop; kHostSerial runs the stream pipeline
-  // inline (the deterministic reference); kHostAsync double-buffers slabs
-  // with the transfer on a comm stream so it overlaps the previous slab's
-  // compute — the paper's GPU scheme modeled on CPU. All three match the
-  // serial operator bit-for-bit on every rank.
-  std::printf("\nexecution backends on the async ring (all bit-identical):\n");
-  for (const auto kind : {backend::Kind::kSync, backend::Kind::kHostSerial,
-                          backend::Kind::kHostAsync}) {
-    ham::ExchangeOptions xopt;
-    xopt.backend = kind;
-    ham::ExchangeOperator bxop(map, xopt);
-    const dist::BlockLayout bands(gs.phi.cols(), ranks);
-    std::vector<real_t> errs(static_cast<size_t>(ranks), 0.0);
-    ptmpi::run_ranks(ranks, 2, [&](ptmpi::Comm& c) {
-      const la::MatC blk = dist::exchange_apply_distributed(
-          c, bxop, gs.phi, gs.occ, gs.phi, dist::ExchangePattern::kAsyncRing);
-      real_t err = 0.0;
-      for (size_t b = 0; b < bands.count(c.rank()); ++b)
-        for (size_t i = 0; i < gs.phi.rows(); ++i)
-          err = std::max(err, std::abs(blk(i, b) -
-                                       serial(i, bands.offset(c.rank()) + b)));
-      errs[static_cast<size_t>(c.rank())] = err;
-    });
-    const real_t max_err = *std::max_element(errs.begin(), errs.end());
-    std::printf("  backend=%-7s max |err vs serial| = %.2e\n",
-                backend::kind_name(kind), max_err);
   }
 
   // Fig. 6: the SHM-backed overlap reduction.

@@ -11,8 +11,10 @@
 //
 // Runtime: a couple of minutes on a laptop core (reduced cutoff).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "core/simulation.hpp"
 #include "td/observables.hpp"
@@ -32,19 +34,20 @@ int main() {
               sim.natoms(), sim.nbands(), sim.sphere().npw());
   sim.prepare_ground_state();
 
-  td::PtImOptions opt;
-  opt.dt = 2.0;  // ~48 attoseconds
-  opt.variant = td::PtImVariant::kAce;
-  const int steps = 3;
+  core::RunConfig cfg;
+  cfg.steps = 3;
+  cfg.dt = 2.0;  // ~48 attoseconds
+  cfg.variant = td::PtImVariant::kAce;
+  auto dipole_run = [&sim](const core::RunConfig& c) {
+    core::MeasurementSet m;
+    m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
+    return sim.run(c, std::move(m));
+  };
 
   // Serial reference.
-  auto prop = sim.make_ptim(opt);
-  auto state = sim.initial_state();
-  std::vector<real_t> dip_serial;
-  for (int i = 0; i < steps; ++i) {
-    prop->step(state);
-    dip_serial.push_back(sim.dipole_x(state));
-  }
+  const auto serial = dipole_run(cfg);
+  const std::vector<real_t>& dip_serial =
+      serial.measurements.series("dipole_x");
   std::printf("serial:      dipole_x per step:");
   for (const real_t d : dip_serial) std::printf(" %12.6e", d);
   std::printf("\n\n");
@@ -53,20 +56,17 @@ int main() {
   for (const auto pattern :
        {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
         dist::ExchangePattern::kAsyncRing}) {
-    core::Simulation::DistRunOptions dopt;
-    dopt.nranks = 4;
-    dopt.ranks_per_node = 2;
-    dopt.steps = steps;
-    dopt.ptim = opt;
-    dopt.band.pattern = pattern;
-    dopt.band.overlap_shm = true;  // Fig. 6 node-shared overlap staging
-    const auto res = sim.propagate_distributed(dopt);
+    core::RunConfig dcfg = cfg;
+    dcfg.nranks = 4;
+    dcfg.ranks_per_node = 2;
+    dcfg.pattern = pattern;
+    dcfg.overlap_shm = true;  // Fig. 6 node-shared overlap staging
+    const auto res = dipole_run(dcfg);
+    const std::vector<real_t>& dip = res.measurements.series("dipole_x");
 
     real_t max_diff = 0.0;
-    for (int i = 0; i < steps; ++i)
-      max_diff = std::max(max_diff,
-                          std::abs(res.dipole[static_cast<size_t>(i)] -
-                                   dip_serial[static_cast<size_t>(i)]));
+    for (size_t i = 0; i < dip.size(); ++i)
+      max_diff = std::max(max_diff, std::abs(dip[i] - dip_serial[i]));
     std::printf("%-10s: max |dipole - serial| = %.2e  (sigma trace %.8f)\n",
                 dist::pattern_name(pattern), max_diff,
                 td::sigma_trace(res.final_state.sigma));

@@ -38,21 +38,20 @@ int main() {
   for (const real_t f : gs.occ) std::printf(" %.3f", f);
   std::printf("\n\n");
 
-  const real_t dt = 2.0;  // ~48 attoseconds
-  const int steps = 5;
-  td::LaserParams laser;
-  laser.e0 = 0.01;
-  laser.wavelength_nm = 380.0;
-  sim.set_laser(laser, dt * steps);
-
-  td::PtImOptions opt;
-  opt.dt = dt;
-  opt.variant = td::PtImVariant::kAce;
+  core::RunConfig cfg;
+  cfg.steps = 5;
+  cfg.dt = 2.0;  // ~48 attoseconds
+  cfg.variant = td::PtImVariant::kAce;
   // Run the exchange pipeline in single precision: ~2x on the bandwidth
   // bound pair FFTs with error far below the PT-IM tolerance. Drop this
   // line (or pass Precision::kDouble) for the all-FP64 reference.
-  opt.exchange_precision = Precision::kSingle;
-  auto prop = sim.make_ptim(opt);
+  cfg.precision = Precision::kSingle;
+
+  td::LaserParams laser;
+  laser.e0 = 0.01;
+  laser.wavelength_nm = 380.0;
+  sim.set_laser(laser);  // envelope placed against cfg's steps * dt horizon
+  auto prop = sim.make_ptim(cfg);
   std::printf("exchange pipeline precision: %s\n\n",
               precision_name(sim.exchange_precision()));
 
@@ -61,7 +60,7 @@ int main() {
               "energy (Ha)", "scf", "Vx");
   std::printf("%10.1f %14.6e %14.8f %8s %8s\n", 0.0, sim.dipole_x(state),
               sim.energy(state).total(), "-", "-");
-  for (int i = 0; i < steps; ++i) {
+  for (int i = 0; i < cfg.steps; ++i) {
     const auto stats = prop->step(state);
     std::printf("%10.1f %14.6e %14.8f %8d %8d\n",
                 state.time * units::au_time_as, sim.dipole_x(state),

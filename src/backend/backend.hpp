@@ -1,44 +1,11 @@
 #pragma once
-// Execution-backend selection for the exact-exchange hot path.
-//
-// The paper's ARM/GPU port expresses the exchange pipeline as asynchronous
-// kernel launches on streams so that ring communication of wavefunction
-// slabs overlaps the pair-density FFT/K(G) compute of the previous slab.
-// This header is the lightweight knob other layers thread through their
-// options structs; the execution model itself lives in stream.hpp /
-// executor.hpp and the concrete executors in host_serial.cpp /
-// host_async.cpp.
-//
-//   kSync       — the legacy host-synchronous path: no executor, every
-//                 kernel is a blocking host call (the pre-backend code).
-//   kHostSerial — reference executor: launches run inline at enqueue time,
-//                 trivially deterministic, zero threads.
-//   kHostAsync  — worker-thread stream executor with real event
-//                 dependencies, modeling a GPU queue on CPU. This is the
-//                 production default: the distributed ring double-buffers
-//                 slabs so the wire transfer of slab k+1 overlaps the
-//                 compute of slab k.
-//
-// All three produce bit-identical results (pinned by test_backend): the
-// compute stream serializes the per-slab applies in the same round order
-// the synchronous path uses.
+// Inert execution-backend tag. The band-parallel ring has a single host
+// engine (dist/circulate.hpp), so nothing selects on this enum any more;
+// it survives only as the type of the ignored RunConfig::backend field,
+// which perfbench still assigns. Both go once perfbench stops doing so.
 
 namespace ptim::backend {
 
 enum class Kind { kSync, kHostSerial, kHostAsync };
-
-const char* kind_name(Kind k);
-
-// Process default, read once from the PTIM_BACKEND environment variable:
-// "sync" | "serial" | "async" (unset = async). CI runs the backend test
-// label under both executor defaults this way.
-Kind default_kind();
-
-class Executor;
-
-// Lazily constructed process-wide executor per kind (kSync has none —
-// asking for it throws). Thread-safe; streams created from it are
-// independent, so concurrent ptmpi ranks can share one instance.
-Executor& shared_executor(Kind k);
 
 }  // namespace ptim::backend

@@ -1,13 +1,11 @@
 #pragma once
-// Buffer<T> — typed device-style buffer with allocation accounting.
+// Buffer<T> — typed slab storage with allocation accounting.
 //
-// On the host backends this is ordinary memory; a real GPU backend would
-// back it with device allocations, which is exactly why the ring pipeline
-// is required to hold a FIXED number of buffers per circulation (double
-// buffering) instead of allocating per round — device allocation inside
-// the hot loop would serialize the streams. The process-wide allocation
-// counter makes that property testable: test_dist pins the per-circulation
-// allocation count independent of rank count and round count.
+// The ring engine (dist/circulate.hpp) holds a FIXED number of these per
+// circulation (one for Bcast, a double buffer for the rings) instead of
+// allocating per round. The process-wide allocation counter makes that
+// property testable: test_dist pins the per-circulation allocation count
+// independent of rank count and round count.
 
 #include <algorithm>
 #include <atomic>

@@ -67,7 +67,7 @@ std::vector<EnsembleJobResult> EnsembleDriver::run_batch(
     // Always (re)set A: carries the job's delta kick and clears whatever a
     // previous batch left on the pooled Hamiltonian.
     sl.h->set_vector_potential(batch[i].kick);
-    // The propagator ctor applies cfg's precision/backend to its slot.
+    // The propagator ctor applies cfg's precision/compression to its slot.
     sl.prop =
         std::make_unique<td::PtImPropagator>(*sl.h, popt, sl.laser.get());
     sl.res.name = batch[i].name;

@@ -1,24 +1,22 @@
 #pragma once
-// One consolidated run configuration for every propagation driver. The
-// knobs used to be scattered across td::PtImOptions, dist::BandHamOptions,
-// Simulation::DistRunOptions and the set_exchange_* setters, each accreted
-// by a different PR; RunConfig is the single surface Simulation::run,
-// make_ptim and EnsembleDriver consume. The legacy entry points survive as
-// thin wrappers over this struct (and a regression test pins the old and
-// new paths to bitwise-identical trajectories).
+// One consolidated run configuration for every propagation driver:
+// RunConfig is the single surface Simulation::run, make_ptim and
+// EnsembleDriver consume. td::PtImOptions and dist::BandHamOptions are
+// derived from it (ptim() / band() below) for the propagators themselves.
 //
 // Hash policy (config_hash / physics_hash): the RNG-free hash stored in
 // checkpoints covers exactly the fields that determine the trajectory's
 // NUMBERS — dt, variant, tolerances, precision, the laser and the horizon.
 // It deliberately excludes steps (that is the split point a resume moves),
 // and the layout/throughput knobs (nranks, process grid, circulation
-// pattern, backend, batch size), which are all regression-pinned to be
-// bitwise trajectory-invariant.
+// pattern, batch size), which are all regression-pinned to be bitwise
+// trajectory-invariant.
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
+#include "backend/backend.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/layout.hpp"
 #include "io/checkpoint.hpp"
@@ -51,8 +49,11 @@ struct RunConfig {
   // --- exchange hot path ------------------------------------------------
   // Unset keeps whatever the Hamiltonian was configured with.
   std::optional<Precision> precision;
-  std::optional<backend::Kind> backend;
   std::optional<size_t> exchange_batch;  // batched-FFT block width
+  // IGNORED. The ring has one host engine (dist/circulate.hpp); this field
+  // only keeps perfbench.cpp:243 (cfg.backend = backend::Kind::kHostSerial)
+  // compiling, and goes when perfbench drops that line.
+  std::optional<backend::Kind> backend;
   // Low-rank (ISDF) compression of the exchange apply and its rank factor
   // (ham/isdf). Deliberately HASH-NEUTRAL (unlike precision): the fit is
   // derived state, rebuilt from the wavefunctions at every apply, and its
@@ -88,7 +89,7 @@ struct RunConfig {
   // trace_path: when nonempty, Simulation::run records obs spans across
   // the whole run and writes ONE merged Chrome trace-event JSON there —
   // distributed runs gather every rank's buffers over ptmpi first, so the
-  // file holds per-rank lanes (plus per-stream sub-lanes under HostAsync).
+  // file holds one process lane per rank.
   // metrics_path: when nonempty, every committed PT-IM step appends one
   // StepReport JSONL line there (per rank, for distributed runs). For
   // campaigns this knob is an enable switch: each job writes to
@@ -102,8 +103,8 @@ struct RunConfig {
                            : t_start + static_cast<real_t>(steps) * dt;
   }
 
-  // The legacy option structs, derived. These are the ONLY conversion
-  // points, so old-path wrappers and new-path drivers cannot drift.
+  // The propagators' option structs, derived. These are the ONLY
+  // conversion points, so no driver can drift from another.
   td::PtImOptions ptim() const {
     td::PtImOptions o;
     o.dt = dt;
@@ -116,7 +117,6 @@ struct RunConfig {
     o.variant = variant;
     o.hybrid = hybrid;
     o.exchange_precision = precision;
-    o.exchange_backend = backend;
     o.exchange_compression = compression;
     o.isdf_rank_factor = isdf_rank_factor;
     o.process_grid = process_grid;

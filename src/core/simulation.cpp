@@ -86,22 +86,12 @@ void Simulation::set_laser(td::LaserParams p) {
   laser_.reset();  // placed lazily against the next run's horizon
 }
 
-const td::LaserPulse* Simulation::set_laser(td::LaserParams p, real_t t_max) {
-  pending_laser_.reset();
-  laser_ = std::make_unique<td::LaserPulse>(p, t_max);
-  return laser_.get();
-}
-
 const td::LaserPulse* Simulation::resolve_laser(real_t horizon) {
   // Pending params are kept: a later run with a different horizon re-places
   // the envelope (the lazy-laser contract ensemble jobs rely on).
   if (pending_laser_)
     laser_ = std::make_unique<td::LaserPulse>(*pending_laser_, horizon);
   return laser_.get();
-}
-
-std::unique_ptr<td::PtImPropagator> Simulation::make_ptim(td::PtImOptions opt) {
-  return std::make_unique<td::PtImPropagator>(*h_, opt, laser_.get());
 }
 
 std::unique_ptr<td::PtImPropagator> Simulation::make_ptim(
@@ -291,10 +281,9 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
     if (c.rank() == 0) result.final_state = full;
     if (tracing) {
       // Rank-merged trace: after the barrier every rank is past its last
-      // instrumented operation (stream workers drained inside the step
-      // loop), so the per-rank snapshots are quiesced. Each rank filters
-      // to its own span set and ships it to world rank 0, which writes
-      // ONE timeline with a process lane per rank.
+      // instrumented operation, so the per-rank snapshots are quiesced.
+      // Each rank filters to its own span set and ships it to world rank
+      // 0, which writes ONE timeline with a process lane per rank.
       c.barrier();
       const std::vector<obs::Span> merged =
           obs::gather_spans(c, obs::snapshot(c.rank()));
@@ -309,51 +298,6 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
   return result;
 }
 
-Simulation::DistRunResult Simulation::propagate_distributed(
-    const DistRunOptions& opt, MeasurementSet measurements) {
-  PTIM_CHECK_MSG(opt.nranks >= 1 && opt.steps >= 0,
-                 "propagate_distributed: bad run options");
-  // Thin deprecated wrapper: a 1:1 conversion into RunConfig + run() with a
-  // dipole_x probe standing in for the old ad-hoc recording (pinned
-  // bitwise-identical to the pre-RunConfig implementation by test_ensemble).
-  RunConfig cfg;
-  cfg.steps = opt.steps;
-  cfg.nranks = opt.nranks;
-  cfg.ranks_per_node = opt.ranks_per_node;
-  cfg.dt = opt.ptim.dt;
-  cfg.max_scf = opt.ptim.max_scf;
-  cfg.tol = opt.ptim.tol;
-  cfg.max_outer = opt.ptim.max_outer;
-  cfg.tol_fock = opt.ptim.tol_fock;
-  cfg.anderson_history = opt.ptim.anderson_history;
-  cfg.anderson_beta = opt.ptim.anderson_beta;
-  cfg.variant = opt.ptim.variant;
-  cfg.hybrid = opt.ptim.hybrid;
-  cfg.evolve_sigma = opt.ptim.evolve_sigma;
-  cfg.precision = opt.ptim.exchange_precision;
-  cfg.backend = opt.ptim.exchange_backend;
-  cfg.process_grid = opt.ptim.process_grid;
-  cfg.pattern = opt.band.pattern;
-  cfg.overlap_shm = opt.band.overlap_shm;
-
-  // Legacy call shape (no measurements): sample the default dipole probe.
-  // A caller-supplied set is sampled as-is.
-  if (measurements.empty())
-    measurements.add("dipole_x", dipole_probe({1.0, 0.0, 0.0}));
-  RunResult r = run(cfg, std::move(measurements));
-
-  DistRunResult result;
-  result.final_state = std::move(r.final_state);
-  // Custom MeasurementSets need not include "dipole_x": fall back to an
-  // empty series instead of throwing "no such measurement".
-  if (r.measurements.has("dipole_x"))
-    result.dipole = r.measurements.series("dipole_x");
-  result.measurements = std::move(r.measurements);
-  result.steps = std::move(r.steps);
-  result.comm = std::move(r.comm);
-  return result;
-}
-
 uint64_t Simulation::config_hash(const RunConfig& cfg) const {
   uint64_t h = cfg.physics_hash();
   auto mix = [&h](const auto& v) { h = io::fnv1a(&v, sizeof(v), h); };
@@ -365,9 +309,9 @@ uint64_t Simulation::config_hash(const RunConfig& cfg) const {
   mix(na);
   mix(spec_.ecut);
   mix(spec_.temperature_k);
-  // The laser is part of the physics; either attachment form contributes.
-  const td::LaserParams* lp =
-      pending_laser_ ? &*pending_laser_ : (laser_ ? &laser_->params() : nullptr);
+  // The laser is part of the physics (a pulse only ever comes from pending
+  // parameters, so those are what the hash sees).
+  const td::LaserParams* lp = pending_laser_ ? &*pending_laser_ : nullptr;
   const bool has_laser = lp != nullptr;
   mix(has_laser);
   if (lp) {

@@ -6,8 +6,11 @@
 //   core::SystemSpec spec;             // 1x1x1 Si cell, Ecut, T, laser...
 //   core::Simulation sim(spec);
 //   sim.prepare_ground_state();
+//   core::RunConfig cfg;               // steps, dt, variant, nranks...
+//   auto result = sim.run(cfg, measurements);
+// or, stepping by hand:
+//   auto prop  = sim.make_ptim(cfg);
 //   auto state = sim.initial_state();
-//   auto prop  = sim.make_ptim(ptim_options);
 //   for (...) { prop->step(state); record(sim.dipole_x(state)); }
 
 #include <memory>
@@ -62,20 +65,15 @@ class Simulation {
   // (RunConfig::horizon), so one Simulation can serve ensemble jobs whose
   // horizons differ. Re-resolved at every run start.
   void set_laser(td::LaserParams p);
-  // DEPRECATED eager form: places the envelope at attach time against an
-  // explicit t_max. Kept as a thin wrapper for existing callers; prefer
-  // set_laser(p) + RunConfig.
-  const td::LaserPulse* set_laser(td::LaserParams p, real_t t_max);
   // Build the pulse for a known horizon now (no-op without pending params);
-  // run() calls this automatically.
+  // run() and make_ptim() call this automatically.
   const td::LaserPulse* resolve_laser(real_t horizon);
   const td::LaserPulse* laser() const { return laser_.get(); }
 
   // --- propagators ------------------------------------------------------
-  std::unique_ptr<td::PtImPropagator> make_ptim(td::PtImOptions opt);
-  // RunConfig form: resolves the lazy laser against cfg's horizon and
-  // applies the exchange knobs (precision / backend / batch) before
-  // constructing the propagator.
+  // Resolves the lazy laser against cfg's horizon and applies the exchange
+  // knobs (precision / batch / compression) before constructing the
+  // propagator on this simulation's Hamiltonian.
   std::unique_ptr<td::PtImPropagator> make_ptim(const RunConfig& cfg);
   std::unique_ptr<td::Rk4Propagator> make_rk4(td::Rk4Options opt);
 
@@ -127,15 +125,6 @@ class Simulation {
   }
   Precision exchange_precision() const { return h_->exchange_precision(); }
 
-  // Execution backend of the distributed exchange ring (backend/): kSync
-  // legacy host path, kHostSerial inline streams, kHostAsync overlapped
-  // compute/comm. Recorded in the spec so per-rank Hamiltonians inherit it.
-  void set_exchange_backend(backend::Kind k) {
-    spec_.ham.exchange.backend = k;
-    h_->set_exchange_backend(k);
-  }
-  backend::Kind exchange_backend() const { return h_->exchange_backend(); }
-
   // Batched-FFT block width of the exchange pair pipeline (throughput-only
   // knob, bit-identical across widths). Recorded in the spec so per-rank
   // Hamiltonians inherit it.
@@ -150,37 +139,6 @@ class Simulation {
   // atoms: each ptmpi rank of a distributed run needs its own instance
   // because the Hamiltonian carries mutable density/exchange state.
   std::unique_ptr<ham::Hamiltonian> make_rank_hamiltonian() const;
-
-  // DEPRECATED: the pre-RunConfig option bundle. propagate_distributed
-  // converts it 1:1 into a RunConfig and forwards to run() (a regression
-  // test pins the two paths bitwise-identical); new code should call run()
-  // directly.
-  struct DistRunOptions {
-    int nranks = 2;
-    int ranks_per_node = 1;
-    int steps = 10;
-    td::PtImOptions ptim;
-    dist::BandHamOptions band;  // circulation pattern + SHM overlap staging
-  };
-  struct DistRunResult {
-    td::TdState final_state;                // gathered full state
-    // dipole_x after each step when that probe was sampled; EMPTY when the
-    // caller supplied a custom MeasurementSet without "dipole_x" (read
-    // `measurements` instead — the old unconditional series() lookup threw
-    // "no such measurement" for such callers).
-    std::vector<real_t> dipole;
-    MeasurementSet measurements;            // all sampled series
-    std::vector<td::PtImStepStats> steps;   // per-step solver statistics
-    std::vector<ptmpi::CommStats> comm;     // per-rank measured comm table
-  };
-  // Launch an nranks-wide ptmpi world, band-distribute the initial state,
-  // run `steps` PT-IM steps through dist::BandDistributedHamiltonian +
-  // td::DistPtImPropagator, and gather the trajectory. Produces the same
-  // trajectory as the serial make_ptim path (regression-tested to 1e-10).
-  // An empty `measurements` (the legacy call shape) samples the default
-  // dipole_x probe; a caller-supplied set is sampled as-is.
-  DistRunResult propagate_distributed(const DistRunOptions& opt,
-                                      MeasurementSet measurements = {});
 
   // --- observables ------------------------------------------------------
   std::vector<real_t> density(const td::TdState& s) const;

@@ -1,11 +1,13 @@
 #pragma once
-// Shared slab-circulation engine behind the band-parallel collectives
-// (exchange and rotation). `mine` holds this rank's payload —
-// src_bands.count(me) bands of `stride` elements each — and
-// apply(slab, origin) accumulates the contribution of the block that
-// originated on rank `origin`. The three patterns match Table I: one
-// broadcast per round, a synchronous Sendrecv ring, or an Isend/Irecv ring
-// whose transfer overlaps the apply.
+// Slab-circulation engine behind the band-parallel collectives: the 1-D
+// exchange, the band ring of the 2-D slab exchange, and the rotation.
+// `mine` holds this rank's payload — src_bands.count(me) bands of `stride`
+// elements each — and apply(slab, origin) accumulates the contribution of
+// the block that originated on rank `origin`. The three patterns match
+// Table I: one broadcast per round, a synchronous Sendrecv ring, or a
+// posted Isend/Irecv ring in which the transfer of slab k+1 is in flight
+// while slab k is applied (the paper's Async scheme). Every pattern applies
+// the slabs in a fixed round order on the calling thread.
 //
 // The engine is generic over the slab element type: cplx for the FP64
 // pipeline, cplxf for the FP32 exchange policy — the latter halves every
@@ -13,29 +15,20 @@
 // raw-byte Comm API (cast pinned explicitly so the typed element-count
 // overloads never capture a bytes argument).
 //
-// Two execution modes share the round structure:
-//  * synchronous (ex == nullptr) — the legacy host path: each round's
-//    transfer and compute run on the calling thread,
-//  * stream-pipelined (ex != nullptr) — the paper's overlap scheme on the
-//    backend subsystem: slabs are double-buffered, every round's ptmpi
-//    transfer (and its waits) is a task on a `comm` stream, every apply a
-//    task on a `compute` stream, and events order the two — while slab k
-//    is being computed, slab k+1 is on the wire. The per-slab applies are
-//    serialized on the compute stream in the same round order as the
-//    synchronous path, so results are bit-identical in every mode.
-//
 // Slab storage is a fixed set of backend::Buffers allocated up front and
-// reused across all p rounds (double buffering) — never per round; the
-// allocation count per circulation is pinned in test_dist.
+// reused across all p rounds (one for Bcast, a double buffer for the
+// rings) — never per round; the allocation count per circulation is pinned
+// in test_dist.
+//
+// Error path: once an apply throws, this rank skips its remaining applies
+// but still completes every transfer round, so no peer blocks on a message
+// that never comes; the first exception is rethrown after the last round.
 
 #include <algorithm>
-#include <type_traits>
+#include <exception>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "backend/buffer.hpp"
-#include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "common/types.hpp"
 #include "dist/layout.hpp"
 #include "dist/pattern.hpp"
@@ -44,29 +37,42 @@
 
 namespace ptim::dist {
 
-// Execution backend of a circulation: kSync selects the legacy
-// host-synchronous engine (null executor); the host-stream kinds run the
-// stream-pipelined engine with the exchange kernels registered. Shared by
-// the 1-D (exchange_dist) and 2-D slab (slab_exchange) rings so the two
-// paths can never pick different executors for the same options.
-inline backend::Executor* circulation_executor(backend::Kind k) {
-  if (k == backend::Kind::kSync) return nullptr;
-  backend::register_exchange_kernels();
-  return &backend::shared_executor(k);
-}
-
 namespace detail {
 
-// Legacy host-synchronous engine (the pre-backend code path), kept both as
-// the kSync production mode and as the reference the pipelined engine is
-// tested bit-identical against.
+// One round's apply, skipped once an earlier round's apply has thrown; the
+// first exception is parked in `err` for the rethrow after the last round.
 template <typename T, typename Apply>
-void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
-                          size_t slab_elems, ExchangePattern pat,
-                          const Apply& apply) {
+void apply_slab(const Apply& apply, const T* slab, int origin,
+                std::exception_ptr& err) {
+  if (err) return;
+  OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
+  try {
+    apply(slab, origin);
+  } catch (...) {
+    err = std::current_exception();
+  }
+}
+
+}  // namespace detail
+
+template <typename T, typename Apply>
+void circulate_slabs(ptmpi::Comm& c, const BlockLayout& src_bands,
+                     size_t stride, const std::vector<T>& mine,
+                     ExchangePattern pat, const Apply& apply) {
   const int p = c.size();
   const int me = c.rank();
+  if (p == 1) {
+    apply(mine.data(), 0);
+    return;
+  }
+
+  size_t maxw = 0;
+  for (int r = 0; r < p; ++r) maxw = std::max(maxw, src_bands.count(r));
+  const size_t slab_elems = maxw * stride;
   const size_t slab_bytes = slab_elems * sizeof(T);
+  const int next = (me + 1) % p;
+  const int prev = (me - 1 + p) % p;
+  std::exception_ptr err;
 
   switch (pat) {
     case ExchangePattern::kBcast: {
@@ -77,8 +83,7 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
           if (root == me) std::copy(mine.begin(), mine.end(), buf.data());
           c.bcast(static_cast<void*>(buf.data()), slab_bytes, root);
         }
-        OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
-        apply(buf.data(), root);
+        detail::apply_slab(apply, buf.data(), root, err);
       }
       break;
     }
@@ -88,18 +93,12 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
       T* cur = b0.data();
       T* nxt = b1.data();
       std::copy(mine.begin(), mine.end(), cur);
-      const int next = (me + 1) % p;
-      const int prev = (me - 1 + p) % p;
       for (int s = 0; s < p; ++s) {
-        {
-          OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
-          apply(cur, (me - s % p + p) % p);
-        }
+        detail::apply_slab(apply, cur, (me - s + p) % p, err);
         if (s + 1 < p) {
           OBS_SPAN("xchg.sendrecv", obs::Cat::kComm);
           c.sendrecv(next, static_cast<const void*>(cur), slab_bytes, prev,
-                     static_cast<void*>(nxt), slab_bytes,
-                     /*tag=*/s);
+                     static_cast<void*>(nxt), slab_bytes, /*tag=*/s);
           std::swap(cur, nxt);
         }
       }
@@ -110,202 +109,26 @@ void circulate_slabs_sync(ptmpi::Comm& c, const std::vector<T>& mine,
       T* cur = b0.data();
       T* nxt = b1.data();
       std::copy(mine.begin(), mine.end(), cur);
-      const int next = (me + 1) % p;
-      const int prev = (me - 1 + p) % p;
-      for (int s = 0; s < p; ++s) {
-        ptmpi::Request rr, rs;
-        const bool more = s + 1 < p;
-        if (more) {
-          rr = c.irecv(prev, nxt, slab_bytes, /*tag=*/s);
-          rs = c.isend(next, cur, slab_bytes, /*tag=*/s);
-        }
-        // Compute overlaps the in-flight transfer.
+      for (int s = 0; s + 1 < p; ++s) {
+        // The round's in-flight window: Isend/Irecv of the next slab are
+        // posted before this slab's apply and waited for after it, so the
+        // span encloses the apply the transfer overlaps.
+        OBS_SPAN("xchg.inflight", obs::Cat::kComm);
+        ptmpi::Request rr = c.irecv(prev, nxt, slab_bytes, /*tag=*/s);
+        ptmpi::Request rs = c.isend(next, cur, slab_bytes, /*tag=*/s);
+        detail::apply_slab(apply, cur, (me - s + p) % p, err);
         {
-          OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
-          apply(cur, (me - s % p + p) % p);
-        }
-        if (more) {
           OBS_SPAN("xchg.wait", obs::Cat::kComm);
           c.wait(rs);
           c.wait(rr);
-          std::swap(cur, nxt);
         }
+        std::swap(cur, nxt);
       }
+      detail::apply_slab(apply, cur, (me + 1) % p, err);  // last round
       break;
     }
   }
-}
-
-// Per-rank persistent stream pair: each ptmpi rank is one thread, so a
-// thread_local cache reuses the same compute/comm streams (and, under
-// HostAsync, their worker threads) across circulations instead of paying
-// stream creation inside the hot loop — the stream analogue of the
-// persistent slab Buffers. Safe because every circulation drains both
-// streams before returning; switching executors mid-process (tests sweep
-// backend kinds) replaces the pair, joining the old workers.
-struct CirculateStreams {
-  backend::Executor* ex = nullptr;
-  backend::Stream compute, comm;
-};
-inline CirculateStreams& cached_streams(backend::Executor& ex) {
-  thread_local CirculateStreams cs;
-  if (cs.ex != &ex) {
-    cs.compute = ex.create_stream("xchg.compute");
-    cs.comm = ex.create_stream("xchg.comm");
-    cs.ex = &ex;
-  }
-  return cs;
-}
-
-// Stream-pipelined engine (paper Fig. 5 overlap): round s's transfer runs
-// as a task on the `comm` stream while round s's apply runs on the
-// `compute` stream; double-buffered slabs with events closing the two
-// races (the transfer must not overwrite a buffer the compute stream is
-// still reading, and the compute stream must not read a buffer whose
-// transfer has not landed). Buffer r%2 carries round r in every pattern.
-template <typename T, typename Apply>
-void circulate_slabs_streamed(ptmpi::Comm& c, const std::vector<T>& mine,
-                              size_t slab_elems, ExchangePattern pat,
-                              const Apply& apply, backend::Executor& ex) {
-  const int p = c.size();
-  const int me = c.rank();
-  const size_t slab_bytes = slab_elems * sizeof(T);
-  // Kernel-registry name of the per-slab apply, by slab scalar.
-  const char* const apply_kernel = std::is_same_v<T, cplxf>
-                                       ? "xchg.apply_slab.fp32"
-                                       : "xchg.apply_slab.fp64";
-
-  CirculateStreams& cs = cached_streams(ex);
-  backend::Stream& compute = cs.compute;
-  backend::Stream& comm = cs.comm;
-  backend::Buffer<T> b0(slab_elems), b1(slab_elems);
-  T* const buf[2] = {b0.data(), b1.data()};
-
-  // done[s] — the compute stream finished reading round s's buffer;
-  // landed[s] — the comm stream finished writing round s+1's buffer.
-  std::vector<backend::Event> done(static_cast<size_t>(p));
-  std::vector<backend::Event> landed(static_cast<size_t>(p));
-
-  auto launch_apply = [&](int s, int origin) {
-    const T* slab = buf[s % 2];
-    ex.launch(
-        compute,
-        [&apply, slab, origin] {
-          // Recorded on the compute stream's worker lane.
-          OBS_SPAN("xchg.apply_slab", obs::Cat::kCompute);
-          apply(slab, origin);
-        },
-        apply_kernel);
-    done[static_cast<size_t>(s)] = ex.record(compute);
-  };
-
-  switch (pat) {
-    case ExchangePattern::kBcast: {
-      for (int root = 0; root < p; ++root) {
-        T* b = buf[root % 2];
-        // The transfer reuses the buffer the compute stream last read two
-        // rounds ago — wait for that read to retire before overwriting.
-        if (root >= 2)
-          ex.stream_wait_event(comm, done[static_cast<size_t>(root - 2)]);
-        ex.launch(
-            comm,
-            [&c, &mine, b, slab_bytes, root, me] {
-              OBS_SPAN("xchg.comm_round", obs::Cat::kComm);
-              if (root == me) std::copy(mine.begin(), mine.end(), b);
-              c.bcast(static_cast<void*>(b), slab_bytes, root);
-            },
-            "xchg.comm_round");
-        landed[static_cast<size_t>(root)] = ex.record(comm);
-        ex.stream_wait_event(compute, landed[static_cast<size_t>(root)]);
-        launch_apply(root, root);
-      }
-      break;
-    }
-    case ExchangePattern::kRing:
-    case ExchangePattern::kAsyncRing: {
-      std::copy(mine.begin(), mine.end(), buf[0]);
-      const int next = (me + 1) % p;
-      const int prev = (me - 1 + p) % p;
-      const bool posted = pat == ExchangePattern::kAsyncRing;
-      for (int s = 0; s < p; ++s) {
-        T* cur = buf[s % 2];
-        T* nxt = buf[(s + 1) % 2];
-        if (s + 1 < p) {
-          // The receive overwrites the buffer computed on in round s-1.
-          if (s >= 1)
-            ex.stream_wait_event(comm, done[static_cast<size_t>(s - 1)]);
-          ex.launch(
-              comm,
-              [&c, cur, nxt, slab_bytes, next, prev, s, posted] {
-                OBS_SPAN("xchg.comm_round", obs::Cat::kComm);
-                if (posted) {
-                  // Isend/Irecv first, waits after — the ptmpi waits are
-                  // what this stream's completion event stands for.
-                  ptmpi::Request rr =
-                      c.irecv(prev, nxt, slab_bytes, /*tag=*/s);
-                  ptmpi::Request rs =
-                      c.isend(next, static_cast<const void*>(cur), slab_bytes,
-                              /*tag=*/s);
-                  c.wait(rs);
-                  c.wait(rr);
-                } else {
-                  c.sendrecv(next, static_cast<const void*>(cur), slab_bytes,
-                             prev, static_cast<void*>(nxt), slab_bytes,
-                             /*tag=*/s);
-                }
-              },
-              "xchg.comm_round");
-          landed[static_cast<size_t>(s)] = ex.record(comm);
-        }
-        // Round s computes on `cur`, which round s-1's transfer produced.
-        if (s >= 1)
-          ex.stream_wait_event(compute, landed[static_cast<size_t>(s - 1)]);
-        launch_apply(s, (me - s % p + p) % p);
-      }
-      break;
-    }
-  }
-
-  // Host rejoins only once BOTH queues drain; task exceptions rethrow
-  // here. If the compute stream failed, the comm stream must still be
-  // drained before unwinding — its queued transfer tasks reference this
-  // frame's buffers/events, and peer ranks are mid-ring. (It cannot hang:
-  // record() signal tasks are unconditional and streams keep draining past
-  // a failed task, so every awaited event still fires.)
-  try {
-    ex.synchronize(compute);
-  } catch (...) {
-    try {
-      ex.synchronize(comm);
-    } catch (...) {
-      // Secondary comm failure is subsumed by the compute error.
-    }
-    throw;
-  }
-  ex.synchronize(comm);
-}
-
-}  // namespace detail
-
-template <typename T, typename Apply>
-void circulate_slabs(ptmpi::Comm& c, const BlockLayout& src_bands,
-                     size_t stride, const std::vector<T>& mine,
-                     ExchangePattern pat, const Apply& apply,
-                     backend::Executor* ex = nullptr) {
-  const int p = c.size();
-
-  size_t maxw = 0;
-  for (int r = 0; r < p; ++r) maxw = std::max(maxw, src_bands.count(r));
-  const size_t slab_elems = maxw * stride;
-
-  if (p == 1) {
-    apply(mine.data(), 0);
-    return;
-  }
-  if (ex)
-    detail::circulate_slabs_streamed(c, mine, slab_elems, pat, apply, *ex);
-  else
-    detail::circulate_slabs_sync(c, mine, slab_elems, pat, apply);
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace ptim::dist

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "dist/circulate.hpp"
 #include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
@@ -47,8 +45,7 @@ la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
     xop.apply_diag_realspace(slab, w, d_all.data() + src_bands.offset(origin),
                              tgt_local, out, /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+  circulate_slabs(c, src_bands, ng, mine, pat, apply_block);
   return out;
 }
 
@@ -89,8 +86,7 @@ la::MatC diag_circulation_gamma(ptmpi::Comm& c,
                                   tgt_local, contrib[static_cast<size_t>(origin)],
                                   /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+  circulate_slabs(c, src_bands, ng, mine, pat, apply_block);
 
   la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
   for (int o = 0; o < p; ++o) {
@@ -138,8 +134,7 @@ la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
     xop.apply_weighted_realspace(phis.data(), thetas.data(), w, tgt_local, out,
                                  /*accumulate=*/true);
   };
-  circulate_slabs(c, src_bands, 2 * ng, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+  circulate_slabs(c, src_bands, 2 * ng, mine, pat, apply_block);
   return out;
 }
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "backend/backend.hpp"
-#include "backend/executor.hpp"
-#include "backend/kernels.hpp"
 #include "dist/circulate.hpp"
 
 namespace ptim::dist {
@@ -236,8 +233,7 @@ la::MatC diag_circulation_slab(GridContext& gc,
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
-  circulate_slabs(gc.band(), src_bands, nloc, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+  circulate_slabs(gc.band(), src_bands, nloc, mine, pat, apply_block);
   return out;
 }
 
@@ -307,8 +303,7 @@ la::MatC mixed_circulation_slab(GridContext& gc,
     }
     gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
   };
-  circulate_slabs(gc.band(), src_bands, 2 * nloc, mine, pat, apply_block,
-                  circulation_executor(xop.options().backend));
+  circulate_slabs(gc.band(), src_bands, 2 * nloc, mine, pat, apply_block);
   return out;
 }
 

@@ -22,9 +22,8 @@
 //  * fixed pb: every pg produces bit-identical results (the per-slab
 //    arithmetic is pointwise and the cross-rank assembly touches disjoint
 //    grid points), so pg > 1 runs match the 1-D band-parallel operator,
-//  * all three circulation patterns x {FP64, FP32} x backend {sync,
-//    serial, async} agree bitwise, reusing the PR-4 stream pipeline for
-//    the band-ring overlap unchanged.
+//  * all three circulation patterns x {FP64, FP32} agree bitwise; the band
+//    ring is the same host engine as the 1-D path (dist/circulate.hpp).
 
 #include <memory>
 #include <vector>

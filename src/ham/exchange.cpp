@@ -225,16 +225,17 @@ void ExchangeOperator::kernel_filter_block(cplxf* block, size_t nb) const {
 }
 
 // --- stage primitives ------------------------------------------------------
-// The four hot-path stages, each the exact loop the fused engines below are
-// assembled from. They are public (and wrapped by backend/kernels as
-// enqueueable stream kernels) so a stage-by-stage composition is
-// bit-identical to the batched applies by construction.
+// The pointwise hot-path stages, each the exact loop the fused engines below
+// are assembled from, so a stage-by-stage composition is bit-identical to
+// the batched applies by construction. Explicitly instantiated at the end
+// of this file for the FP64 and FP32 scalars.
 
 template <typename CS>
-void ExchangeOperator::pair_form_block_t(const CS* src_real, const size_t* idx,
-                                         size_t nb, const CS* tgt_real,
-                                         CS* block, size_t nloc) const {
+void ExchangeOperator::pair_form_block(const CS* src_real, const size_t* idx,
+                                       size_t nb, const CS* tgt_real, CS* block,
+                                       size_t nloc) const {
   OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
+  if (nloc == kFullGrid) nloc = map_->grid().size();
   // Pair densities for the whole block, one fused parallel region.
 #pragma omp parallel for schedule(static) collapse(2)
   for (size_t i = 0; i < nb; ++i)
@@ -244,12 +245,13 @@ void ExchangeOperator::pair_form_block_t(const CS* src_real, const size_t* idx,
 }
 
 template <typename CS>
-void ExchangeOperator::accumulate_block_t(const CS* src_real, const size_t* idx,
-                                          const real_t* d, size_t nb,
-                                          const CS* block, cplx* acc,
-                                          cplx* comp, size_t nloc) const {
+void ExchangeOperator::accumulate_block(const CS* src_real, const size_t* idx,
+                                        const real_t* d, size_t nb,
+                                        const CS* block, cplx* acc, cplx* comp,
+                                        size_t nloc) const {
   OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
+  if (nloc == kFullGrid) nloc = ng;
   // Fused accumulate over the block; parallel over grid points so the
   // acc[] updates never race.
 #pragma omp parallel for schedule(static)
@@ -269,12 +271,13 @@ void ExchangeOperator::accumulate_block_t(const CS* src_real, const size_t* idx,
 }
 
 template <typename CS>
-void ExchangeOperator::accumulate_weighted_block_t(const CS* weight_real,
-                                                   const size_t* idx, size_t nb,
-                                                   const CS* block, cplx* acc,
-                                                   cplx* comp,
-                                                   size_t nloc) const {
+void ExchangeOperator::accumulate_weighted_block(const CS* weight_real,
+                                                 const size_t* idx, size_t nb,
+                                                 const CS* block, cplx* acc,
+                                                 cplx* comp,
+                                                 size_t nloc) const {
   const size_t ng = map_->grid().size();
+  if (nloc == kFullGrid) nloc = ng;
 #pragma omp parallel for schedule(static)
   for (size_t r = 0; r < nloc; ++r) {
     for (size_t i = 0; i < nb; ++i) {
@@ -288,82 +291,6 @@ void ExchangeOperator::accumulate_weighted_block_t(const CS* weight_real,
         acc[r] += term;
     }
   }
-}
-
-void ExchangeOperator::pair_form_block(const cplx* src_real, const size_t* idx,
-                                       size_t nb, const cplx* tgt_real,
-                                       cplx* block) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, map_->grid().size());
-}
-void ExchangeOperator::pair_form_block(const cplxf* src_real, const size_t* idx,
-                                       size_t nb, const cplxf* tgt_real,
-                                       cplxf* block) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, map_->grid().size());
-}
-void ExchangeOperator::pair_form_block(const cplx* src_real, const size_t* idx,
-                                       size_t nb, const cplx* tgt_real,
-                                       cplx* block, size_t nloc) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::pair_form_block(const cplxf* src_real, const size_t* idx,
-                                       size_t nb, const cplxf* tgt_real,
-                                       cplxf* block, size_t nloc) const {
-  pair_form_block_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::accumulate_block(const cplx* src_real, const size_t* idx,
-                                        const real_t* d, size_t nb,
-                                        const cplx* block, cplx* acc,
-                                        cplx* comp) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp,
-                     map_->grid().size());
-}
-void ExchangeOperator::accumulate_block(const cplxf* src_real,
-                                        const size_t* idx, const real_t* d,
-                                        size_t nb, const cplxf* block,
-                                        cplx* acc, cplx* comp) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp,
-                     map_->grid().size());
-}
-void ExchangeOperator::accumulate_block(const cplx* src_real, const size_t* idx,
-                                        const real_t* d, size_t nb,
-                                        const cplx* block, cplx* acc,
-                                        cplx* comp, size_t nloc) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_block(const cplxf* src_real,
-                                        const size_t* idx, const real_t* d,
-                                        size_t nb, const cplxf* block,
-                                        cplx* acc, cplx* comp,
-                                        size_t nloc) const {
-  accumulate_block_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_weighted_block(const cplx* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplx* block, cplx* acc,
-                                                 cplx* comp) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp,
-                              map_->grid().size());
-}
-void ExchangeOperator::accumulate_weighted_block(const cplxf* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplxf* block, cplx* acc,
-                                                 cplx* comp) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp,
-                              map_->grid().size());
-}
-void ExchangeOperator::accumulate_weighted_block(const cplx* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplx* block, cplx* acc,
-                                                 cplx* comp,
-                                                 size_t nloc) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_weighted_block(const cplxf* weight_real,
-                                                 const size_t* idx, size_t nb,
-                                                 const cplxf* block, cplx* acc,
-                                                 cplx* comp,
-                                                 size_t nloc) const {
-  accumulate_weighted_block_t(weight_real, idx, nb, block, acc, comp, nloc);
 }
 
 void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
@@ -382,11 +309,12 @@ void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
 // independently and exactly — no spectrum unscramble anywhere.
 
 template <typename RS, typename CS>
-void ExchangeOperator::pair_pack_block_real_t(const RS* src_real,
-                                              const size_t* idx, size_t nb,
-                                              const RS* tgt_real, CS* block,
-                                              size_t nloc) const {
+void ExchangeOperator::pair_pack_block_real(const RS* src_real,
+                                            const size_t* idx, size_t nb,
+                                            const RS* tgt_real, CS* block,
+                                            size_t nloc) const {
   OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
+  if (nloc == kFullGrid) nloc = map_->grid().size();
   const size_t nlanes = (nb + 1) / 2;
 #pragma omp parallel for schedule(static) collapse(2)
   for (size_t q = 0; q < nlanes; ++q)
@@ -400,11 +328,14 @@ void ExchangeOperator::pair_pack_block_real_t(const RS* src_real,
 }
 
 template <typename RS, typename CS>
-void ExchangeOperator::accumulate_block_real_t(
-    const RS* src_real, const size_t* idx, const real_t* d, size_t nb,
-    const CS* block, real_t* acc, real_t* comp, size_t nloc) const {
+void ExchangeOperator::accumulate_block_real(const RS* src_real,
+                                             const size_t* idx, const real_t* d,
+                                             size_t nb, const CS* block,
+                                             real_t* acc, real_t* comp,
+                                             size_t nloc) const {
   OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
+  if (nloc == kFullGrid) nloc = ng;
 #pragma omp parallel for schedule(static)
   for (size_t r = 0; r < nloc; ++r) {
     for (size_t i = 0; i < nb; ++i) {
@@ -421,33 +352,6 @@ void ExchangeOperator::accumulate_block_real_t(
         acc[r] += term;
     }
   }
-}
-
-void ExchangeOperator::pair_pack_block_real(const real_t* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const real_t* tgt_real, cplx* block,
-                                            size_t nloc) const {
-  pair_pack_block_real_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::pair_pack_block_real(const realf_t* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const realf_t* tgt_real,
-                                            cplxf* block, size_t nloc) const {
-  pair_pack_block_real_t(src_real, idx, nb, tgt_real, block, nloc);
-}
-void ExchangeOperator::accumulate_block_real(const real_t* src_real,
-                                             const size_t* idx,
-                                             const real_t* d, size_t nb,
-                                             const cplx* block, real_t* acc,
-                                             real_t* comp, size_t nloc) const {
-  accumulate_block_real_t(src_real, idx, d, nb, block, acc, comp, nloc);
-}
-void ExchangeOperator::accumulate_block_real(const realf_t* src_real,
-                                             const size_t* idx,
-                                             const real_t* d, size_t nb,
-                                             const cplxf* block, real_t* acc,
-                                             real_t* comp, size_t nloc) const {
-  accumulate_block_real_t(src_real, idx, d, nb, block, acc, comp, nloc);
 }
 
 // Γ-point block engine: blocks of 2*batch_size real densities ride
@@ -474,12 +378,11 @@ void ExchangeOperator::pair_accumulate_real_blocks(
     std::fill(comp.begin(), comp.end(), real_t(0));
     for (size_t i0 = 0; i0 < active.size(); i0 += bs2) {
       const size_t nb = std::min(bs2, active.size() - i0);
-      pair_pack_block_real_t<RS, CS>(src_real, active.data() + i0, nb, tj,
-                                     block.data(), ng);
+      pair_pack_block_real(src_real, active.data() + i0, nb, tj,
+                           block.data());
       kernel_filter_block(block.data(), (nb + 1) / 2);
-      accumulate_block_real_t<RS, CS>(src_real, active.data() + i0, d, nb,
-                                      block.data(), acc.data(),
-                                      compensated ? comp.data() : nullptr, ng);
+      accumulate_block_real(src_real, active.data() + i0, d, nb, block.data(),
+                            acc.data(), compensated ? comp.data() : nullptr);
     }
 #pragma omp parallel for schedule(static)
     for (size_t r = 0; r < ng; ++r) acc_c[r] = cplx(acc[r], 0.0);
@@ -611,11 +514,11 @@ void ExchangeOperator::pair_accumulate_blocks(const CS* src_real,
     std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
       const size_t nb = std::min(bs, active.size() - i0);
-      pair_form_block_t(src_real, active.data() + i0, nb, tgt_real.data(),
-                        block.data(), ng);
+      pair_form_block(src_real, active.data() + i0, nb, tgt_real.data(),
+                      block.data());
       kernel_filter_block(block.data(), nb);
-      accumulate_block_t(src_real, active.data() + i0, d, nb, block.data(),
-                         acc.data(), compensated ? comp.data() : nullptr, ng);
+      accumulate_block(src_real, active.data() + i0, d, nb, block.data(),
+                       acc.data(), compensated ? comp.data() : nullptr);
     }
     gather_accumulate(acc.data(), gathered.data(), out.col(j));
   }
@@ -647,12 +550,12 @@ void ExchangeOperator::weighted_blocks(const CS* src_real,
     std::fill(comp.begin(), comp.end(), cplx(0.0));
     for (size_t i0 = 0; i0 < nsrc; i0 += bs) {
       const size_t nb = std::min(bs, nsrc - i0);
-      pair_form_block_t(src_real, idx.data() + i0, nb, tgt_real.data(),
-                        block.data(), ng);
+      pair_form_block(src_real, idx.data() + i0, nb, tgt_real.data(),
+                      block.data());
       kernel_filter_block(block.data(), nb);
-      accumulate_weighted_block_t(weight_real, idx.data() + i0, nb,
-                                  block.data(), acc.data(),
-                                  compensated ? comp.data() : nullptr, ng);
+      accumulate_weighted_block(weight_real, idx.data() + i0, nb,
+                                block.data(), acc.data(),
+                                compensated ? comp.data() : nullptr);
     }
     gather_accumulate(acc.data(), gathered.data(), out.col(j));
   }
@@ -977,5 +880,45 @@ real_t ExchangeOperator::energy_mixed(const la::MatC& src,
   la::gemm_nn(src, eig.V, rotated);
   return energy_diag(rotated, eig.w);
 }
+
+// The stage primitives exist for exactly these scalar pairs.
+template void ExchangeOperator::pair_form_block(const cplx*, const size_t*,
+                                                size_t, const cplx*, cplx*,
+                                                size_t) const;
+template void ExchangeOperator::pair_form_block(const cplxf*, const size_t*,
+                                                size_t, const cplxf*, cplxf*,
+                                                size_t) const;
+template void ExchangeOperator::accumulate_block(const cplx*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplx*, cplx*, cplx*,
+                                                 size_t) const;
+template void ExchangeOperator::accumulate_block(const cplxf*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplxf*, cplx*, cplx*,
+                                                 size_t) const;
+template void ExchangeOperator::accumulate_weighted_block(
+    const cplx*, const size_t*, size_t, const cplx*, cplx*, cplx*,
+    size_t) const;
+template void ExchangeOperator::accumulate_weighted_block(
+    const cplxf*, const size_t*, size_t, const cplxf*, cplx*, cplx*,
+    size_t) const;
+template void ExchangeOperator::pair_pack_block_real(const real_t*,
+                                                     const size_t*, size_t,
+                                                     const real_t*, cplx*,
+                                                     size_t) const;
+template void ExchangeOperator::pair_pack_block_real(const realf_t*,
+                                                     const size_t*, size_t,
+                                                     const realf_t*, cplxf*,
+                                                     size_t) const;
+template void ExchangeOperator::accumulate_block_real(const real_t*,
+                                                      const size_t*,
+                                                      const real_t*, size_t,
+                                                      const cplx*, real_t*,
+                                                      real_t*, size_t) const;
+template void ExchangeOperator::accumulate_block_real(const realf_t*,
+                                                      const size_t*,
+                                                      const real_t*, size_t,
+                                                      const cplxf*, real_t*,
+                                                      real_t*, size_t) const;
 
 }  // namespace ptim::ham

@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "la/matrix.hpp"
 #include "pw/transforms.hpp"
 
@@ -87,11 +86,6 @@ struct ExchangeOptions {
   size_t batch_size = 8;
   // Scalar type of the pair-FFT hot path and ring payloads (see above).
   Precision precision = Precision::kDouble;
-  // Execution backend of the distributed ring exchange (dist/): kSync runs
-  // the legacy host-synchronous circulation; kHostSerial / kHostAsync run
-  // the stream-pipelined engine where the slab transfer overlaps the
-  // previous slab's compute. Bit-identical in every mode.
-  backend::Kind backend = backend::default_kind();
   // Low-rank compression of the diag apply (see enum above). The ISDF fit
   // is rebuilt from the sources at every apply, on interpolation points
   // selected fresh unless the operator holds a set for the current PT-IM
@@ -133,10 +127,6 @@ class ExchangeOperator {
   // built); benches/tests sweep modes on one operator this way.
   void set_precision(Precision p) { opt_.precision = p; }
   Precision precision() const { return opt_.precision; }
-
-  // Execution backend of the distributed ring (see ExchangeOptions).
-  void set_backend(backend::Kind k) { opt_.backend = k; }
-  backend::Kind backend() const { return opt_.backend; }
 
   // Batched-FFT block width of the pair pipeline. Bit-identical across
   // widths (the per-column block partitioning only regroups the same
@@ -267,28 +257,29 @@ class ExchangeOperator {
                                 bool accumulate) const;
 
   // --- stage primitives --------------------------------------------------
-  // The four hot-path stages of the batched diag/weighted pipelines, public
-  // so backend/kernels can wrap them as enqueueable stream kernels. The
-  // batched apply paths below are built from exactly these calls, so a
-  // stage-by-stage composition on a backend stream is bit-identical to the
-  // fused host apply. idx selects source columns: source i of the block is
-  // column idx[i] of src_real (the compressed active-occupation list).
+  // The hot-path stages of the batched diag/weighted pipelines. The batched
+  // apply paths below are built from exactly these calls, so a
+  // stage-by-stage composition is bit-identical to the fused apply. idx
+  // selects source columns: source i of the block is column idx[i] of
+  // src_real (the compressed active-occupation list).
   //
-  // Every pointwise stage also has an explicit-length overload operating on
-  // nloc grid points per orbital instead of the full grid — the z-slab
-  // portions of the 2-D band x grid decomposition (dist/slab_exchange).
-  // The loop bodies are shared, so the slab composition stays bit-identical
-  // to the full-grid one on the points each rank owns.
-  //
+  // The pointwise stages are member templates over the slab scalar (CS =
+  // cplx for the FP64 pipeline, cplxf for FP32; RS = real_t / realf_t the
+  // matching real scalar), explicitly instantiated in exchange.cpp for those
+  // pairs only. nloc is the per-orbital element count (column stride and
+  // loop bound): the full grid by default, the z-slab size for the 2-D
+  // band x grid decomposition (dist/slab_exchange). The body is shared, so
+  // the slab composition stays bit-identical to the full-grid one on the
+  // points each rank owns. The unscaled-synthesis weight always uses the
+  // GLOBAL grid size (it undoes the inverse-FFT 1/Ng normalization, a
+  // property of the transform, not of the slab).
+  static constexpr size_t kFullGrid = static_cast<size_t>(-1);  // nloc = Ng
+
   // pair_form_block: block[i] = conj(src[idx[i]]) ⊙ tgt_real (nb pairs).
-  void pair_form_block(const cplx* src_real, const size_t* idx, size_t nb,
-                       const cplx* tgt_real, cplx* block) const;
-  void pair_form_block(const cplxf* src_real, const size_t* idx, size_t nb,
-                       const cplxf* tgt_real, cplxf* block) const;
-  void pair_form_block(const cplx* src_real, const size_t* idx, size_t nb,
-                       const cplx* tgt_real, cplx* block, size_t nloc) const;
-  void pair_form_block(const cplxf* src_real, const size_t* idx, size_t nb,
-                       const cplxf* tgt_real, cplxf* block, size_t nloc) const;
+  template <typename CS>
+  void pair_form_block(const CS* src_real, const size_t* idx, size_t nb,
+                       const CS* tgt_real, CS* block,
+                       size_t nloc = kFullGrid) const;
   // kernel_filter_block: forward batch FFT, K(G)/Ng multiply, inverse batch
   // FFT on nb pair densities (with FFT-count bookkeeping).
   void kernel_filter_block(cplx* block, size_t nb) const;
@@ -296,33 +287,17 @@ class ExchangeOperator {
   // accumulate_block: acc[r] += sum_i d[idx[i]]*Ng * src[idx[i]](r) *
   // block[i](r), FP64 regardless of the block scalar; comp != nullptr
   // selects the Kahan-compensated sum (kSingleCompensated policy).
-  void accumulate_block(const cplx* src_real, const size_t* idx,
-                        const real_t* d, size_t nb, const cplx* block,
-                        cplx* acc, cplx* comp) const;
-  void accumulate_block(const cplxf* src_real, const size_t* idx,
-                        const real_t* d, size_t nb, const cplxf* block,
-                        cplx* acc, cplx* comp) const;
-  void accumulate_block(const cplx* src_real, const size_t* idx,
-                        const real_t* d, size_t nb, const cplx* block,
-                        cplx* acc, cplx* comp, size_t nloc) const;
-  void accumulate_block(const cplxf* src_real, const size_t* idx,
-                        const real_t* d, size_t nb, const cplxf* block,
-                        cplx* acc, cplx* comp, size_t nloc) const;
+  template <typename CS>
+  void accumulate_block(const CS* src_real, const size_t* idx, const real_t* d,
+                        size_t nb, const CS* block, cplx* acc, cplx* comp,
+                        size_t nloc = kFullGrid) const;
   // Weighted variant (mixed-state path): the scalar occupation is replaced
   // by the real-space weight field w, acc[r] += sum_i Ng * w[idx[i]](r) *
   // block[i](r).
-  void accumulate_weighted_block(const cplx* weight_real, const size_t* idx,
-                                 size_t nb, const cplx* block, cplx* acc,
-                                 cplx* comp) const;
-  void accumulate_weighted_block(const cplxf* weight_real, const size_t* idx,
-                                 size_t nb, const cplxf* block, cplx* acc,
-                                 cplx* comp) const;
-  void accumulate_weighted_block(const cplx* weight_real, const size_t* idx,
-                                 size_t nb, const cplx* block, cplx* acc,
-                                 cplx* comp, size_t nloc) const;
-  void accumulate_weighted_block(const cplxf* weight_real, const size_t* idx,
-                                 size_t nb, const cplxf* block, cplx* acc,
-                                 cplx* comp, size_t nloc) const;
+  template <typename CS>
+  void accumulate_weighted_block(const CS* weight_real, const size_t* idx,
+                                 size_t nb, const CS* block, cplx* acc,
+                                 cplx* comp, size_t nloc = kFullGrid) const;
   // Γ-point real-pair stages (gamma_real fast path). Two real pair
   // densities ride each complex FFT lane, so a block of nb densities packs
   // into ceil(nb/2) lanes and goes through the SAME kernel_filter_block as
@@ -332,22 +307,19 @@ class ExchangeOperator {
   // pair_pack_block_real: lane q gets
   //   block[q] = src[idx[2q]] ⊙ tgt  +  i * src[idx[2q+1]] ⊙ tgt
   // (an odd trailing density rides a zero imaginary part).
-  void pair_pack_block_real(const real_t* src_real, const size_t* idx,
-                            size_t nb, const real_t* tgt_real, cplx* block,
-                            size_t nloc) const;
-  void pair_pack_block_real(const realf_t* src_real, const size_t* idx,
-                            size_t nb, const realf_t* tgt_real, cplxf* block,
-                            size_t nloc) const;
+  template <typename RS, typename CS>
+  void pair_pack_block_real(const RS* src_real, const size_t* idx, size_t nb,
+                            const RS* tgt_real, CS* block,
+                            size_t nloc = kFullGrid) const;
   // accumulate_block_real: acc[r] += d[idx[i]]*Ng * src[idx[i]](r) *
   // lane_part_i(r), where lane_part_i is Re (even i) or Im (odd i) of lane
   // i/2. FP64 accumulation regardless of the block scalar; comp != nullptr
   // selects the Kahan-compensated sum, exactly as accumulate_block.
-  void accumulate_block_real(const real_t* src_real, const size_t* idx,
-                             const real_t* d, size_t nb, const cplx* block,
-                             real_t* acc, real_t* comp, size_t nloc) const;
-  void accumulate_block_real(const realf_t* src_real, const size_t* idx,
-                             const real_t* d, size_t nb, const cplxf* block,
-                             real_t* acc, real_t* comp, size_t nloc) const;
+  template <typename RS, typename CS>
+  void accumulate_block_real(const RS* src_real, const size_t* idx,
+                             const real_t* d, size_t nb, const CS* block,
+                             real_t* acc, real_t* comp,
+                             size_t nloc = kFullGrid) const;
 
   // gather_accumulate: out_col[p] += -alpha * to_sphere(acc)[p]. scratch
   // must hold npw elements; always FP64 (the paper keeps the gather exact).
@@ -430,31 +402,6 @@ class ExchangeOperator {
   void mixed_naive_blocks(const la::Matrix<CS>& src_real,
                           const la::MatC& sigma, const la::MatC& tgt,
                           la::MatC& out) const;
-  // Templated bodies behind the public per-scalar stage overloads. nloc is
-  // the per-orbital element count (column stride and loop bound): the full
-  // grid for the rank-local paths, the z-slab size for the 2-D layout. The
-  // unscaled-synthesis weight always uses the GLOBAL grid size (it undoes
-  // the inverse-FFT 1/Ng normalization, a property of the transform, not of
-  // the slab).
-  template <typename CS>
-  void pair_form_block_t(const CS* src_real, const size_t* idx, size_t nb,
-                         const CS* tgt_real, CS* block, size_t nloc) const;
-  template <typename CS>
-  void accumulate_block_t(const CS* src_real, const size_t* idx,
-                          const real_t* d, size_t nb, const CS* block,
-                          cplx* acc, cplx* comp, size_t nloc) const;
-  template <typename CS>
-  void accumulate_weighted_block_t(const CS* weight_real, const size_t* idx,
-                                   size_t nb, const CS* block, cplx* acc,
-                                   cplx* comp, size_t nloc) const;
-  template <typename RS, typename CS>
-  void pair_pack_block_real_t(const RS* src_real, const size_t* idx, size_t nb,
-                              const RS* tgt_real, CS* block,
-                              size_t nloc) const;
-  template <typename RS, typename CS>
-  void accumulate_block_real_t(const RS* src_real, const size_t* idx,
-                               const real_t* d, size_t nb, const CS* block,
-                               real_t* acc, real_t* comp, size_t nloc) const;
 
   const pw::SphereGridMap* map_;
   ExchangeOptions opt_;

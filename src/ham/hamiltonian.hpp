@@ -73,11 +73,6 @@ class Hamiltonian {
   // payloads); everything else the Hamiltonian computes stays FP64.
   void set_exchange_precision(Precision p) { xop_.set_precision(p); }
   Precision exchange_precision() const { return xop_.precision(); }
-  // Execution backend of the distributed ring exchange (sync / serial /
-  // async streams); see backend/backend.hpp. Results are bit-identical in
-  // every mode.
-  void set_exchange_backend(backend::Kind k) { xop_.set_backend(k); }
-  backend::Kind exchange_backend() const { return xop_.backend(); }
   // Batched-FFT block width of the exchange pair pipeline (a pure
   // throughput knob; bit-identical across widths).
   void set_exchange_batch(size_t bs) { xop_.set_batch_size(bs); }

@@ -14,11 +14,9 @@
 //    memory unboundedly.
 //
 //  * thread tags — every span carries the recording thread's (rank, lane).
-//    ptmpi::run_ranks tags each rank thread; backend stream workers
-//    inherit the creating thread's rank and use the stream name as their
-//    lane ("xchg.compute" / "xchg.comm"), which is what makes ring
-//    compute/comm overlap visible as two lanes of one rank in the
-//    exported timeline.
+//    ptmpi::run_ranks tags each rank thread with its rank; any other thread
+//    may name its own lane (set_thread_tag / set_thread_lane), and each
+//    (rank, lane) pair exports as its own timeline row.
 //
 //  * profile accumulation — the interned-id (count, seconds) accumulators
 //    behind ptim::ProfileRegistry / ScopedTimer (common/timer.hpp keeps
@@ -26,8 +24,8 @@
 //    span recording only when tracing is enabled.
 //
 // Readers (snapshot / drain / profile_snapshot) require a QUIESCED tracer:
-// call them only when no instrumented code is running (after
-// Executor::synchronize, after ptmpi barriers, after run_ranks returns).
+// call them only when no instrumented code is running (after worker threads
+// are joined, after ptmpi barriers, after run_ranks returns).
 // The per-buffer atomic head makes the quiesced read well-defined without
 // a lock on the record path.
 //

@@ -532,8 +532,8 @@ void run_ranks(int nranks, int ranks_per_node,
   threads.reserve(static_cast<size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&world, &fn, &errors, r] {
-      // Tag the rank thread so obs spans recorded anywhere below fn —
-      // including backend streams it creates — carry the world rank.
+      // Tag the rank thread so obs spans recorded anywhere below fn carry
+      // the world rank.
       obs::set_thread_rank(r);
       try {
         Comm comm(&world, r);

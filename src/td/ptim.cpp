@@ -24,7 +24,6 @@ PtImPropagator::PtImPropagator(ham::Hamiltonian& h, PtImOptions opt,
     : h_(&h), opt_(opt), laser_(laser) {
   if (opt_.exchange_precision)
     h_->set_exchange_precision(*opt_.exchange_precision);
-  if (opt_.exchange_backend) h_->set_exchange_backend(*opt_.exchange_backend);
   if (opt_.exchange_compression)
     h_->set_exchange_compression(*opt_.exchange_compression);
   if (opt_.isdf_rank_factor) h_->set_isdf_rank_factor(*opt_.isdf_rank_factor);

@@ -46,12 +46,6 @@ struct PtImOptions {
   // Anderson mixing, orthonormalization, sigma evolution — stays FP64.
   // Unset keeps whatever the Hamiltonian was configured with.
   std::optional<Precision> exchange_precision;
-  // Execution backend of the distributed exchange ring (backend subsystem:
-  // kSync legacy, kHostSerial inline streams, kHostAsync overlapped
-  // compute/comm). Applied like exchange_precision; unset keeps the
-  // Hamiltonian's configuration. Trajectories are bit-identical across
-  // backends.
-  std::optional<backend::Kind> exchange_backend;
   // Low-rank (ISDF) compression of the exchange apply (ham/isdf), applied
   // like exchange_precision at propagator construction. The fit is rebuilt
   // at every ACE build. Under kAce a step selects interpolation points at

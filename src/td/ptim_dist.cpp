@@ -42,10 +42,6 @@ DistPtImPropagator::DistPtImPropagator(dist::BandDistributedHamiltonian& h,
   // distributed trajectory remains bit-identical across ranks.
   if (opt_.exchange_precision)
     h_->local().set_exchange_precision(*opt_.exchange_precision);
-  // Execution backend of the ring: the same knob selects the legacy sync
-  // circulation or the stream-pipelined (overlapped) one.
-  if (opt_.exchange_backend)
-    h_->local().set_exchange_backend(*opt_.exchange_backend);
   // ISDF compression reaches the rank-local operator the same way; the
   // band-parallel fit (dist/isdf_dist) then replaces the slab circulation
   // with deterministically Allreduced Gram blocks.

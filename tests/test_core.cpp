@@ -91,11 +91,12 @@ TEST(Simulation, PropagateOneStepThroughApi) {
   auto& sim = shared_sim();
   td::LaserParams lp;
   lp.e0 = 0.01;
-  sim.set_laser(lp, 10.0);
-  td::PtImOptions opt;
-  opt.dt = 2.0;
-  opt.variant = td::PtImVariant::kAce;
-  auto prop = sim.make_ptim(opt);
+  sim.set_laser(lp);
+  core::RunConfig cfg;
+  cfg.dt = 2.0;
+  cfg.t_horizon = 10.0;  // envelope placed against a 10 au horizon
+  cfg.variant = td::PtImVariant::kAce;
+  auto prop = sim.make_ptim(cfg);
   auto state = sim.initial_state();
   const real_t d0 = sim.dipole_x(state);
   const auto stats = prop->step(state);

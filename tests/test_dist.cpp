@@ -1,12 +1,16 @@
 // Distributed kernels: block layouts, the Fig. 1 Alltoallv transpose, the
 // Fig. 6 SHM overlap reduction, the ring-based wavefunction rotation, the
-// distributed Anderson mixer, and — centrally — the equality of the
-// Bcast / Ring / Async-Ring exchange patterns (rank-local and legacy
+// distributed Anderson mixer, the slab-circulation engine (persistent
+// buffers, error path), and — centrally — the equality of the Bcast /
+// Ring / Async-Ring exchange patterns (rank-local and legacy
 // full-replication APIs) with the serial operator.
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "backend/buffer.hpp"
+#include "dist/circulate.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/layout.hpp"
 #include "dist/mixer_dist.hpp"
@@ -190,7 +194,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(dist::ExchangePattern::kBcast,
                                          dist::ExchangePattern::kRing,
                                          dist::ExchangePattern::kAsyncRing),
-                       ::testing::Values(1, 2, 3, 4)));
+                       // 7 ranks > 6 bands: zero-width slabs circulate.
+                       ::testing::Values(1, 2, 3, 4, 7)));
 
 TEST(ExchangeDist, LocalApiMatchesLegacyWrapper) {
   // Satellite pin: the refactored rank-local API and the legacy
@@ -568,43 +573,90 @@ TEST(ExchangeDist, RingUsesSendrecvNotBcast) {
 }
 
 TEST(ExchangeDist, RingReusesPersistentSlabBuffers) {
-  // Drive-by fix pin: the circulation engine must hold its slab storage in
-  // a FIXED set of persistent buffers reused across all p rounds (double
-  // buffering), never reallocating per round — on a device backend a
-  // per-round allocation would serialize the streams. The global
-  // backend::Buffer allocation counter makes the property observable:
-  // rings cost exactly 2 buffers per rank, Bcast 1, independent of the
-  // number of rounds, in both the sync and the stream-pipelined engines.
+  // The circulation engine must hold its slab storage in a FIXED set of
+  // persistent buffers reused across all p rounds, never reallocating per
+  // round. The global backend::Buffer allocation counter makes the
+  // property observable: rings cost exactly 2 buffers per rank (double
+  // buffer), Bcast 1, independent of the number of rounds.
   XEnv e;
   const size_t npw = e.sys.sphere->npw();
   const la::MatC src = test::random_orbitals(npw, 6, 460);
   const std::vector<real_t> d{1.0, 0.8, 0.6, 0.4, 0.2, 0.1};
 
-  for (const auto kind : {backend::Kind::kSync, backend::Kind::kHostAsync}) {
-    ham::ExchangeOptions opt;
-    opt.backend = kind;
-    ham::ExchangeOperator xop(e.map, opt);
-    for (const int p : {2, 3, 6}) {  // round count varies 2 -> 6
-      for (const auto pat :
-           {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
-            dist::ExchangePattern::kAsyncRing}) {
-        const long before = backend::buffer_alloc_count();
-        ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-          (void)dist::exchange_apply_distributed(c, xop, src, d, src, pat);
-        });
-        // Pipelined engines double-buffer every pattern; the sync engine
-        // single-buffers Bcast. Assert the exact TOTAL so a single rank
-        // over-allocating cannot hide in integer division.
-        const long expected_per_rank =
-            (kind == backend::Kind::kSync &&
-             pat == dist::ExchangePattern::kBcast)
-                ? 1
-                : 2;
-        EXPECT_EQ(backend::buffer_alloc_count() - before,
-                  expected_per_rank * p)
-            << backend::kind_name(kind) << " " << dist::pattern_name(pat)
-            << " p=" << p;
-      }
+  for (const int p : {2, 3, 6}) {  // round count varies 2 -> 6
+    for (const auto pat :
+         {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+          dist::ExchangePattern::kAsyncRing}) {
+      const long before = backend::buffer_alloc_count();
+      ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+        (void)dist::exchange_apply_distributed(c, e.xop, src, d, src, pat);
+      });
+      // Assert the exact TOTAL so a single rank over-allocating cannot hide
+      // in integer division.
+      const long per_rank = pat == dist::ExchangePattern::kBcast ? 1 : 2;
+      EXPECT_EQ(backend::buffer_alloc_count() - before, per_rank * p)
+          << dist::pattern_name(pat) << " p=" << p;
+    }
+  }
+}
+
+TEST(Buffer, CountsOnlyRealAllocations) {
+  const long before = backend::buffer_alloc_count();
+  backend::Buffer<cplx> b;
+  EXPECT_EQ(backend::buffer_alloc_count(), before);
+  b.ensure(128);
+  EXPECT_EQ(backend::buffer_alloc_count(), before + 1);
+  b.ensure(64);   // shrink request: no-op
+  b.ensure(128);  // same size: no-op
+  EXPECT_EQ(backend::buffer_alloc_count(), before + 1);
+  b.ensure(256);  // growth: one more
+  EXPECT_EQ(backend::buffer_alloc_count(), before + 2);
+  EXPECT_EQ(b.size(), 256u);
+}
+
+TEST(Circulate, ApplyExceptionDrainsAndPropagates) {
+  // A throwing apply must not hang the peer ranks: the throwing rank skips
+  // its remaining applies but completes every transfer round, and the
+  // error surfaces once the ring is done. Rank 0 throws in round 0, so all
+  // p - 1 later rounds still have to move (and, in the rings, forward)
+  // slabs through it.
+  const int p = 3;
+  const size_t stride = 8;
+  const dist::BlockLayout bands(6, p);
+  for (const auto pat :
+       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+        dist::ExchangePattern::kAsyncRing}) {
+    // Per rank: the origins applied and whether each slab held that
+    // origin's payload.
+    std::vector<std::vector<int>> origins(static_cast<size_t>(p));
+    std::vector<int> intact(static_cast<size_t>(p), 1);
+    EXPECT_THROW(
+        ptmpi::run_ranks(
+            p, 1,
+            [&](ptmpi::Comm& c) {
+              const auto me = static_cast<size_t>(c.rank());
+              const std::vector<cplx> mine(
+                  bands.count(c.rank()) * stride,
+                  cplx(static_cast<real_t>(c.rank())));
+              dist::circulate_slabs(
+                  c, bands, stride, mine, pat,
+                  [&](const cplx* slab, int origin) {
+                    origins[me].push_back(origin);
+                    if (slab[0] != cplx(static_cast<real_t>(origin)))
+                      intact[me] = 0;
+                    if (me == 0) throw ptim::Error("apply failed");
+                  });
+            }),
+        ptim::Error)
+        << dist::pattern_name(pat);
+    EXPECT_EQ(origins[0].size(), 1u) << dist::pattern_name(pat);
+    for (int r = 1; r < p; ++r) {
+      const auto& seen = origins[static_cast<size_t>(r)];
+      EXPECT_EQ(std::set<int>(seen.begin(), seen.end()).size(),
+                static_cast<size_t>(p))
+          << dist::pattern_name(pat) << " rank " << r;
+      EXPECT_EQ(intact[static_cast<size_t>(r)], 1)
+          << dist::pattern_name(pat) << " rank " << r;
     }
   }
 }

@@ -1,5 +1,5 @@
 // The ensemble serving layer: the measurement framework units, the
-// RunConfig/run() redesign pinned bitwise against the legacy entry points,
+// RunConfig/run() driver pinned bitwise against a hand-stepped propagator,
 // lazy laser-envelope placement, and the tentpole guarantee — an
 // EnsembleDriver batch whose ACE builds share packed exchange FFTs is
 // BITWISE identical, per trajectory, to N independent serial runs.
@@ -121,14 +121,14 @@ TEST(Measurements, BuiltinProbes) {
   EXPECT_DOUBLE_EQ(core::probes::density_sum(0.25)(ctx), 1.0);
 }
 
-// --- RunConfig redesign pinned against the legacy entry points ------------
+// --- Simulation::run pinned against a hand-stepped propagator -------------
 
 TEST(RunConfig, SerialRunMatchesLegacyStepLoopBitwise) {
   auto& sim = shared_sim();
   const core::RunConfig cfg = ace_config(3);
 
-  // Legacy path: explicit option struct + manual step loop + ad-hoc dipole.
-  auto prop = sim.make_ptim(cfg.ptim());
+  // Hand-stepped path: propagator + manual step loop + ad-hoc dipole.
+  auto prop = sim.make_ptim(cfg);
   td::TdState legacy = sim.initial_state();
   std::vector<real_t> legacy_dipole;
   for (int i = 0; i < cfg.steps; ++i) {
@@ -136,7 +136,7 @@ TEST(RunConfig, SerialRunMatchesLegacyStepLoopBitwise) {
     legacy_dipole.push_back(sim.dipole_x(legacy));
   }
 
-  // Redesigned path: RunConfig + measurement framework.
+  // Driver path: Simulation::run + measurement framework.
   core::MeasurementSet m;
   m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
   const auto r = sim.run(cfg, std::move(m));
@@ -149,30 +149,6 @@ TEST(RunConfig, SerialRunMatchesLegacyStepLoopBitwise) {
     EXPECT_EQ(d[i], legacy_dipole[i]);  // same arithmetic, exact equality
   ASSERT_EQ(r.steps.size(), 3u);
   EXPECT_TRUE(r.steps.back().converged);
-}
-
-TEST(RunConfig, DeprecatedDistributedWrapperMatchesRunBitwise) {
-  auto& sim = shared_sim();
-
-  core::Simulation::DistRunOptions old_opt;
-  old_opt.nranks = 2;
-  old_opt.steps = 2;
-  old_opt.ptim = ace_config(2).ptim();
-  const auto old_r = sim.propagate_distributed(old_opt);
-
-  core::RunConfig cfg = ace_config(2);
-  cfg.nranks = 2;
-  core::MeasurementSet m;
-  m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
-  const auto new_r = sim.run(cfg, std::move(m));
-
-  EXPECT_TRUE(bitwise_equal(new_r.final_state.phi, old_r.final_state.phi));
-  EXPECT_TRUE(
-      bitwise_equal(new_r.final_state.sigma, old_r.final_state.sigma));
-  const auto& d = new_r.measurements.series("dipole_x");
-  ASSERT_EQ(d.size(), old_r.dipole.size());
-  for (size_t i = 0; i < d.size(); ++i) EXPECT_EQ(d[i], old_r.dipole[i]);
-  EXPECT_EQ(new_r.comm.size(), old_r.comm.size());
 }
 
 // --- the ensemble tentpole ------------------------------------------------
@@ -365,37 +341,9 @@ TEST(Ensemble, FailedRunLeavesUnrunJobsSubmitted) {
   }
 }
 
-// --- custom measurement sets on the distributed wrapper -------------------
-
-TEST(RunConfig, DistributedCustomMeasurementsOmitDipoleGracefully) {
-  auto& sim = shared_sim();
-  core::Simulation::DistRunOptions opt;
-  opt.nranks = 2;
-  opt.steps = 2;
-  opt.ptim.dt = 1.0;
-  opt.ptim.tol = 1e-7;
-  opt.ptim.variant = td::PtImVariant::kAce;
-
-  // A custom set WITHOUT the dipole probe: result.dipole stays empty (the
-  // old unconditional series("dipole_x") lookup threw for such callers) and
-  // the sampled series come back through result.measurements.
-  core::MeasurementSet m;
-  m.add("sigma_trace", core::probes::sigma_trace());
-  const auto custom = sim.propagate_distributed(opt, std::move(m));
-  EXPECT_TRUE(custom.dipole.empty());
-  EXPECT_FALSE(custom.measurements.has("dipole_x"));
-  ASSERT_EQ(custom.measurements.series("sigma_trace").size(), 2u);
-
-  // The legacy call shape still gets the default dipole series.
-  const auto legacy = sim.propagate_distributed(opt);
-  ASSERT_EQ(legacy.dipole.size(), 2u);
-  EXPECT_EQ(legacy.dipole,
-            legacy.measurements.series("dipole_x"));
-}
-
 // --- lazy laser-envelope placement (LAST: mutates shared_sim's laser) -----
 
-TEST(LazyLaser, ResolvesAgainstRunHorizonAndMatchesEagerPath) {
+TEST(LazyLaser, ResolvesAgainstRunHorizon) {
   auto& sim = shared_sim();
   const core::RunConfig cfg = ace_config(3);
 
@@ -403,25 +351,18 @@ TEST(LazyLaser, ResolvesAgainstRunHorizonAndMatchesEagerPath) {
   lp.e0 = 5e-3;
   lp.wavelength_nm = 380.0;
 
-  // Eager legacy attach: envelope placed NOW against an explicit t_max.
-  sim.set_laser(lp, cfg.horizon(0.0));
-  auto prop = sim.make_ptim(cfg.ptim());
-  td::TdState eager = sim.initial_state();
-  for (int i = 0; i < cfg.steps; ++i) prop->step(eager);
-  const real_t efield_eager = sim.laser()->efield(1.0);
-
   // Lazy attach: parameters only; run() places the envelope against its
-  // own horizon. Same horizon -> bitwise the same trajectory.
+  // own horizon.
   sim.set_laser(lp);
+  EXPECT_EQ(sim.laser(), nullptr);
   const auto lazy = sim.run(cfg);
-  EXPECT_TRUE(bitwise_equal(lazy.final_state.phi, eager.phi));
-  EXPECT_TRUE(bitwise_equal(lazy.final_state.sigma, eager.sigma));
-  EXPECT_EQ(sim.laser()->efield(1.0), efield_eager);
+  ASSERT_NE(sim.laser(), nullptr);
+  const real_t efield_lazy = sim.laser()->efield(1.0);
 
   // A longer run re-resolves the SAME pending parameters against its own
   // horizon: the default-centered envelope genuinely moves.
   (void)sim.make_ptim(ace_config(9));  // resolves for a 9-step horizon
-  EXPECT_NE(sim.laser()->efield(1.0), efield_eager);
+  EXPECT_NE(sim.laser()->efield(1.0), efield_lazy);
 
   // An ensemble can mix per-job envelopes off one Simulation: the job
   // carrying the pulse sees a field, the kick-only job does not.

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "ham/ace.hpp"
 #include "ham/exchange.hpp"
@@ -262,6 +264,77 @@ TEST(ExchangeBatch, OddBatchSizesAgree) {
     EXPECT_EQ(xop.fft_count, static_cast<long>(2 * (nb - 1) * 2))
         << "batch_size=" << bs;
   }
+}
+
+// --------------------------------------------------- stage primitives ----
+
+namespace {
+
+// ExchangeOperator::apply_diag rebuilt from its public stage primitives on
+// the host (full-grid nloc default). The stages ARE the apply's building
+// blocks, so the composition must agree with the fused apply bit for bit.
+template <typename CS>
+la::MatC staged_apply_diag(const ham::ExchangeOperator& xop,
+                           const pw::SphereGridMap& map, const la::MatC& src,
+                           const std::vector<real_t>& d, const la::MatC& tgt) {
+  const size_t ng = map.grid().size();
+  const size_t npw = map.sphere().npw();
+  const size_t bs = xop.options().batch_size;
+
+  la::Matrix<CS> src_real;
+  map.to_real_batch(src, src_real);
+  std::vector<size_t> active;
+  for (size_t i = 0; i < src.cols(); ++i)
+    if (d[i] != 0.0) active.push_back(i);
+
+  la::MatC out(npw, tgt.cols(), cplx(0.0));
+  std::vector<CS> tgt_real(ng), block(bs * ng);
+  std::vector<cplx> acc(ng), gathered(npw);
+  for (size_t j = 0; j < tgt.cols(); ++j) {
+    map.to_real(tgt.col(j), tgt_real.data());
+    std::fill(acc.begin(), acc.end(), cplx(0.0));
+    for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
+      const size_t nb = std::min(bs, active.size() - i0);
+      xop.pair_form_block(src_real.data(), active.data() + i0, nb,
+                          tgt_real.data(), block.data());
+      xop.kernel_filter_block(block.data(), nb);
+      xop.accumulate_block(src_real.data(), active.data() + i0, d.data(), nb,
+                           block.data(), acc.data(), /*comp=*/nullptr);
+    }
+    xop.gather_accumulate(acc.data(), gathered.data(), out.col(j));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(StageKernels, ComposeToFusedApplyFp64) {
+  Env e;
+  const size_t npw = e.sys.sphere->npw();
+  const la::MatC src = test::random_orbitals(npw, 5, 910);
+  const la::MatC tgt = test::random_orbitals(npw, 3, 911);
+  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.0, 0.1};
+
+  la::MatC ref(npw, tgt.cols());
+  e.xop.apply_diag(src, d, tgt, ref);
+  const la::MatC out = staged_apply_diag<cplx>(e.xop, e.map, src, d, tgt);
+  EXPECT_EQ(la::frob_diff(out, ref), 0.0);
+}
+
+TEST(StageKernels, ComposeToFusedApplyFp32) {
+  Env e;
+  ham::ExchangeOptions opt;
+  opt.precision = Precision::kSingle;
+  ham::ExchangeOperator xop(e.map, opt);
+  const size_t npw = e.sys.sphere->npw();
+  const la::MatC src = test::random_orbitals(npw, 4, 920);
+  const la::MatC tgt = test::random_orbitals(npw, 3, 921);
+  const std::vector<real_t> d{1.0, 0.7, 0.3, 0.05};
+
+  la::MatC ref(npw, tgt.cols());
+  xop.apply_diag(src, d, tgt, ref);
+  const la::MatC out = staged_apply_diag<cplxf>(xop, e.map, src, d, tgt);
+  EXPECT_EQ(la::frob_diff(out, ref), 0.0);
 }
 
 // --------------------------------------------------- Γ-point fast path ----

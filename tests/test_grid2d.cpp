@@ -4,8 +4,8 @@
 // and zero-row decompositions), and the slab-aware exchange — pinned
 // bit-identical to the serial operator at pb = 1 and to the 1-D
 // band-parallel operator at fixed pb, for all three circulation patterns
-// x {FP64, FP32} x {sync, serial, async} backends on non-divisible band
-// and grid counts. Also pins the pg-fold reduction of per-rank ring bytes.
+// x {FP64, FP32} on non-divisible band and grid counts. Also pins the
+// pg-fold reduction of per-rank ring bytes.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <map>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "common/rng.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/rotate.hpp"
@@ -344,14 +343,12 @@ struct XEnv {
 // 2-D slab exchange over pb x pg ranks; returns one output block per band
 // row (and asserts all grid columns of a row agree bitwise).
 std::vector<la::MatC> run_slab_diag(const XEnv& e, dist::ProcessGrid pgrid,
-                                    backend::Kind kind, Precision prec,
-                                    dist::ExchangePattern pat,
+                                    Precision prec, dist::ExchangePattern pat,
                                     const la::MatC& src,
                                     const std::vector<real_t>& d,
                                     const la::MatC& tgt) {
   ham::ExchangeOptions opt;
   opt.precision = prec;
-  opt.backend = kind;
   ham::ExchangeOperator xop(e.map, opt);
   const int nranks = pgrid.resolve_pb(pgrid.pb * pgrid.pg) * pgrid.pg;
   const dist::BlockLayout bands(src.cols(), pgrid.pb);
@@ -383,14 +380,12 @@ std::vector<la::MatC> run_slab_diag(const XEnv& e, dist::ProcessGrid pgrid,
 }
 
 std::vector<la::MatC> run_slab_mixed(const XEnv& e, dist::ProcessGrid pgrid,
-                                     backend::Kind kind, Precision prec,
-                                     dist::ExchangePattern pat,
+                                     Precision prec, dist::ExchangePattern pat,
                                      const la::MatC& src,
                                      const la::MatC& theta,
                                      const la::MatC& tgt) {
   ham::ExchangeOptions opt;
   opt.precision = prec;
-  opt.backend = kind;
   ham::ExchangeOperator xop(e.map, opt);
   const int nranks = pgrid.pb * pgrid.pg;
   const dist::BlockLayout bands(src.cols(), pgrid.pb);
@@ -419,14 +414,13 @@ std::vector<la::MatC> run_slab_mixed(const XEnv& e, dist::ProcessGrid pgrid,
 }
 
 // 1-D band-parallel reference blocks.
-std::vector<la::MatC> run_band_diag(const XEnv& e, backend::Kind kind,
-                                    Precision prec, dist::ExchangePattern pat,
-                                    int pb, const la::MatC& src,
+std::vector<la::MatC> run_band_diag(const XEnv& e, Precision prec,
+                                    dist::ExchangePattern pat, int pb,
+                                    const la::MatC& src,
                                     const std::vector<real_t>& d,
                                     const la::MatC& tgt) {
   ham::ExchangeOptions opt;
   opt.precision = prec;
-  opt.backend = kind;
   ham::ExchangeOperator xop(e.map, opt);
   const dist::BlockLayout bands(src.cols(), pb);
   std::vector<la::MatC> blocks(static_cast<size_t>(pb));
@@ -447,7 +441,7 @@ std::vector<la::MatC> run_band_diag(const XEnv& e, backend::Kind kind,
 TEST(SlabExchange, Pb1MatchesSerialOperatorBitwise) {
   // pb = 1: the single band round visits every source in serial order, so
   // any pg must reproduce the SERIAL operator bit-for-bit — the anchor of
-  // the 2-D correctness story. Swept over pattern x precision x backend.
+  // the 2-D correctness story. Swept over pattern x precision.
   XEnv e;
   const size_t npw = e.sys.sphere->npw();
   const size_t nb = 5;
@@ -468,16 +462,11 @@ TEST(SlabExchange, Pb1MatchesSerialOperatorBitwise) {
       for (const auto pat :
            {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
             dist::ExchangePattern::kAsyncRing}) {
-        for (const auto kind :
-             {backend::Kind::kSync, backend::Kind::kHostSerial,
-              backend::Kind::kHostAsync}) {
-          const auto rows = run_slab_diag(e, dist::ProcessGrid{1, pg}, kind,
-                                          prec, pat, src, d, tgt);
-          EXPECT_EQ(la::frob_diff(rows[0], ref), 0.0)
-              << "pg=" << pg << " pat=" << dist::pattern_name(pat)
-              << " prec=" << precision_name(prec)
-              << " backend=" << backend::kind_name(kind);
-        }
+        const auto rows =
+            run_slab_diag(e, dist::ProcessGrid{1, pg}, prec, pat, src, d, tgt);
+        EXPECT_EQ(la::frob_diff(rows[0], ref), 0.0)
+            << "pg=" << pg << " pat=" << dist::pattern_name(pat)
+            << " prec=" << precision_name(prec);
       }
     }
   }
@@ -486,7 +475,7 @@ TEST(SlabExchange, Pb1MatchesSerialOperatorBitwise) {
 TEST(SlabExchange, TwoDMatchesBandParallelBitwise) {
   // Fixed pb = 2 with non-divisible band count (5) and non-divisible grid
   // dims: pg in {2, 3} must agree bitwise with the pg = 1 band-parallel
-  // operator for every pattern, precision and backend.
+  // operator for every pattern and precision.
   XEnv e;
   const size_t npw = e.sys.sphere->npw();
   const size_t nb = 5;
@@ -498,22 +487,16 @@ TEST(SlabExchange, TwoDMatchesBandParallelBitwise) {
        {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
         dist::ExchangePattern::kAsyncRing}) {
     for (const Precision prec : {Precision::kDouble, Precision::kSingle}) {
-      const auto ref = run_band_diag(e, backend::Kind::kSync, prec, pat, 2,
-                                     src, d, tgt);
+      const auto ref = run_band_diag(e, prec, pat, 2, src, d, tgt);
       for (const int pg : {2, 3}) {
-        for (const auto kind :
-             {backend::Kind::kSync, backend::Kind::kHostSerial,
-              backend::Kind::kHostAsync}) {
-          const auto rows = run_slab_diag(e, dist::ProcessGrid{2, pg}, kind,
-                                          prec, pat, src, d, tgt);
-          for (int br = 0; br < 2; ++br)
-            EXPECT_EQ(la::frob_diff(rows[static_cast<size_t>(br)],
-                                    ref[static_cast<size_t>(br)]),
-                      0.0)
-                << "pg=" << pg << " pat=" << dist::pattern_name(pat)
-                << " prec=" << precision_name(prec)
-                << " backend=" << backend::kind_name(kind) << " row=" << br;
-        }
+        const auto rows =
+            run_slab_diag(e, dist::ProcessGrid{2, pg}, prec, pat, src, d, tgt);
+        for (int br = 0; br < 2; ++br)
+          EXPECT_EQ(la::frob_diff(rows[static_cast<size_t>(br)],
+                                  ref[static_cast<size_t>(br)]),
+                    0.0)
+              << "pg=" << pg << " pat=" << dist::pattern_name(pat)
+              << " prec=" << precision_name(prec) << " row=" << br;
       }
     }
   }
@@ -542,9 +525,8 @@ TEST(SlabExchange, MixedWeightedPathMatchesBandParallel) {
   }
   {
     const auto rows =
-        run_slab_mixed(e, dist::ProcessGrid{1, 3}, backend::Kind::kSync,
-                       Precision::kDouble, dist::ExchangePattern::kRing, src,
-                       theta, tgt);
+        run_slab_mixed(e, dist::ProcessGrid{1, 3}, Precision::kDouble,
+                       dist::ExchangePattern::kRing, src, theta, tgt);
     EXPECT_EQ(la::frob_diff(rows[0], ref_serial), 0.0);
   }
 
@@ -565,17 +547,14 @@ TEST(SlabExchange, MixedWeightedPathMatchesBandParallel) {
                 dist::scatter_bands(theta, bands, me),
                 dist::scatter_bands(tgt, tb, me), bands, pat);
       });
-      for (const auto kind :
-           {backend::Kind::kSync, backend::Kind::kHostAsync}) {
-        const auto rows = run_slab_mixed(e, dist::ProcessGrid{2, 2}, kind,
-                                         prec, pat, src, theta, tgt);
-        for (int br = 0; br < 2; ++br)
-          EXPECT_EQ(la::frob_diff(rows[static_cast<size_t>(br)],
-                                  ref[static_cast<size_t>(br)]),
-                    0.0)
-              << dist::pattern_name(pat) << " prec=" << precision_name(prec)
-              << " backend=" << backend::kind_name(kind) << " row=" << br;
-      }
+      const auto rows = run_slab_mixed(e, dist::ProcessGrid{2, 2}, prec, pat,
+                                       src, theta, tgt);
+      for (int br = 0; br < 2; ++br)
+        EXPECT_EQ(la::frob_diff(rows[static_cast<size_t>(br)],
+                                ref[static_cast<size_t>(br)]),
+                  0.0)
+            << dist::pattern_name(pat) << " prec=" << precision_name(prec)
+            << " row=" << br;
     }
   }
 }
@@ -605,11 +584,10 @@ TEST(SlabExchange, GridDimensionReducesRingBytes) {
   for (const auto pat :
        {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
         dist::ExchangePattern::kAsyncRing}) {
-    (void)run_band_diag(e, backend::Kind::kSync, Precision::kDouble, pat, 4,
-                        src, d, tgt);
+    (void)run_band_diag(e, Precision::kDouble, pat, 4, src, d, tgt);
     const long long bytes_1d = ring_bytes(0);
-    (void)run_slab_diag(e, dist::ProcessGrid{2, 2}, backend::Kind::kSync,
-                        Precision::kDouble, pat, src, d, tgt);
+    (void)run_slab_diag(e, dist::ProcessGrid{2, 2}, Precision::kDouble, pat,
+                        src, d, tgt);
     const long long bytes_2d = ring_bytes(0);
     EXPECT_LT(bytes_2d, bytes_1d) << dist::pattern_name(pat);
     EXPECT_GT(bytes_2d, 0) << dist::pattern_name(pat);

@@ -1,7 +1,7 @@
 // The obs tracing/metrics subsystem: name interning, span nesting and
 // categories, ring wraparound, the zero-overhead-when-disabled pin,
-// concurrent recording from HostAsync stream workers (the TSan CI job
-// races this suite), the self-contained span wire format and the
+// concurrent recording from worker threads on their own lanes (the TSan CI
+// job races this suite), the self-contained span wire format and the
 // rank-merged Chrome trace (event-count deterministic across two golden
 // 4-rank replays), and the StepReport JSONL metrics layer end to end
 // through Simulation::run.
@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "backend/backend.hpp"
-#include "backend/executor.hpp"
 #include "common/timer.hpp"
 #include "core/simulation.hpp"
 #include "obs/obs.hpp"
@@ -166,22 +164,23 @@ TEST(ObsSpans, DisabledTracingAllocatesNothing) {
 
 TEST(ObsSpans, ConcurrentStreamWorkersRecordOnTheirOwnLanes) {
   TraceGuard trace;
-  backend::Executor& ex = backend::shared_executor(backend::Kind::kHostAsync);
-  std::vector<backend::Stream> streams;
+  // 4 worker threads, each tagging its own lane, hammering their rings
+  // concurrently — the TSan CI job races exactly this path.
+  std::vector<std::thread> workers;
   for (int i = 0; i < 4; ++i)
-    streams.push_back(ex.create_stream("obs_test.stream" + std::to_string(i)));
-  // 4 worker threads hammering their rings concurrently — the TSan CI job
-  // races exactly this path.
-  for (int iter = 0; iter < 200; ++iter)
-    for (backend::Stream& s : streams)
-      ex.launch(
-          s, [] { OBS_SPAN("obs_test.task", obs::Cat::kCompute); },
-          "obs_test.task");
-  for (backend::Stream& s : streams) ex.synchronize(s);
+    workers.emplace_back([i] {
+      obs::ThreadTag tag;
+      tag.lane = obs::intern("obs_test.stream" + std::to_string(i));
+      obs::set_thread_tag(tag);
+      for (int iter = 0; iter < 200; ++iter) {
+        OBS_SPAN("obs_test.task", obs::Cat::kCompute);
+      }
+    });
+  for (std::thread& w : workers) w.join();
 
   const std::vector<obs::Span> spans = obs::snapshot();
   EXPECT_EQ(count_named(spans, "obs_test.task"), 800u);
-  // Every span carries its worker's lane: the interned stream name.
+  // Every span carries its worker's lane: the interned lane name.
   std::set<std::string> lanes;
   for (const auto& s : spans)
     if (obs::name_of(s.name_id) == "obs_test.task")

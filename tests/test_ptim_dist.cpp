@@ -217,7 +217,8 @@ TEST(PtImDist, PropagatorCommStatsShowPatternShift) {
 
 TEST(PtImDist, SimulationDistributedMatchesSerial) {
   // End-to-end through the user-facing driver: ground state, then three
-  // PT-IM steps serial vs distributed (ACE + async ring, 3 ranks).
+  // PT-IM steps through Simulation::run, serial vs distributed (ACE +
+  // async ring, 3 ranks).
   core::SystemSpec spec;
   spec.ecut = 2.0;
   spec.temperature_k = 8000.0;
@@ -225,35 +226,33 @@ TEST(PtImDist, SimulationDistributedMatchesSerial) {
   core::Simulation sim(spec);
   sim.prepare_ground_state();
 
-  td::PtImOptions opt;
-  opt.dt = 0.5;
-  opt.tol = 1e-7;
-  opt.variant = td::PtImVariant::kAce;
+  core::RunConfig cfg;
+  cfg.steps = 3;
+  cfg.dt = 0.5;
+  cfg.tol = 1e-7;
+  cfg.variant = td::PtImVariant::kAce;
+  auto dipole_run = [&sim](const core::RunConfig& c) {
+    core::MeasurementSet m;
+    m.add("dipole_x", sim.dipole_probe({1.0, 0.0, 0.0}));
+    return sim.run(c, std::move(m));
+  };
+  const auto serial = dipole_run(cfg);
 
-  const int steps = 3;
-  td::TdState s = sim.initial_state();
-  auto prop = sim.make_ptim(opt);
-  std::vector<real_t> dip_serial;
-  for (int i = 0; i < steps; ++i) {
-    prop->step(s);
-    dip_serial.push_back(sim.dipole_x(s));
-  }
+  core::RunConfig dcfg = cfg;
+  dcfg.nranks = 3;
+  dcfg.ranks_per_node = 2;
+  dcfg.pattern = dist::ExchangePattern::kAsyncRing;
+  const auto res = dipole_run(dcfg);
 
-  core::Simulation::DistRunOptions dopt;
-  dopt.nranks = 3;
-  dopt.ranks_per_node = 2;
-  dopt.steps = steps;
-  dopt.ptim = opt;
-  dopt.band.pattern = dist::ExchangePattern::kAsyncRing;
-  const auto res = sim.propagate_distributed(dopt);
-
-  ASSERT_EQ(res.dipole.size(), static_cast<size_t>(steps));
-  for (int i = 0; i < steps; ++i)
-    EXPECT_NEAR(dip_serial[static_cast<size_t>(i)],
-                res.dipole[static_cast<size_t>(i)], kTol)
-        << "step " << i;
-  EXPECT_LT(la::frob_diff(s.sigma, res.final_state.sigma), kTol);
-  EXPECT_LT(la::frob_diff(s.phi, res.final_state.phi), 1e-8);
+  const auto& dip_serial = serial.measurements.series("dipole_x");
+  const auto& dip_dist = res.measurements.series("dipole_x");
+  ASSERT_EQ(dip_serial.size(), static_cast<size_t>(cfg.steps));
+  ASSERT_EQ(dip_dist.size(), dip_serial.size());
+  for (size_t i = 0; i < dip_serial.size(); ++i)
+    EXPECT_NEAR(dip_serial[i], dip_dist[i], kTol) << "step " << i;
+  EXPECT_LT(la::frob_diff(serial.final_state.sigma, res.final_state.sigma),
+            kTol);
+  EXPECT_LT(la::frob_diff(serial.final_state.phi, res.final_state.phi), 1e-8);
   ASSERT_EQ(res.comm.size(), 3u);
   EXPECT_GT(res.comm[0].ops.at("Wait").bytes, 0);
 }

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "ptmpi/comm.hpp"
 
 using namespace ptim;
@@ -599,4 +600,18 @@ TEST(Ptmpi, FetchAddClaimsDisjointPartition) {
   for (int i = 0; i < kJobs; ++i)
     EXPECT_NE(owner[static_cast<size_t>(i)], -1) << "index " << i
                                                  << " never claimed";
+}
+
+TEST(WireModel, DelaysPointToPointDelivery) {
+  ptmpi::set_wire_model(20e-3, 0.0);
+  Timer t;
+  ptmpi::run_ranks(2, 1, [&](ptmpi::Comm& c) {
+    double x = 1.0;
+    if (c.rank() == 0)
+      c.send(1, &x, sizeof(x));
+    else
+      c.recv(0, &x, sizeof(x));
+  });
+  ptmpi::set_wire_model(0.0, 0.0);
+  EXPECT_GE(t.seconds(), 15e-3);  // the recv waited out the wire time
 }
