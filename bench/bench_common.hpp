@@ -20,7 +20,6 @@
 #include "td/laser.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "td/rk4.hpp"
 
 namespace ptim::bench {
@@ -148,13 +147,13 @@ inline std::vector<ptmpi::CommStats> run_distributed_steps(
     dist::BandHamOptions bopt;
     bopt.pattern = pattern;
     dist::BandDistributedHamiltonian bdh(c, h, nb, bopt);
-    td::DistTdState s = td::scatter_state(init, bands, c.rank());
+    td::TdState s = td::scatter_state(init, bands, c.rank());
     td::PtImOptions opt;
     opt.dt = 1.0;
     opt.tol = 1e-7;
     opt.variant = variant;
     opt.exchange_precision = exchange_precision;
-    td::DistPtImPropagator prop(bdh, opt, nullptr);
+    td::PtImPropagator prop(bdh, opt, nullptr);
     c.barrier();  // setup done on every rank before the clock starts
     Timer t;
     for (int i = 0; i < steps; ++i) prop.step(s);

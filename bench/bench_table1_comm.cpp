@@ -100,8 +100,8 @@ int main() {
   }
 
   // Measured Table I analogue from the REAL propagator: one full PT-IM-ACE
-  // step through td::DistPtImPropagator on 4 thread ranks, per-op stats of
-  // rank 0 (calls / bytes / seconds) for each circulation pattern.
+  // band-parallel step through td::PtImPropagator on 4 thread ranks, per-op
+  // stats of rank 0 (calls / bytes / seconds) for each circulation pattern.
   static const char* kOps[] = {"Alltoallv", "Sendrecv", "Wait",
                                "Allgatherv", "Allreduce", "Bcast"};
   std::printf("\n[measured] per-op CommStats of one distributed PT-IM-ACE "

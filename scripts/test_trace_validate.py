@@ -3,8 +3,9 @@
 
     python3 scripts/test_trace_validate.py
 
-Each trace has two ranks with one lane each, wrapped in a whole-step
-compute span the way td.ptim_step_dist wraps a distributed step.
+Each trace has two ranks with one lane each, wrapped in a compute span
+that encloses the step's transfers, the way ptim.ace_prepare encloses the
+ring rotation of a band-parallel ACE build.
 """
 
 import io
@@ -27,7 +28,7 @@ def span(pid, name, cat, ts, dur):
 def serialized_step(pid):
     """A step whose transfers and applies alternate, never overlapping."""
     return [
-        span(pid, "td.ptim_step_dist", "compute", 0.0, 100.0),
+        span(pid, "ptim.ace_prepare", "compute", 0.0, 100.0),
         span(pid, "xchg.apply_slab", "compute", 10.0, 20.0),
         span(pid, "xchg.sendrecv", "comm", 30.0, 20.0),
         span(pid, "xchg.apply_slab", "compute", 50.0, 20.0),
@@ -37,7 +38,7 @@ def serialized_step(pid):
 def posted_step(pid):
     """A posted-ring step: the in-flight window encloses the apply."""
     return [
-        span(pid, "td.ptim_step_dist", "compute", 0.0, 100.0),
+        span(pid, "ptim.ace_prepare", "compute", 0.0, 100.0),
         span(pid, "xchg.inflight", "comm", 10.0, 40.0),
         span(pid, "xchg.apply_slab", "compute", 10.0, 20.0),
         span(pid, "xchg.wait", "comm", 35.0, 15.0),

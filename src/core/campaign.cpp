@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 
-#include "backend/buffer.hpp"
 #include "common/error.hpp"
-#include "ham/density.hpp"
 #include "obs/obs.hpp"
 #include "obs/step_report.hpp"
 
@@ -97,18 +96,6 @@ std::string single_line(const char* what) {
 
 std::string ckpt_path(const std::string& job_dir, uint64_t step) {
   return job_dir + "/ckpt_" + std::to_string(step) + ".ckpt";
-}
-
-// Counter snapshot for the per-step metrics sampler (cfg.metrics_path acts
-// as the enable switch; each job appends to <job_dir>/metrics.jsonl).
-obs::StepCounters job_counters(const ham::Hamiltonian& h, ptmpi::Comm& c) {
-  obs::StepCounters sc;
-  sc.ffts = h.exchange_op().fft_count.load(std::memory_order_relaxed);
-  sc.alloc_count = backend::buffer_alloc_count();
-  sc.isdf_fit_seconds = obs::profile_get(obs::intern("isdf.fit")).seconds +
-                        obs::profile_get(obs::intern("isdf.fit_dist")).seconds;
-  sc.comm = c.stats().snapshot();
-  return sc;
 }
 
 // ckpt_<step>.ckpt names in `dir`, step-descending. Anything else — in
@@ -291,88 +278,46 @@ void EnsembleCampaign::run_job(ptmpi::Comm& group, int id) {
     queue_.update_status(id, st);
   };
 
-  if (g == 1) {
-    td::TdState s = std::move(ck.state);
-    td::PtImPropagator prop(*h, cfg_.ptim(), laser.get());
-    std::vector<real_t> rho;
-    if (msink) msampler.begin(job_counters(*h, group));
-    while (done < total) {
-      const td::PtImStepStats st = prop.step(s);
-      ++done;
-      if (msink) {
-        obs::StepReport r = msampler.end(job_counters(*h, group));
-        r.job_id = id;
-        r.rank = group.rank();
-        r.step = static_cast<long>(done);
-        r.scf_iterations = st.scf_iterations;
-        r.outer_iterations = st.outer_iterations;
-        r.exchange_applications = st.exchange_applications;
-        r.residual = st.residual;
-        r.converged = st.converged ? 1 : 0;
-        r.outer_converged = st.outer_converged ? 1 : 0;
-        msink->write(r);
-        msampler.begin(job_counters(*h, group));
-      }
-      rho = ham::density_sigma(s.phi, s.sigma, h->den_map());
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = &s.phi;
-      ctx.sigma = &s.sigma;
-      ctx.time = s.time;
-      ctx.step = static_cast<int>(done) - 1;
-      m.record(ctx);
-      if (due(done)) persist(s);
-      if (opt_.fault_hook) opt_.fault_hook(id, done);
-    }
-    return;
-  }
-
-  // Distributed trajectory: the same band/grid path Simulation::run uses,
-  // over this group's subcommunicator. Dimensions come from the
-  // CHECKPOINT (jobs may carry states of a different system than the
-  // Simulation — the ham_factory seam).
-  const size_t nb = ck.state.phi.cols();
-  const dist::ProcessGrid pgrid = cfg_.process_grid;
-  const int pb = pgrid.resolve_pb(g);
-  const dist::BlockLayout bands(nb, pb);
-  dist::BandDistributedHamiltonian bdh(group, *h, nb, cfg_.band());
-  td::DistTdState s =
-      td::scatter_state(ck.state, bands, pgrid.band_rank_of(group.rank()));
-  td::DistPtImPropagator prop(bdh, cfg_.ptim(), laser.get());
+  // One step loop for every group size: the propagator's band space
+  // supplies the layout's density and full-state gather. A group of g > 1
+  // ranks runs the band/grid path Simulation::run uses, over its
+  // subcommunicator. Dimensions come from the CHECKPOINT (jobs may carry
+  // states of a different system than the Simulation — the ham_factory
+  // seam).
+  std::optional<dist::BandDistributedHamiltonian> bdh;
+  if (g > 1) bdh.emplace(group, *h, ck.state.phi.cols(), cfg_.band());
+  td::PtImPropagator prop =
+      bdh ? td::PtImPropagator(*bdh, cfg_.ptim(), laser.get())
+          : td::PtImPropagator(*h, cfg_.ptim(), laser.get());
+  td::TdState s =
+      bdh ? td::scatter_state(ck.state, bdh->bands(),
+                              cfg_.process_grid.band_rank_of(group.rank()))
+          : std::move(ck.state);
   const bool want_phi = m.needs_phi();
-  if (msink) msampler.begin(job_counters(*h, group));
+  if (msink) msampler.begin(sample_counters(h->exchange_op(), &group));
   while (done < total) {
     const td::PtImStepStats st = prop.step(s);
     ++done;
     if (msink) {
       // Leader-only rows: the leader's own comm/FFT deltas stand in for
       // the group (band work is balanced by construction).
-      obs::StepReport r = msampler.end(job_counters(*h, group));
+      obs::StepReport r =
+          msampler.end(sample_counters(h->exchange_op(), &group));
       r.job_id = id;
       r.rank = group.rank();
       r.step = static_cast<long>(done);
-      r.scf_iterations = st.scf_iterations;
-      r.outer_iterations = st.outer_iterations;
-      r.exchange_applications = st.exchange_applications;
-      r.residual = st.residual;
-      r.converged = st.converged ? 1 : 0;
-      r.outer_converged = st.outer_converged ? 1 : 0;
+      fill_step_stats(&r, st);
       msink->write(r);
-      msampler.begin(job_counters(*h, group));
+      msampler.begin(sample_counters(h->exchange_op(), &group));
     }
-    const std::vector<real_t> rho = bdh.density(s.phi_local, s.sigma);
-    // gather_state is collective over the band communicator (every grid
+    const std::vector<real_t> rho = prop.space().density(s);
+    // The gather is collective over the band communicator (every grid
     // column gathers redundantly); the leader holds band rank 0's copy.
     td::TdState full;
-    if (want_phi || due(done)) full = td::gather_state(bdh.comm(), s, bands);
+    if (want_phi || due(done)) full = prop.space().gather(s);
     if (leader) {
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = want_phi ? &full.phi : nullptr;
-      ctx.sigma = &s.sigma;
-      ctx.time = s.time;
-      ctx.step = static_cast<int>(done) - 1;
-      m.record(ctx);
+      m.record({&rho, want_phi ? &full.phi : nullptr, &s.sigma, s.time,
+                static_cast<int>(done) - 1});
       if (due(done)) persist(full);
     }
     // All ranks hit the fault hook at the same collective-free point, so a

@@ -20,8 +20,8 @@
 // fetch_add cursor (Comm::fetch_add — the MPI_Fetch_and_op job-handoff
 // idiom), the group leader broadcasts the claim, and the group propagates
 // the job: serially for cfg.nranks == 1, else through the same
-// BandDistributedHamiltonian / DistPtImPropagator path Simulation::run
-// uses, over the group's split subcommunicator.
+// td::PtImPropagator over a dist::BandDistributedHamiltonian that
+// Simulation::run uses, over the group's split subcommunicator.
 //
 // Durability: every job writes ckpt_0 at submit and an io::Checkpoint
 // (format v2) every cfg.checkpoint_every steps plus the final step, into

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "ham/density.hpp"
 
 namespace ptim::core {
 
@@ -75,10 +74,10 @@ std::vector<EnsembleJobResult> EnsembleDriver::run_batch(
     sl.res.steps.reserve(static_cast<size_t>(cfg_.steps));
   }
 
-  // The exchange packing rides on the ACE double loop; other variants
-  // propagate unbatched (still amortizing the pooled setup).
-  const bool staged =
-      cfg_.variant == td::PtImVariant::kAce && cfg_.hybrid;
+  // The exchange packing rides on the ACE double loop; other variants, and
+  // runs with exact exchange off, propagate unbatched (still amortizing
+  // the pooled setup).
+  const bool staged = n && slots[0].prop->staged();
   // Every slot's operator is configured identically, so slot 0's can apply
   // the whole dense pack (bit-identical to per-slot application). ISDF
   // shares no FFT batch between jobs, and each trajectory's held point set
@@ -129,15 +128,9 @@ std::vector<EnsembleJobResult> EnsembleDriver::run_batch(
     for (size_t i = 0; i < n; ++i) {
       Slot& sl = slots[i];
       if (sl.res.measurements.empty()) continue;
-      const std::vector<real_t> rho =
-          ham::density_sigma(sl.state.phi, sl.state.sigma, sl.h->den_map());
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = &sl.state.phi;
-      ctx.sigma = &sl.state.sigma;
-      ctx.time = sl.state.time;
-      ctx.step = step;
-      sl.res.measurements.record(ctx);
+      const std::vector<real_t> rho = sl.prop->space().density(sl.state);
+      sl.res.measurements.record(
+          {&rho, &sl.state.phi, &sl.state.sigma, sl.state.time, step});
     }
   }
 

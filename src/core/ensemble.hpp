@@ -55,8 +55,9 @@ class EnsembleDriver {
  public:
   // The Simulation must have its ground state prepared before run_all.
   // Ensemble batching is defined for serial per-trajectory propagation
-  // (cfg.nranks == 1); the exchange packing needs cfg's variant to be kAce
-  // + hybrid, anything else falls back to unbatched stepping.
+  // (cfg.nranks == 1); the exchange packing needs a staged propagator
+  // (kAce with exact exchange on), anything else falls back to unbatched
+  // stepping.
   EnsembleDriver(Simulation& sim, RunConfig cfg);
 
   void submit(EnsembleJob job);

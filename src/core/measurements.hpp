@@ -15,8 +15,8 @@
 //
 // Probes are plain std::functions of a MeasureContext so custom lambdas
 // compose with the built-ins. The density pointer is always valid; `phi`
-// may be null in distributed runs unless the probe declared needs_phi
-// (then the driver gathers the full state before sampling).
+// is null unless a probe of the set declared needs_phi (then the driver
+// gathers the full state before sampling).
 
 #include <functional>
 #include <string>

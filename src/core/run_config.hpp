@@ -119,7 +119,6 @@ struct RunConfig {
     o.exchange_precision = precision;
     o.exchange_compression = compression;
     o.isdf_rank_factor = isdf_rank_factor;
-    o.process_grid = process_grid;
     o.evolve_sigma = evolve_sigma;
     return o;
   }

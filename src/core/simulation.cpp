@@ -13,11 +13,6 @@
 
 namespace ptim::core {
 
-namespace {
-
-// Counter snapshot for the per-step metrics sampler. `xop` is the exchange
-// operator the propagator actually drives (the per-rank Hamiltonian's, for
-// distributed runs); `comm` is null on the serial path.
 obs::StepCounters sample_counters(const ham::ExchangeOperator& xop,
                                   ptmpi::Comm* comm) {
   obs::StepCounters sc;
@@ -37,8 +32,6 @@ void fill_step_stats(obs::StepReport* r, const td::PtImStepStats& st) {
   r->converged = st.converged ? 1 : 0;
   r->outer_converged = st.outer_converged ? 1 : 0;
 }
-
-}  // namespace
 
 Simulation::Simulation(SystemSpec spec) : spec_(spec) {
   grid::Lattice tmp = grid::Lattice::cubic(1.0);
@@ -150,47 +143,64 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
   if (!cfg.metrics_path.empty())
     metrics = std::make_shared<obs::MetricsSink>(cfg.metrics_path);
 
-  if (cfg.nranks == 1) {
-    td::TdState s = initial;
-    td::PtImPropagator prop(*h_, cfg.ptim(), laser_.get());
-    if (cfg.checkpoint_every > 0 || metrics) {
-      // Post-commit hook of the staged step protocol: the state it sees is
-      // exactly what a resume restores, so saving here is bitwise-safe —
-      // and the metrics sampler closes its per-step window at the same
-      // commit point, so a report row always describes a resumable step.
-      uint64_t done = start_step;
-      int step = 0;
-      auto sampler = std::make_shared<obs::StepSampler>();
-      if (metrics) sampler->begin(sample_counters(h_->exchange_op(), nullptr));
-      prop.set_step_hook([this, &cfg, &ckpt_due, &ckpt_path, metrics, sampler,
-                          done, step](const td::TdState& hs,
-                                      const td::PtImStepStats& st) mutable {
-        ++done;
-        if (metrics) {
-          obs::StepReport r =
-              sampler->end(sample_counters(h_->exchange_op(), nullptr));
-          r.step = static_cast<long>(done);
-          fill_step_stats(&r, st);
-          metrics->write(r);
-          sampler->begin(sample_counters(h_->exchange_op(), nullptr));
-        }
-        if (ckpt_due(done, step++))
-          io::save_checkpoint(ckpt_path(done), checkpoint(cfg, hs, done));
-      });
-    }
-    std::vector<real_t> rho;
+  const bool want_phi = result.measurements.needs_phi();
+  // Hash once on the launcher thread; the rank lambdas only read it.
+  const uint64_t cfg_hash = cfg.checkpoint_every > 0 ? config_hash(cfg) : 0;
+
+  // One step loop for every layout; the propagator's band space supplies
+  // the density and the full-state gather. `h` is the Hamiltonian the
+  // propagator drives (it carries the live vector potential: delta kick,
+  // laser phase) and `c` the world communicator of a distributed run, null
+  // when serial. Returns the final full state.
+  const auto propagate = [&](ham::Hamiltonian& h, td::PtImPropagator& prop,
+                             td::TdState s, ptmpi::Comm* c) {
+    const bool root = !c || c->rank() == 0;
+    // Per-rank metrics sampler: each rank reports its own comm/FFT deltas
+    // into the shared (thread-safe) sink, keyed by its rank column.
+    obs::StepSampler sampler;
+    if (metrics) sampler.begin(sample_counters(h.exchange_op(), c));
     for (int step = 0; step < cfg.steps; ++step) {
-      result.steps[static_cast<size_t>(step)] = prop.step(s);
-      rho = ham::density_sigma(s.phi, s.sigma, h_->den_map());
-      MeasureContext ctx;
-      ctx.rho = &rho;
-      ctx.phi = &s.phi;
-      ctx.sigma = &s.sigma;
-      ctx.time = s.time;
-      ctx.step = static_cast<int>(start_step) + step;
-      result.measurements.record(ctx);
+      const td::PtImStepStats st = prop.step(s);
+      const uint64_t done = start_step + static_cast<uint64_t>(step) + 1;
+      if (metrics) {
+        obs::StepReport r = sampler.end(sample_counters(h.exchange_op(), c));
+        if (c) r.rank = c->rank();
+        r.step = static_cast<long>(done);
+        fill_step_stats(&r, st);
+        metrics->write(r);
+        sampler.begin(sample_counters(h.exchange_op(), c));
+      }
+      // rho is reduced over the band communicator (and the grid columns
+      // compute it redundantly and identically), so rho-derived probes see
+      // the same values on every rank; world rank 0 records them. Probes
+      // that read Phi force a full gather every step (collective over the
+      // band communicator; each grid column gathers redundantly).
+      const std::vector<real_t> rho = prop.space().density(s);
+      const bool ckpt = ckpt_due(done, step);
+      td::TdState full;
+      if (want_phi || ckpt) full = prop.space().gather(s);
+      if (!root) continue;
+      result.steps[static_cast<size_t>(step)] = st;
+      result.measurements.record({&rho, want_phi ? &full.phi : nullptr,
+                                  &s.sigma, s.time,
+                                  static_cast<int>(start_step) + step});
+      // The committed state a resume restores, so saving here is
+      // bitwise-safe.
+      if (ckpt) {
+        io::Checkpoint ck;
+        ck.state = std::move(full);
+        ck.step_index = done;
+        ck.config_hash = cfg_hash;
+        ck.avec = h.vector_potential();
+        io::save_checkpoint(ckpt_path(done), ck);
+      }
     }
-    result.final_state = std::move(s);
+    return prop.space().gather(s);
+  };
+
+  if (cfg.nranks == 1) {
+    td::PtImPropagator prop(*h_, cfg.ptim(), laser_.get());
+    result.final_state = propagate(*h_, prop, initial, nullptr);
     if (tracing) {
       obs::set_enabled(was_enabled);
       obs::write_chrome_trace(cfg.trace_path, obs::snapshot());
@@ -203,82 +213,20 @@ Simulation::RunResult Simulation::run(const RunConfig& cfg,
   // band rows x pg grid columns; pg == 1 is the pure band-parallel path.
   // resolve_pb validates pb*pg == nranks in EVERY mode, so an explicitly
   // set but inconsistent layout is rejected rather than silently ignored.
-  const dist::ProcessGrid pgrid = cfg.process_grid;
-  const int pb = pgrid.resolve_pb(cfg.nranks);
-  const dist::BlockLayout bands(nbands_, pb);
-  // Probes that read Phi force a full gather every step; the cheap rho/
-  // sigma probes cost no extra communication.
-  const bool want_phi = result.measurements.needs_phi();
-  // Hash once on the launcher thread; the rank lambdas only read it.
-  const uint64_t cfg_hash =
-      cfg.checkpoint_every > 0 ? config_hash(cfg) : 0;
-
+  (void)cfg.process_grid.resolve_pb(cfg.nranks);
   ptmpi::run_ranks(cfg.nranks, cfg.ranks_per_node, [&](ptmpi::Comm& c) {
     // Per-rank Hamiltonian over the shared read-only grids/atoms; carries
     // the live vector potential (delta-kick / resumed laser phase).
     std::unique_ptr<ham::Hamiltonian> h = make_rank_hamiltonian();
     h->set_vector_potential(h_->vector_potential());
     dist::BandDistributedHamiltonian bdh(c, *h, nbands_, cfg.band());
-    td::DistTdState s =
-        td::scatter_state(initial, bands, pgrid.band_rank_of(c.rank()));
-    td::DistPtImPropagator prop(bdh, cfg.ptim(), laser_.get());
-    // Per-rank metrics sampler: each rank reports its own comm/FFT deltas
-    // into the shared (thread-safe) sink, keyed by its rank column.
-    obs::StepSampler sampler;
-    if (metrics) sampler.begin(sample_counters(h->exchange_op(), &c));
-    for (int step = 0; step < cfg.steps; ++step) {
-      td::PtImStepStats st;
-      {
-        OBS_SPAN("td.dist_step", obs::Cat::kStep);
-        st = prop.step(s);
-      }
-      if (metrics) {
-        obs::StepReport r = sampler.end(sample_counters(h->exchange_op(), &c));
-        r.rank = c.rank();
-        r.step = static_cast<long>(start_step) + step + 1;
-        fill_step_stats(&r, st);
-        metrics->write(r);
-        sampler.begin(sample_counters(h->exchange_op(), &c));
-      }
-      // Observables from the distributed state: rho is Allreduced over the
-      // band communicator (and the grid columns compute it redundantly and
-      // identically), so rho-derived probes see the same values on every
-      // rank; world rank 0 records them.
-      const std::vector<real_t> rho = bdh.density(s.phi_local, s.sigma);
-      td::TdState full;
-      if (want_phi) full = td::gather_state(bdh.comm(), s, bands);
-      if (c.rank() == 0) {
-        result.steps[static_cast<size_t>(step)] = st;
-        MeasureContext ctx;
-        ctx.rho = &rho;
-        ctx.phi = want_phi ? &full.phi : nullptr;
-        ctx.sigma = &s.sigma;
-        ctx.time = s.time;
-        ctx.step = static_cast<int>(start_step) + step;
-        result.measurements.record(ctx);
-      }
-      const uint64_t done = start_step + static_cast<uint64_t>(step) + 1;
-      if (ckpt_due(done, step)) {
-        // gather_state is collective over the band communicator (each grid
-        // column gathers redundantly); world rank 0 persists the snapshot.
-        // The vector potential comes from the PER-RANK Hamiltonian — the
-        // one the distributed propagator actually advances.
-        const td::TdState snap =
-            want_phi ? full : td::gather_state(bdh.comm(), s, bands);
-        if (c.rank() == 0) {
-          io::Checkpoint ck;
-          ck.state = snap;
-          ck.step_index = done;
-          ck.config_hash = cfg_hash;
-          ck.avec = h->vector_potential();
-          io::save_checkpoint(ckpt_path(done), ck);
-        }
-      }
-    }
-    // Gather over the band communicator (grid column 0 contains world rank
-    // 0, which holds the full state for the caller).
-    const td::TdState full = td::gather_state(bdh.comm(), s, bands);
-    if (c.rank() == 0) result.final_state = full;
+    td::PtImPropagator prop(bdh, cfg.ptim(), laser_.get());
+    // Grid column 0 contains world rank 0, which holds the full state for
+    // the caller.
+    td::TdState s = td::scatter_state(
+        initial, bdh.bands(), cfg.process_grid.band_rank_of(c.rank()));
+    td::TdState full = propagate(*h, prop, std::move(s), &c);
+    if (c.rank() == 0) result.final_state = std::move(full);
     if (tracing) {
       // Rank-merged trace: after the barrier every rank is past its last
       // instrumented operation, so the per-rank snapshots are quiesced.
@@ -356,15 +304,8 @@ Probe Simulation::energy_probe() {
 
 void Simulation::measure(MeasurementSet& m, const td::TdState& s,
                          int step) const {
-  const std::vector<real_t> rho =
-      ham::density_sigma(s.phi, s.sigma, h_->den_map());
-  MeasureContext ctx;
-  ctx.rho = &rho;
-  ctx.phi = &s.phi;
-  ctx.sigma = &s.sigma;
-  ctx.time = s.time;
-  ctx.step = step;
-  m.record(ctx);
+  const std::vector<real_t> rho = density(s);
+  m.record({&rho, &s.phi, &s.sigma, s.time, step});
 }
 
 std::vector<real_t> Simulation::density(const td::TdState& s) const {

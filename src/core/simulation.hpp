@@ -30,11 +30,23 @@
 #include "ptmpi/comm.hpp"
 #include "td/laser.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "td/rk4.hpp"
 #include "td/state.hpp"
 
+namespace ptim::obs {
+struct StepCounters;
+struct StepReport;
+}  // namespace ptim::obs
+
 namespace ptim::core {
+
+// Per-step metrics rows, shared by Simulation::run and campaigns: the
+// counter snapshot the StepSampler diffs (`xop` is the exchange operator
+// the propagator drives; `comm` is null for serial runs), and a step's
+// solver statistics.
+obs::StepCounters sample_counters(const ham::ExchangeOperator& xop,
+                                  ptmpi::Comm* comm);
+void fill_step_stats(obs::StepReport* r, const td::PtImStepStats& st);
 
 struct SystemSpec {
   // Supercell repeats of the 8-atom conventional Si cell.

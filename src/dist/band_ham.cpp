@@ -1,16 +1,10 @@
 #include "dist/band_ham.hpp"
 
-#include <algorithm>
-#include <cmath>
-
+#include "common/timer.hpp"
 #include "dist/exchange_dist.hpp"
-#include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
-#include "la/blas.hpp"
-#include "la/cholesky.hpp"
-#include "la/eig.hpp"
-#include "la/util.hpp"
+#include "ham/density.hpp"
 
 namespace ptim::dist {
 
@@ -37,8 +31,12 @@ BandDistributedHamiltonian::BandDistributedHamiltonian(ptmpi::Comm& c,
 }
 
 la::MatC BandDistributedHamiltonian::exchange_diag(
-    const la::MatC& src_local, const std::vector<real_t>& d_local,
+    const la::MatC& src_local, const std::vector<real_t>& occ,
     const la::MatC& tgt_local) {
+  const size_t off = bands_.offset(c_->rank());
+  const std::vector<real_t> d_local(
+      occ.begin() + static_cast<long>(off),
+      occ.begin() + static_cast<long>(off + bands_.count(c_->rank())));
   if (gridctx_) {
     PTIM_CHECK_MSG(
         h_->exchange_op().options().compression !=
@@ -99,90 +97,36 @@ la::MatC BandDistributedHamiltonian::solve_upper_right(
 
 std::vector<real_t> BandDistributedHamiltonian::density(
     const la::MatC& phi_local, const la::MatC& sigma, la::MatC* theta_out) {
+  ScopedTimer t("density.sigma");
   la::MatC theta_local = rotate(phi_local, sigma);
-  const auto& map = h_->den_map();
-  const size_t ng = map.grid().size();
-  std::vector<real_t> rho(ng, 0.0);
-  std::vector<cplx> wphi(ng), wtheta(ng);
-  for (size_t b = 0; b < phi_local.cols(); ++b) {
-    map.to_real(phi_local.col(b), wphi.data());
-    map.to_real(theta_local.col(b), wtheta.data());
-#pragma omp parallel for schedule(static)
-    for (size_t j = 0; j < ng; ++j)
-      rho[j] += 2.0 * std::real(wtheta[j] * std::conj(wphi[j]));
-  }
-  c_->allreduce_sum(rho.data(), ng);
+  std::vector<real_t> rho =
+      ham::density_theta(phi_local, theta_local, h_->den_map());
+  c_->allreduce_sum(rho.data(), rho.size());
   if (theta_out) *theta_out = std::move(theta_local);
   return rho;
 }
 
 void BandDistributedHamiltonian::set_exchange_source_mixed_naive(
-    const la::MatC& phi_local, const la::MatC& sigma, la::MatC theta_local) {
+    const la::MatC& phi_local, la::MatC theta_local) {
+  PTIM_CHECK(theta_local.same_shape(phi_local));
   xsrc_local_ = phi_local;
-  xtheta_local_ = theta_local.same_shape(phi_local)
-                      ? std::move(theta_local)
-                      : rotate(phi_local, sigma);
+  xtheta_local_ = std::move(theta_local);
   xmode_ = BandExchangeMode::kMixedNaive;
 }
 
-void BandDistributedHamiltonian::set_exchange_source_mixed_diag(
-    const la::MatC& phi_local, la::MatC sigma) {
-  // Same sequence as ham::Hamiltonian::set_exchange_source_mixed: hermitize,
-  // diagonalize (replicated, so Q is identical on every rank), rotate.
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  xsrc_local_ = rotate(phi_local, eig.V);
-  xocc_local_.assign(
-      eig.w.begin() + static_cast<long>(bands_.offset(c_->rank())),
-      eig.w.begin() + static_cast<long>(bands_.offset(c_->rank()) +
-                                        bands_.count(c_->rank())));
+void BandDistributedHamiltonian::set_exchange_source_diag(
+    la::MatC rotated_local, std::vector<real_t> occ) {
+  PTIM_CHECK(occ.size() == bands_.total());
+  xsrc_local_ = std::move(rotated_local);
+  xocc_ = std::move(occ);
   xmode_ = BandExchangeMode::kMixedDiag;
 }
 
-real_t BandDistributedHamiltonian::build_ace(const la::MatC& phi_local,
-                                             la::MatC sigma,
-                                             ham::IsdfPointHold* hold) {
-  const int me = c_->rank();
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  const la::MatC rotated_local = rotate(phi_local, eig.V);
-  const std::vector<real_t> occ_local(
-      eig.w.begin() + static_cast<long>(bands_.offset(me)),
-      eig.w.begin() + static_cast<long>(bands_.offset(me) +
-                                        bands_.count(me)));
-  if (hold &&
-      h_->exchange_compression() == ham::ExchangeCompression::kIsdf)
-    *hold = h_->hold_isdf_points(isdf_select_distributed(
-        *c_, h_->exchange_op(), rotated_local, eig.w, rotated_local, bands_));
-
-  // W = (alpha Vx) Phi' via the circulating batched-FFT exchange (slab
-  // pipeline under the 2-D layout).
-  const la::MatC w_local =
-      exchange_diag(rotated_local, occ_local, rotated_local);
-
-  // B = -Phi'^H W (+ ridge), Cholesky, xi = W L^{-H} — the serial
-  // AceOperator::build arithmetic on replicated small matrices.
-  la::MatC b = overlap(rotated_local, w_local);
-  for (size_t i = 0; i < b.size(); ++i) b.data()[i] = -b.data()[i];
-  la::hermitize(b);
-  const size_t n = b.rows();
-  real_t dmax = 0.0;
-  for (size_t i = 0; i < n; ++i) dmax = std::max(dmax, std::real(b(i, i)));
-  const real_t ridge = std::max(dmax, real_t(1.0)) * 1e-13;
-  for (size_t i = 0; i < n; ++i) b(i, i) += ridge;
-  const la::MatC l = la::cholesky(b);
+void BandDistributedHamiltonian::set_ace(const la::MatC& src_local,
+                                         const la::MatC& w_local) {
+  const la::MatC l = ham::AceOperator::factor(overlap(src_local, w_local));
   xi_local_ = solve_upper_right(l, w_local);
   xmode_ = BandExchangeMode::kAce;
-
-  // Exchange-energy estimate sum_b d_b <phi'_b|W_b>: local bands, then the
-  // deterministic Allreduce — replicated like every other scalar.
-  real_t ex = 0.0;
-  for (size_t b2 = 0; b2 < rotated_local.cols(); ++b2)
-    ex += occ_local[b2] * std::real(la::dotc(rotated_local.rows(),
-                                             rotated_local.col(b2),
-                                             w_local.col(b2)));
-  c_->allreduce_sum(&ex, 1);
-  return ex;
 }
 
 void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
@@ -198,7 +142,7 @@ void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
       break;
     }
     case BandExchangeMode::kMixedDiag: {
-      const la::MatC vx = exchange_diag(xsrc_local_, xocc_local_, phi_local);
+      const la::MatC vx = exchange_diag(xsrc_local_, xocc_, phi_local);
       for (size_t i = 0; i < hphi_local.size(); ++i)
         hphi_local.data()[i] += vx.data()[i];
       break;

@@ -63,10 +63,6 @@ class BandDistributedHamiltonian {
   ptmpi::Comm& comm() { return *c_; }
   ham::Hamiltonian& local() { return *h_; }
   const BlockLayout& bands() const { return bands_; }
-  const BlockLayout& rows() const { return rows_; }
-  const BandHamOptions& options() const { return opt_; }
-  // Non-null iff grid.pg > 1 (the 2-D layout is active).
-  GridContext* grid_context() { return gridctx_.get(); }
 
   // --- band-block collectives -----------------------------------------
   // Full nb x nb overlap A^H B from band blocks, replicated on every rank.
@@ -84,46 +80,41 @@ class BandDistributedHamiltonian {
 
   // --- density ---------------------------------------------------------
   // rho = 2 Re sum_b theta_b(r) conj(phi_b(r)) with theta = Phi sigma;
-  // local bands accumulated, then Allreduced (identical on every rank).
-  // theta_out (optional) receives the circulated theta block so callers can
-  // reuse it (the baseline exchange needs the same contraction).
+  // local bands accumulated (ham::density_theta), then Allreduced
+  // (identical on every rank). theta_out (optional) receives the
+  // circulated theta block so callers can reuse it (the baseline exchange
+  // needs the same contraction).
   std::vector<real_t> density(const la::MatC& phi_local, const la::MatC& sigma,
                               la::MatC* theta_out = nullptr);
   void set_density(const std::vector<real_t>& rho) { h_->set_density(rho); }
 
   // --- exchange configuration (the P in Vx[P]) -------------------------
   void set_exchange_none() { xmode_ = BandExchangeMode::kNone; }
-  // Alg. 2 baseline: keep the full sigma, carry it as theta = Phi sigma.
-  // Pass a precomputed theta block (e.g. from density()) to skip the ring
-  // circulation; when absent it is formed here.
+  // Alg. 2 baseline: keep the full sigma, carried as the theta = Phi sigma
+  // block density() circulated.
   void set_exchange_source_mixed_naive(const la::MatC& phi_local,
-                                       const la::MatC& sigma,
-                                       la::MatC theta_local = {});
-  // Diag optimization: sigma = Q D Q^H once, circulate rotated orbitals.
-  void set_exchange_source_mixed_diag(const la::MatC& phi_local,
-                                      la::MatC sigma);
-  // ACE build from (phi, sigma): distributed exchange application on the
-  // rotated orbitals, Cholesky compression, xi = W L^{-H}. Returns the
-  // exchange-energy estimate (replicated). Switches the mode to kAce.
-  // Under ISDF compression a non-null `hold` first selects interpolation
-  // points collectively on the rotated sources (dist/isdf_dist) and
-  // installs them on the local exchange operator — rank-identical, and
-  // used by this and every later build until *hold is released.
-  real_t build_ace(const la::MatC& phi_local, la::MatC sigma,
-                   ham::IsdfPointHold* hold = nullptr);
-  BandExchangeMode exchange_mode() const { return xmode_; }
+                                       la::MatC theta_local);
+  // Diag optimization: the block of rotated orbitals Phi Q of
+  // sigma = Q D Q^H, with the eigen-occupations D of all nb bands.
+  void set_exchange_source_diag(la::MatC rotated_local,
+                                std::vector<real_t> occ);
+  // ACE install from rotated sources and W = (alpha Vx) sources (both band
+  // blocks): B = Phi'^H W from the blocks, the shared Cholesky compression
+  // (ham::AceOperator::factor), xi = W L^{-H}. Switches the mode to kAce.
+  void set_ace(const la::MatC& src_local, const la::MatC& w_local);
 
   // --- application ------------------------------------------------------
   // hphi_local = H * phi_local (semilocal on the local block + the
   // configured distributed exchange term). Collective call.
   void apply(const la::MatC& phi_local, la::MatC& hphi_local);
+  // (alpha Vx[src, occ]) tgt for the target block, with occ the
+  // occupations of all nb source bands: the circulating batched-FFT
+  // exchange, or the slab pipeline under the 2-D layout. Collective call.
+  la::MatC exchange_diag(const la::MatC& src_local,
+                         const std::vector<real_t>& occ,
+                         const la::MatC& tgt_local);
 
  private:
-  // Exchange applications routed through the configured layout (1-D band
-  // circulation, or the 2-D slab path when grid.pg > 1).
-  la::MatC exchange_diag(const la::MatC& src_local,
-                         const std::vector<real_t>& d_local,
-                         const la::MatC& tgt_local);
   la::MatC exchange_mixed(const la::MatC& src_local,
                           const la::MatC& theta_local,
                           const la::MatC& tgt_local);
@@ -138,7 +129,7 @@ class BandDistributedHamiltonian {
   BandExchangeMode xmode_ = BandExchangeMode::kNone;
   la::MatC xsrc_local_;    // rotated orbitals (diag) or raw Phi (naive)
   la::MatC xtheta_local_;  // Phi*sigma block (naive mode)
-  std::vector<real_t> xocc_local_;  // eigen-occupation slice (diag mode)
+  std::vector<real_t> xocc_;  // eigen-occupations of all bands (diag mode)
   la::MatC xi_local_;      // ACE projector block
 };
 

@@ -15,23 +15,27 @@ AceOperator AceOperator::build(const la::MatC& phi, const la::MatC& w) {
   PTIM_CHECK(phi.same_shape(w));
   const size_t n = phi.cols();
 
-  // B = -Phi^H W, Hermitian positive (semi)definite.
   la::MatC b(n, n);
   la::gemm_cn(phi, w, b);
-  for (size_t i = 0; i < b.size(); ++i) b.data()[i] = -b.data()[i];
-  la::hermitize(b);
-
-  // Ridge for the semidefinite edge (all-zero occupation columns).
-  real_t dmax = 0.0;
-  for (size_t i = 0; i < n; ++i) dmax = std::max(dmax, std::real(b(i, i)));
-  const real_t ridge = std::max(dmax, real_t(1.0)) * 1e-13;
-  for (size_t i = 0; i < n; ++i) b(i, i) += ridge;
-
-  const la::MatC l = la::cholesky(b);
+  const la::MatC l = factor(std::move(b));
   AceOperator op;
   op.xi_ = w;
   la::solve_upper_right(l, op.xi_);  // xi = W * L^{-H}
   return op;
+}
+
+la::MatC AceOperator::factor(la::MatC b) {
+  // -Phi^H W is Hermitian positive (semi)definite.
+  for (size_t i = 0; i < b.size(); ++i) b.data()[i] = -b.data()[i];
+  la::hermitize(b);
+
+  // Ridge for the semidefinite edge (all-zero occupation columns).
+  const size_t n = b.rows();
+  real_t dmax = 0.0;
+  for (size_t i = 0; i < n; ++i) dmax = std::max(dmax, std::real(b(i, i)));
+  const real_t ridge = std::max(dmax, real_t(1.0)) * 1e-13;
+  for (size_t i = 0; i < n; ++i) b(i, i) += ridge;
+  return la::cholesky(b);
 }
 
 AceOperator AceOperator::build_diag(const ExchangeOperator& xop,

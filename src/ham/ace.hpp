@@ -23,6 +23,10 @@ class AceOperator {
   // definite (true whenever all occupations are > 0; a tiny ridge guards
   // the semidefinite edge).
   static AceOperator build(const la::MatC& phi, const la::MatC& w);
+  // The compression step of build(): the Cholesky factor L of
+  // -Phi^H W (+ ridge), given b = Phi^H W; then xi = W L^{-H}. The
+  // band-distributed layer forms b from band blocks and shares this step.
+  static la::MatC factor(la::MatC b);
 
   // One-stop builder on the exchange hot path: computes W = (alpha Vx) Phi
   // through xop.apply_diag — i.e. in blocks of ExchangeOptions::batch_size

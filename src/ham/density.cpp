@@ -33,11 +33,17 @@ std::vector<real_t> density_sigma(const la::MatC& phi_coeffs,
   PTIM_CHECK(sigma.rows() == nb && sigma.cols() == nb);
   la::MatC theta(phi_coeffs.rows(), nb);
   la::gemm_nn(phi_coeffs, sigma, theta);
+  return density_theta(phi_coeffs, theta, map);
+}
 
+std::vector<real_t> density_theta(const la::MatC& phi_coeffs,
+                                  const la::MatC& theta,
+                                  const pw::SphereGridMap& map) {
+  PTIM_CHECK(theta.same_shape(phi_coeffs));
   const size_t ng = map.grid().size();
   std::vector<real_t> rho(ng, 0.0);
   std::vector<cplx> wphi(ng), wtheta(ng);
-  for (size_t b = 0; b < nb; ++b) {
+  for (size_t b = 0; b < phi_coeffs.cols(); ++b) {
     map.to_real(phi_coeffs.col(b), wphi.data());
     map.to_real(theta.col(b), wtheta.data());
     // rho += 2 * Re(theta_b(r) * conj(phi_b(r)))

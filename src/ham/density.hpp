@@ -28,6 +28,13 @@ std::vector<real_t> density_sigma(const la::MatC& phi_coeffs,
                                   const la::MatC& sigma,
                                   const pw::SphereGridMap& map);
 
+// The per-band accumulation of density_sigma, given theta = Phi * sigma:
+// rho = 2 Re sum_b theta_b(r) conj(phi_b(r)). The band-distributed density
+// runs it on a rank's block and sums the blocks afterwards.
+std::vector<real_t> density_theta(const la::MatC& phi_coeffs,
+                                  const la::MatC& theta,
+                                  const pw::SphereGridMap& map);
+
 // Full sigma via the explicit pair loop (baseline; benchmarking only).
 std::vector<real_t> density_sigma_naive(const la::MatC& phi_coeffs,
                                         const la::MatC& sigma,

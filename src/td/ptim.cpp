@@ -1,55 +1,64 @@
 #include "td/ptim.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "ham/density.hpp"
-#include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
-#include "la/eig.hpp"
-#include "la/mixer.hpp"
 #include "la/util.hpp"
-#include "pw/wavefunction.hpp"
-#include "td/pack.hpp"
 
 namespace ptim::td {
 
-using detail::flatten;
-using detail::unflatten;
-
 PtImPropagator::PtImPropagator(ham::Hamiltonian& h, PtImOptions opt,
                                const LaserPulse* laser)
-    : h_(&h), opt_(opt), laser_(laser) {
+    : PtImPropagator(serial_space(h), opt, laser) {}
+
+PtImPropagator::PtImPropagator(dist::BandDistributedHamiltonian& h,
+                               PtImOptions opt, const LaserPulse* laser)
+    : PtImPropagator(band_space(h), opt, laser) {}
+
+PtImPropagator::PtImPropagator(std::unique_ptr<BandSpace> space,
+                               PtImOptions opt, const LaserPulse* laser)
+    : space_(std::move(space)),
+      reduce_(space_->reduction()),
+      opt_(opt),
+      exchange_(opt.hybrid && space_->local().hybrid()),
+      laser_(laser) {
+  // The knobs reach the rank's exchange operator: its pair FFTs (and ring
+  // slabs) run at this precision while every propagator reduction stays
+  // FP64, so band trajectories remain bit-identical across ranks.
+  ham::Hamiltonian& h = space_->local();
   if (opt_.exchange_precision)
-    h_->set_exchange_precision(*opt_.exchange_precision);
+    h.set_exchange_precision(*opt_.exchange_precision);
   if (opt_.exchange_compression)
-    h_->set_exchange_compression(*opt_.exchange_compression);
-  if (opt_.isdf_rank_factor) h_->set_isdf_rank_factor(*opt_.isdf_rank_factor);
+    h.set_exchange_compression(*opt_.exchange_compression);
+  if (opt_.isdf_rank_factor) h.set_isdf_rank_factor(*opt_.isdf_rank_factor);
 }
 
-void PtImPropagator::configure_exchange_midpoint(const la::MatC& phih,
-                                                 la::MatC sigmah) {
-  if (!opt_.hybrid) {
-    h_->set_exchange_mode(ham::ExchangeMode::kNone);
+void PtImPropagator::set_midpoint(const la::MatC& phih,
+                                  const la::MatC& sigmah) {
+  space_->set_density(phih, sigmah, opt_.variant == PtImVariant::kBaseline);
+  if (!exchange_) {
+    space_->set_exchange_none();
     return;
   }
   switch (opt_.variant) {
     case PtImVariant::kBaseline:
-      h_->set_exchange_mode(ham::ExchangeMode::kExactNaive);
-      h_->set_exchange_source_mixed(phih, std::move(sigmah));
-      if (stats_) ++stats_->exchange_applications;
+      space_->set_exchange_mixed(phih, sigmah);
       break;
-    case PtImVariant::kDiag:
-      h_->set_exchange_mode(ham::ExchangeMode::kExactDiag);
-      h_->set_exchange_source_mixed(phih, std::move(sigmah));
-      if (stats_) ++stats_->exchange_applications;
+    case PtImVariant::kDiag: {
+      la::MatC rotated;
+      std::vector<real_t> occ;
+      space_->diagonalize(phih, sigmah, &rotated, &occ);
+      space_->set_exchange_diag(std::move(rotated), std::move(occ));
       break;
+    }
     case PtImVariant::kAce:
-      // ACE is configured by step(); nothing to refresh per inner iteration.
-      break;
+      return;  // the installed ACE surrogate; nothing per inner iteration
   }
+  if (stats_) ++stats_->exchange_applications;
 }
 
 int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
@@ -58,17 +67,19 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
   const la::MatC& phin = start.phi;
   const la::MatC& sigman = start.sigma;
   const size_t npw = phin.rows();
-  const size_t nb = phin.cols();
-  const real_t dt = opt_.dt;
-  const cplx idt{0.0, dt};
+  const size_t nloc = phin.cols();
+  const size_t nb = sigman.rows();
+  const cplx idt{0.0, opt_.dt};
 
-  la::AndersonMixer mixer(npw * nb + nb * nb, opt_.anderson_history,
-                          opt_.anderson_beta);
-  if (laser_) h_->set_vector_potential(laser_->vector_potential(t_half));
+  // Unknowns {Phi block ++ sigma}; only the Phi block is rank-local.
+  la::AndersonMixer mixer(phin.size() + sigman.size(), opt_.anderson_history,
+                          opt_.anderson_beta, reduce_, phin.size());
+  if (laser_)
+    space_->local().set_vector_potential(laser_->vector_potential(t_half));
 
-  la::MatC phih(npw, nb), sigmah(nb, nb), hphi(npw, nb);
-  la::MatC m(nb, nb), s(nb, nb), x(nb, nb), proj(npw, nb);
-  std::vector<cplx> xv, fv;
+  la::MatC phih(npw, nloc), sigmah(nb, nb), hphi(npw, nloc);
+  la::MatC x(nb, nb);
+  std::vector<cplx> xv(phin.size() + sigman.size()), fv(xv.size());
 
   int it = 1;
   for (; it <= opt_.max_scf; ++it) {
@@ -79,27 +90,23 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
       sigmah.data()[i] = 0.5 * (sigma1.data()[i] + sigman.data()[i]);
     la::hermitize(sigmah);
 
-    // Midpoint density and Hamiltonian (Eq. 5).
-    const std::vector<real_t> rho =
-        (opt_.variant == PtImVariant::kBaseline)
-            ? ham::density_sigma_naive(phih, sigmah, h_->den_map())
-            : ham::density_sigma(phih, sigmah, h_->den_map());
-    h_->set_density(rho);
-    configure_exchange_midpoint(phih, sigmah);
-    h_->apply(phih, hphi);
+    // Midpoint Hamiltonian (Eq. 5); in band runs rho is reduced, so every
+    // rank's Hamiltonian sees identical potentials.
+    set_midpoint(phih, sigmah);
+    space_->apply(phih, hphi);
 
-    // M = Phi_h^H H Phi_h ; overlap S = Phi_h^H Phi_h.
-    la::gemm_cn(phih, hphi, m);
-    la::gemm_cn(phih, phih, s);
+    // Overlap S = Phi_h^H Phi_h and M = Phi_h^H H Phi_h (replicated).
+    la::MatC s, m;
+    space_->overlap_pair(phih, hphi, &s, &m);
 
     // Projector part: P~ H Phi_h = Phi_h S^{-1} M.
     x = m;
     const la::MatC l = la::cholesky(s);
     la::cholesky_solve(l, x);
-    la::gemm_nn(phih, x, proj);
+    const la::MatC proj = space_->rotate(phih, x);
 
     // Updates (Eq. 6).
-    la::MatC phi_new(npw, nb), sigma_new(nb, nb);
+    la::MatC phi_new(npw, nloc), sigma_new(nb, nb);
     for (size_t i = 0; i < phi_new.size(); ++i)
       phi_new.data()[i] =
           phin.data()[i] - idt * (hphi.data()[i] - proj.data()[i]);
@@ -114,17 +121,19 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
       sigma_new = sigman;  // PT-CN: occupations frozen
     }
 
-    // Residual of the fixed point.
-    real_t rnum = 0.0, rden = 0.0;
+    // Residual of the fixed point: Phi part reduced over ranks, sigma part
+    // (replicated) added once after the reduction.
+    real_t acc[2] = {0.0, 0.0};
     for (size_t i = 0; i < phi_new.size(); ++i) {
-      rnum += std::norm(phi_new.data()[i] - phi1.data()[i]);
-      rden += std::norm(phi1.data()[i]);
+      acc[0] += std::norm(phi_new.data()[i] - phi1.data()[i]);
+      acc[1] += std::norm(phi1.data()[i]);
     }
+    reduce(acc, 2);
     for (size_t i = 0; i < sigma_new.size(); ++i) {
-      rnum += std::norm(sigma_new.data()[i] - sigma1.data()[i]);
-      rden += std::norm(sigma1.data()[i]);
+      acc[0] += std::norm(sigma_new.data()[i] - sigma1.data()[i]);
+      acc[1] += std::norm(sigma1.data()[i]);
     }
-    const real_t res = std::sqrt(rnum / std::max(rden, real_t(1e-30)));
+    const real_t res = std::sqrt(acc[0] / std::max(acc[1], real_t(1e-30)));
     if (residual_out) *residual_out = res;
     if (res < opt_.tol) {
       phi1 = std::move(phi_new);
@@ -133,48 +142,30 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
     }
 
     // Anderson mixing of the combined unknowns (Alg. 1 line 8).
-    flatten(phi1, sigma1, xv);
-    fv.resize(xv.size());
-    for (size_t i = 0; i < phi1.size(); ++i)
+    const size_t np = phi1.size();
+    std::copy(phi1.data(), phi1.data() + np, xv.begin());
+    std::copy(sigma1.data(), sigma1.data() + sigma1.size(), xv.begin() + np);
+    for (size_t i = 0; i < np; ++i)
       fv[i] = phi_new.data()[i] - phi1.data()[i];
     for (size_t i = 0; i < sigma1.size(); ++i)
-      fv[phi1.size() + i] = sigma_new.data()[i] - sigma1.data()[i];
+      fv[np + i] = sigma_new.data()[i] - sigma1.data()[i];
     const std::vector<cplx> next = mixer.mix(xv, fv);
-    unflatten(next, phi1, sigma1);
+    std::copy(next.begin(), next.begin() + np, phi1.data());
+    std::copy(next.begin() + np, next.end(), sigma1.data());
   }
   return it;
 }
 
-// Alg. 1 line 13: orthogonalize Phi, conjugate-symmetrize sigma. The
-// congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
-static void orthonormalize_commit(TdState& s, la::MatC phi1, la::MatC sigma1,
-                                  real_t dt) {
-  la::MatC sfinal = pw::overlap(phi1, phi1);
-  const la::MatC l = la::cholesky(sfinal);
-  la::solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
-  la::MatC tmp(sigma1.rows(), sigma1.cols());
-  la::gemm('C', 'N', 1.0, l, sigma1, 0.0, tmp);  // L^H sigma
-  la::gemm_nn(tmp, l, sigma1);                   // (L^H sigma) L
-  la::hermitize(sigma1);
-
-  s.phi = std::move(phi1);
-  s.sigma = std::move(sigma1);
-  s.time += dt;
-}
-
 void PtImPropagator::stage_ace_sources(StepSession& sess, const la::MatC& phi,
-                                       la::MatC sigma) const {
+                                       la::MatC sigma) {
   ScopedTimer t("ptim.ace_prepare");
-  la::hermitize(sigma);
-  const auto eig = la::eig_herm(sigma);
-  sess.ace_phi.resize(phi.rows(), phi.cols());
-  la::gemm_nn(phi, eig.V, sess.ace_phi);
-  sess.ace_occ = eig.w;
+  space_->diagonalize(phi, std::move(sigma), &sess.ace_phi, &sess.ace_occ);
 }
 
 PtImPropagator::StepSession PtImPropagator::step_begin(const TdState& s) {
-  PTIM_CHECK_MSG(opt_.variant == PtImVariant::kAce && opt_.hybrid,
-                 "staged stepping is defined for the kAce hybrid variant");
+  PTIM_CHECK_MSG(staged(),
+                 "staged stepping is defined for the kAce variant with "
+                 "exact exchange on");
   StepSession sess;
   sess.t_half = s.time + 0.5 * opt_.dt;
   sess.phi1 = s.phi;
@@ -188,15 +179,16 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
                                   const la::MatC& w) {
   // Install the ACE surrogate compressed from the staged sources and their
   // freshly applied exchange W (applied by the caller), and estimate the
-  // Fock energy.
-  ham::AceOperator ace = ham::AceOperator::build(sess.ace_phi, w);
+  // Fock energy sum_b d_b <phi'_b|W_b>: this rank's bands, then reduced.
+  space_->set_ace(sess.ace_phi, w);
   ++sess.stats.exchange_applications;
+  const size_t off = space_->band_offset();
   real_t ex = 0.0;
   for (size_t b = 0; b < sess.ace_phi.cols(); ++b)
-    ex += sess.ace_occ[b] *
+    ex += sess.ace_occ[off + b] *
           std::real(la::dotc(sess.ace_phi.rows(), sess.ace_phi.col(b),
                              w.col(b)));
-  h_->set_ace(std::move(ace));
+  reduce(&ex, 1);
 
   if (sess.outer == 0) {
     sess.ex_prev = ex;  // the t_n build: no convergence check yet
@@ -226,13 +218,9 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
   // ISDF: the first midpoint build selects its points once more and every
   // later build of the step fits on that set, so successive Fock energies
   // differ by the iterate alone, not by a new point set.
-  if (sess.outer == 1 &&
-      h_->exchange_compression() == ham::ExchangeCompression::kIsdf) {
-    const ham::ExchangeOperator& xop = h_->exchange_op();
-    const la::MatC ace_real = ham::isdf::to_real_policy(xop, sess.ace_phi);
-    sess.isdf_points = h_->hold_isdf_points(
-        ham::isdf::select_diag(xop, ace_real, sess.ace_occ, ace_real));
-  }
+  if (sess.outer == 1 && space_->local().exchange_compression() ==
+                             ham::ExchangeCompression::kIsdf)
+    sess.isdf_points = space_->hold_isdf_points(sess.ace_phi, sess.ace_occ);
   return true;
 }
 
@@ -240,16 +228,28 @@ PtImStepStats PtImPropagator::step_finish(TdState& s, StepSession& sess) {
   sess.isdf_points.release();
   sess.stats.residual = sess.residual;
   sess.stats.converged = sess.residual < opt_.tol;
-  orthonormalize_commit(s, std::move(sess.phi1), std::move(sess.sigma1),
-                        opt_.dt);
-  if (hook_) hook_(s, sess.stats);
+
+  // Alg. 1 line 13: orthogonalize Phi, conjugate-symmetrize sigma. The
+  // congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
+  la::MatC& phi1 = sess.phi1;
+  la::MatC& sigma1 = sess.sigma1;
+  const la::MatC l = la::cholesky(space_->overlap(phi1, phi1));
+  space_->solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
+  la::MatC tmp(sigma1.rows(), sigma1.cols());
+  la::gemm('C', 'N', 1.0, l, sigma1, 0.0, tmp);  // L^H sigma
+  la::gemm_nn(tmp, l, sigma1);                   // (L^H sigma) L
+  la::hermitize(sigma1);
+
+  s.phi = std::move(phi1);
+  s.sigma = std::move(sigma1);
+  s.time += opt_.dt;
   return sess.stats;
 }
 
 PtImStepStats PtImPropagator::step(TdState& s) {
   ScopedTimer timer("td.ptim_step", obs::Cat::kStep);
 
-  if (opt_.variant == PtImVariant::kAce && opt_.hybrid) {
+  if (staged()) {
     // The ACE double loop, driven through the staged protocol (so the
     // golden-trajectory suite pins the same code the ensemble driver
     // batches): each round applies exchange to the staged sources, then
@@ -257,30 +257,22 @@ PtImStepStats PtImPropagator::step(TdState& s) {
     StepSession sess = step_begin(s);
     la::MatC w;
     do {
-      w.resize(sess.ace_phi.rows(), sess.ace_phi.cols());
-      h_->exchange_op().apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi,
-                                   w, false);
+      space_->exchange_diag(sess.ace_phi, sess.ace_occ, w);
     } while (step_advance(s, sess, w));
     return step_finish(s, sess);
   }
 
-  PtImStepStats stats;
-  stats_ = &stats;
-  const real_t t_half = s.time + 0.5 * opt_.dt;
-  la::MatC phi1 = s.phi;
-  la::MatC sigma1 = s.sigma;
-
-  stats.outer_iterations = 1;
-  stats.outer_converged = true;
-  real_t res = 0.0;
-  stats.scf_iterations = fixed_point(s, phi1, sigma1, t_half, &res);
-  stats.residual = res;
-  stats.converged = res < opt_.tol;
-
-  orthonormalize_commit(s, std::move(phi1), std::move(sigma1), opt_.dt);
+  StepSession sess;
+  sess.phi1 = s.phi;
+  sess.sigma1 = s.sigma;
+  sess.stats.outer_iterations = 1;
+  sess.stats.outer_converged = true;
+  stats_ = &sess.stats;
+  sess.stats.scf_iterations = fixed_point(s, sess.phi1, sess.sigma1,
+                                          s.time + 0.5 * opt_.dt,
+                                          &sess.residual);
   stats_ = nullptr;
-  if (hook_) hook_(s, stats);
-  return stats;
+  return step_finish(s, sess);
 }
 
 }  // namespace ptim::td

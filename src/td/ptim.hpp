@@ -17,12 +17,22 @@
 //   kDiag     — occupation-matrix diagonalization (N^2 FFTs),
 //   kAce      — kDiag plus the ACE double loop (exact exchange applied only
 //               once per outer iteration; the paper's 25 -> 5 reduction).
+//
+// One propagator serves serial and band-parallel runs (paper Secs.
+// IV-B/IV-C): the algorithm is written once against the band-space seam
+// (td/band_space.hpp), built over a ham::Hamiltonian or over a
+// dist::BandDistributedHamiltonian. In a band-parallel run every rank
+// runs one instance on its band block of Phi (scatter_state) while sigma
+// and every nb x nb matrix stay replicated; each call is then collective,
+// and the returned stats are identical on every rank. The band trajectory
+// matches the serial one to rounding for every variant (pinned at 1e-10
+// over 10 steps); under ISDF the two layouts select points differently.
 
-#include <functional>
+#include <memory>
 #include <optional>
 
-#include "dist/layout.hpp"
 #include "ham/hamiltonian.hpp"
+#include "td/band_space.hpp"
 #include "td/laser.hpp"
 #include "td/state.hpp"
 
@@ -39,6 +49,8 @@ struct PtImOptions {
   size_t anderson_history = 20;
   real_t anderson_beta = 0.7;
   PtImVariant variant = PtImVariant::kDiag;
+  // Exact exchange is on iff this and the Hamiltonian's
+  // HamiltonianOptions::hybrid are both set.
   bool hybrid = true;
   // When set, applied to the Hamiltonian's exchange operator at propagator
   // construction: the exchange pair FFTs (and, distributed, the ring slabs)
@@ -57,12 +69,6 @@ struct PtImOptions {
   // configuration.
   std::optional<ham::ExchangeCompression> exchange_compression;
   std::optional<real_t> isdf_rank_factor;
-  // 2-D band x grid process layout of distributed runs (ignored by the
-  // serial propagator): nranks = pb*pg ranks split into pb band rows and pg
-  // grid columns; exact exchange FFTs run slab-distributed over the grid
-  // dimension (dist/slab_exchange). pg = 1 (default) is the pure
-  // band-parallel layout, bit-for-bit today's path.
-  dist::ProcessGrid process_grid;
   // false = PT-CN mode: freeze sigma and evolve only Phi — the earlier
   // parallel-transport Crank-Nicolson scheme (Jia et al., JCTC 2018) that
   // is valid for gapped/pure-state systems. PT-IM generalizes it to mixed
@@ -84,33 +90,36 @@ struct PtImStepStats {
 
 class PtImPropagator {
  public:
+  // Serial: every band of Phi on one Hamiltonian.
   PtImPropagator(ham::Hamiltonian& h, PtImOptions opt, const LaserPulse* laser);
+  // Band-parallel or 2-D: the stepped state holds this rank's band block.
+  PtImPropagator(dist::BandDistributedHamiltonian& h, PtImOptions opt,
+                 const LaserPulse* laser);
 
   PtImStepStats step(TdState& s);
   const PtImOptions& options() const { return opt_; }
+  // True when step() runs the staged ACE double loop below: the kAce
+  // variant with exact exchange on.
+  bool staged() const {
+    return opt_.variant == PtImVariant::kAce && exchange_;
+  }
+  // The layout: the density and the full state of a committed state, and
+  // the exchange apply of the staged protocol.
+  BandSpace& space() { return *space_; }
 
-  // Invoked once per completed step, AFTER the new state is committed
-  // (orthonormalized Phi, congruence-transformed sigma, advanced time) —
-  // for both the plain step() path and the staged protocol (step_finish
-  // fires it). This is the periodic-side-effect seam the serving layer
-  // uses for auto-checkpointing: the hook observes exactly the state a
-  // resume would restore, so saving from it is bitwise-safe. The hook
-  // must not mutate the state.
-  using StepHook = std::function<void(const TdState&, const PtImStepStats&)>;
-  void set_step_hook(StepHook hook) { hook_ = std::move(hook); }
-
-  // --- staged stepping (kAce + hybrid only) ------------------------------
+  // --- staged stepping (staged() only) ------------------------------------
   // The ACE double loop of step() split at its exchange applications so an
   // external driver can batch the expensive W = (alpha Vx) Phi evaluation
   // across several trajectories (core::EnsembleDriver packs one
-  // ExchangeOperator::DiagApplyJob per in-flight trajectory). Protocol:
+  // ExchangeOperator::DiagApplyJob per in-flight serial trajectory).
+  // Protocol:
   //
   //   auto sess = prop.step_begin(s);
   //   do {
   //     // W for THIS session's pending ACE sources, by any bit-identical
-  //     // route (serial step() uses apply_diag; the ensemble driver uses
-  //     //  apply_diag_packed):
-  //     xop.apply_diag(sess.ace_phi, sess.ace_occ, sess.ace_phi, w, false);
+  //     // route (step() uses prop.space().exchange_diag; the ensemble
+  //     // driver uses apply_diag_packed):
+  //     prop.space().exchange_diag(sess.ace_phi, sess.ace_occ, w);
   //   } while (prop.step_advance(s, sess, w));
   //   stats = prop.step_finish(s, sess);
   //
@@ -129,7 +138,8 @@ class PtImPropagator {
     real_t t_half = 0.0;
     la::MatC phi1, sigma1;        // fixed-point iterate
     la::MatC ace_phi;             // pending ACE build sources: rotated
-    std::vector<real_t> ace_occ;  // orbitals + eigen-occupations
+    std::vector<real_t> ace_occ;  // orbitals (band block) + eigen-
+                                  // occupations (all nb bands)
     real_t ex_prev = 0.0;         // last exchange-energy estimate
     real_t residual = 0.0;
     int outer = 0;                // fixed-point rounds completed
@@ -151,23 +161,28 @@ class PtImPropagator {
   PtImStepStats step_finish(TdState& s, StepSession& sess);
 
  private:
+  PtImPropagator(std::unique_ptr<BandSpace> space, PtImOptions opt,
+                 const LaserPulse* laser);
+
   // Inner fixed-point loop with the currently configured exchange; updates
   // (phi1, sigma1) in place and returns iterations used.
   int fixed_point(const TdState& start, la::MatC& phi1, la::MatC& sigma1,
                   real_t t_half, real_t* residual_out);
-
-  // Stage ACE build sources into the session: hermitize-copy sigma,
-  // diagonalize, rotate phi into the eigenbasis (the expensive exchange
-  // application on these sources is the caller's job).
+  // Midpoint density and the variant's exchange source (Eq. 5).
+  void set_midpoint(const la::MatC& phih, const la::MatC& sigmah);
+  // Stage ACE build sources into the session: diagonalize sigma and rotate
+  // phi into its eigenbasis (the exchange apply is the caller's job).
   void stage_ace_sources(StepSession& sess, const la::MatC& phi,
-                         la::MatC sigma) const;
+                         la::MatC sigma);
+  void reduce(real_t* v, size_t n) const {
+    if (reduce_) reduce_(v, n);
+  }
 
-  void configure_exchange_midpoint(const la::MatC& phih, la::MatC sigmah);
-
-  ham::Hamiltonian* h_;
+  std::unique_ptr<BandSpace> space_;
+  la::AndersonMixer::Reduction reduce_;  // empty when serial
   PtImOptions opt_;
+  bool exchange_;                   // opt.hybrid && the Hamiltonian's hybrid
   const LaserPulse* laser_;
-  StepHook hook_;                   // post-commit per-step callback
   PtImStepStats* stats_ = nullptr;  // active step statistics
 };
 

@@ -13,7 +13,6 @@
 #include "dist/circulate.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/layout.hpp"
-#include "dist/mixer_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
 #include "la/blas.hpp"
@@ -480,9 +479,10 @@ TEST(Rotate, GatherScatterRoundTrip) {
 // -------------------------------------------------------- Anderson mixer ---
 
 TEST(DistMixer, MatchesSerialAndersonMixer) {
-  // Same fixed-point iteration history fed to the serial mixer on the full
-  // vector and to the distributed mixer on (local block ++ shared tail):
-  // the mixed iterates must agree to rounding on every rank.
+  // Same fixed-point iteration history fed to the mixer without a
+  // reduction on the full vector and, with the rank Allreduce as its
+  // reduction, on (local block ++ shared tail): the mixed iterates must
+  // agree to rounding on every rank.
   const size_t local_total = 48, shared = 9;
   const int p = 3;
   const dist::BlockLayout lay(local_total, p);
@@ -510,7 +510,9 @@ TEST(DistMixer, MatchesSerialAndersonMixer) {
   ptmpi::run_ranks(p, 1, [&](ptmpi::Comm& c) {
     const int me = c.rank();
     const size_t n_loc = lay.count(me), off = lay.offset(me);
-    dist::DistAndersonMixer mixer(c, n_loc, shared, 20, 0.7);
+    la::AndersonMixer mixer(
+        n_loc + shared, 20, 0.7,
+        [&c](real_t* v, size_t n) { c.allreduce_sum(v, n); }, n_loc);
     for (int k = 0; k < iters; ++k) {
       std::vector<cplx> x(n_loc + shared), f(n_loc + shared);
       for (size_t i = 0; i < n_loc; ++i) {

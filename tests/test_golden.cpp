@@ -23,7 +23,6 @@
 #include "la/util.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -116,8 +115,8 @@ std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
     if (pgrid.pg > 1) bopt.grid = pgrid;
     dist::BandDistributedHamiltonian bdh(c, *h, kBands, bopt);
     const int br = pgrid.pg > 1 ? pgrid.band_rank_of(c.rank()) : c.rank();
-    td::DistTdState s = td::scatter_state(init, bands, br);
-    td::DistPtImPropagator prop(bdh, ptim_options(), nullptr);
+    td::TdState s = td::scatter_state(init, bands, br);
+    td::PtImPropagator prop(bdh, ptim_options(), nullptr);
     for (int i = 0; i < kSteps; ++i) {
       prop.step(s);
       const td::TdState full = td::gather_state(bdh.comm(), s, bands);

@@ -23,7 +23,6 @@
 #include "io/checkpoint.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -176,8 +175,8 @@ std::vector<test::GoldenStep> run_distributed_from(
     if (pgrid.pg > 1) bopt.grid = pgrid;
     dist::BandDistributedHamiltonian bdh(c, *h, kBands, bopt);
     const int br = pgrid.pg > 1 ? pgrid.band_rank_of(c.rank()) : c.rank();
-    td::DistTdState s = td::scatter_state(start, bands, br);
-    td::DistPtImPropagator prop(bdh, ptim_options(), nullptr);
+    td::TdState s = td::scatter_state(start, bands, br);
+    td::PtImPropagator prop(bdh, ptim_options(), nullptr);
     for (int i = 0; i < steps; ++i) {
       prop.step(s);
       const td::TdState full = td::gather_state(bdh.comm(), s, bands);

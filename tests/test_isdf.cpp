@@ -33,7 +33,6 @@
 #include "la/qr.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -319,10 +318,11 @@ TEST(IsdfDist, SlabGridLayoutIsRejected) {
     const int br = bopt.grid.band_rank_of(c.rank());
     const la::MatC phi = test::random_orbitals(sys.sphere->npw(), nb, 425);
     const la::MatC src_local = dist::scatter_bands(phi, bands, br);
-    const la::MatC sigma = test::random_occupation_matrix(nb, 426);
+    const std::vector<real_t> occ(nb, 0.5);
+    la::MatC w;
     try {
-      // build_ace routes through the (private) diag exchange entry point.
-      (void)bdh.build_ace(src_local, sigma);
+      // The band space's ACE W apply routes through the diag exchange.
+      td::band_space(bdh)->exchange_diag(src_local, occ, w);
     } catch (const Error&) {
       threw[static_cast<size_t>(c.rank())] = 1;
     }
@@ -583,16 +583,19 @@ TEST(IsdfDist, TrajectoryMatchesSerialWithRankIdenticalHeldSets) {
       ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
                          *sys.den_grid, ham::HamiltonianOptions{});
       dist::BandDistributedHamiltonian bdh(c, h, nb);
-      td::DistTdState s = td::scatter_state(init, bands, me);
-      td::DistPtImPropagator prop(bdh, held_options(), nullptr);
+      td::TdState s = td::scatter_state(init, bands, me);
+      td::PtImPropagator prop(bdh, held_options(), nullptr);
       for (int k = 0; k < kSteps; ++k) {
         if (!prop.step(s).outer_converged) outer_ok[me] = 0;
         EXPECT_TRUE(h.exchange_op().isdf_points().empty());
-        const auto rho = bdh.density(s.phi_local, s.sigma);
+        const auto rho = bdh.density(s.phi, s.sigma);
         if (me == 0)
           dipole[k] = td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
-        ham::IsdfPointHold hold;
-        (void)bdh.build_ace(s.phi_local, s.sigma, &hold);
+        la::MatC rotated;
+        std::vector<real_t> occ;
+        prop.space().diagonalize(s.phi, s.sigma, &rotated, &occ);
+        const ham::IsdfPointHold hold =
+            prop.space().hold_isdf_points(rotated, occ);
         held[k][me] = h.exchange_op().isdf_points();
       }
       const td::TdState full = td::gather_state(c, s, bands);

@@ -9,7 +9,6 @@
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
-#include "la/lsq.hpp"
 #include "la/matrix.hpp"
 #include "la/mixer.hpp"
 #include "la/util.hpp"
@@ -208,37 +207,6 @@ TEST(Cholesky, RejectsIndefinite) {
   la::MatC a = la::MatC::identity(3);
   a(2, 2) = -1.0;
   EXPECT_THROW(la::cholesky(a), Error);
-}
-
-TEST(Lsq, ExactAndOverdetermined) {
-  // Exact square system.
-  la::MatC a = random_matrix(5, 5, 41);
-  for (size_t i = 0; i < 5; ++i) a(i, i) += 3.0;
-  const la::MatC xref = random_matrix(5, 1, 42);
-  std::vector<cplx> b(5);
-  for (size_t i = 0; i < 5; ++i) {
-    cplx acc = 0.0;
-    for (size_t j = 0; j < 5; ++j) acc += a(i, j) * xref(j, 0);
-    b[i] = acc;
-  }
-  const auto x = la::lsq_solve(a, b);
-  for (size_t i = 0; i < 5; ++i)
-    EXPECT_NEAR(std::abs(x[i] - xref(i, 0)), 0.0, 1e-10);
-
-  // Overdetermined: residual orthogonal to the column space.
-  const la::MatC a2 = random_matrix(10, 3, 43);
-  std::vector<cplx> b2(10);
-  ptim::Rng rng(44);
-  for (auto& v : b2) v = rng.uniform_cplx();
-  const auto x2 = la::lsq_solve(a2, b2);
-  std::vector<cplx> r = b2;
-  for (size_t i = 0; i < 10; ++i)
-    for (size_t j = 0; j < 3; ++j) r[i] -= a2(i, j) * x2[j];
-  for (size_t j = 0; j < 3; ++j) {
-    cplx proj = 0.0;
-    for (size_t i = 0; i < 10; ++i) proj += std::conj(a2(i, j)) * r[i];
-    EXPECT_NEAR(std::abs(proj), 0.0, 1e-10);
-  }
 }
 
 TEST(Util, HermitizeCommutatorTrace) {

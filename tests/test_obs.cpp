@@ -414,7 +414,7 @@ TEST(ObsEndToEnd, RankMergedTraceIsDeterministicAcrossGoldenReplays) {
     EXPECT_NE(a.find("\"rank " + std::to_string(r) + "\""),
               std::string::npos);
   // ...with per-rank step spans and ring comm spans on their lanes.
-  EXPECT_GT(count_substr(a, "td.dist_step"), 0u);
+  EXPECT_GT(count_substr(a, "td.ptim_step"), 0u);
   EXPECT_GT(count_substr(a, "\"cat\":\"comm\""), 0u);
   EXPECT_GT(count_substr(a, "\"cat\":\"compute\""), 0u);
   // The trajectory is bit-exact run to run, so the span COUNT of the

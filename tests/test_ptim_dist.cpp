@@ -1,10 +1,12 @@
-// Band-parallel PT-IM propagation: the distributed propagator must
-// reproduce the serial td::PtImPropagator trajectory to 1e-10 over 10
-// steps for every variant (Baseline / Diag / ACE) and every circulation
-// pattern (Bcast / Ring / Async-Ring), including non-divisible band counts
-// (7 bands on 2/3/4 ranks) and more ranks than bands. Also checks that the
-// measured CommStats of the real propagator show the Table I pattern shift
-// (no Bcast traffic under the rings).
+// Band-parallel PT-IM propagation: td::PtImPropagator over a
+// band-distributed Hamiltonian must reproduce the serial trajectory to
+// 1e-10 over 10 steps for every variant (Baseline / Diag / ACE) and every
+// circulation pattern (Bcast / Ring / Async-Ring), including non-divisible
+// band counts (7 bands on 2/3/4 ranks) and more ranks than bands. Also
+// checks that the measured CommStats of the real propagator show the
+// Table I pattern shift (no Bcast traffic under the rings), that band runs
+// honour HamiltonianOptions::hybrid, and that the staged ACE protocol
+// drives a band run bitwise like step().
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,6 @@
 #include "la/blas.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
-#include "td/ptim_dist.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -79,11 +80,11 @@ Trajectory distributed_trajectory(test::TinySystem& sys, size_t nb,
     bopt.pattern = pattern;
     bopt.overlap_shm = (pattern != dist::ExchangePattern::kBcast);
     dist::BandDistributedHamiltonian bdh(c, *h, nb, bopt);
-    td::DistTdState s = td::scatter_state(init, bands, c.rank());
-    td::DistPtImPropagator prop(bdh, ptim_options(variant), nullptr);
+    td::TdState s = td::scatter_state(init, bands, c.rank());
+    td::PtImPropagator prop(bdh, ptim_options(variant), nullptr);
     for (int i = 0; i < steps; ++i) {
       prop.step(s);
-      const auto rho = bdh.density(s.phi_local, s.sigma);
+      const auto rho = bdh.density(s.phi, s.sigma);
       if (c.rank() == 0)
         t.dipole[static_cast<size_t>(i)] =
             td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
@@ -274,8 +275,8 @@ TEST(PtImDist, OuterCapIsReportedOnEveryRank) {
       ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
                          *sys.den_grid, ham::HamiltonianOptions{});
       dist::BandDistributedHamiltonian bdh(c, h, nb);
-      td::DistTdState s = td::scatter_state(init, bands, c.rank());
-      td::DistPtImPropagator prop(bdh, opt, nullptr);
+      td::TdState s = td::scatter_state(init, bands, c.rank());
+      td::PtImPropagator prop(bdh, opt, nullptr);
       const td::PtImStepStats st = prop.step(s);
       outer[static_cast<size_t>(c.rank())] = st.outer_converged ? 1 : 0;
       iters[static_cast<size_t>(c.rank())] = st.outer_iterations;
@@ -296,4 +297,116 @@ TEST(PtImDist, SingleRankIsExactlySerialShape) {
   const Trajectory dst = distributed_trajectory(
       sys, nb, td::PtImVariant::kDiag, dist::ExchangePattern::kRing, 1);
   expect_trajectories_match(sys, ser, dst, "p=1");
+}
+
+// ------------------------------------------------ one propagator, two layouts
+
+TEST(PtImDist, SemilocalHamiltonianMatchesSerial) {
+  // HamiltonianOptions::hybrid = false switches exact exchange off on every
+  // layout, whatever PtImOptions::hybrid says: band runs follow the serial
+  // (semilocal) trajectory and no step applies exchange.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 5;
+  const int steps = 2;
+  ham::HamiltonianOptions hopt;
+  hopt.hybrid = false;
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const dist::BlockLayout bands(nb, 2);
+  const auto dipole = [&sys](const std::vector<real_t>& rho) {
+    return td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
+  };
+  for (const td::PtImVariant variant :
+       {td::PtImVariant::kDiag, td::PtImVariant::kAce}) {
+    const td::PtImOptions opt = ptim_options(variant);
+    ASSERT_TRUE(opt.hybrid);
+    ham::Hamiltonian hs(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                        *sys.den_grid, hopt);
+    td::PtImPropagator ser_prop(hs, opt, nullptr);
+    td::TdState ser = init;
+    std::vector<real_t> ser_dipole;
+    int ser_applies = 0;
+    for (int i = 0; i < steps; ++i) {
+      ser_applies += ser_prop.step(ser).exchange_applications;
+      ser_dipole.push_back(dipole(ser_prop.space().density(ser)));
+    }
+    EXPECT_EQ(ser_applies, 0);
+
+    td::TdState dst;
+    std::vector<real_t> dst_dipole(steps, 0.0);
+    std::vector<int> applies(2, -1);
+    ptmpi::run_ranks(2, 1, [&](ptmpi::Comm& c) {
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, hopt);
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      td::TdState s = td::scatter_state(init, bands, c.rank());
+      td::PtImPropagator prop(bdh, opt, nullptr);
+      int n = 0;
+      for (int i = 0; i < steps; ++i) {
+        n += prop.step(s).exchange_applications;
+        const real_t d = dipole(prop.space().density(s));
+        if (c.rank() == 0) dst_dipole[static_cast<size_t>(i)] = d;
+      }
+      applies[static_cast<size_t>(c.rank())] = n;
+      const td::TdState full = prop.space().gather(s);
+      if (c.rank() == 0) dst = full;
+    });
+    for (int r = 0; r < 2; ++r)
+      EXPECT_EQ(applies[static_cast<size_t>(r)], 0) << "rank " << r;
+    for (int i = 0; i < steps; ++i)
+      EXPECT_NEAR(ser_dipole[static_cast<size_t>(i)],
+                  dst_dipole[static_cast<size_t>(i)], kTol)
+          << "step " << i;
+    EXPECT_LT(la::frob_diff(ser.sigma, dst.sigma), kTol);
+    EXPECT_LT(la::frob_diff(ser.phi, dst.phi), kTol);
+  }
+}
+
+TEST(PtImDist, StagedProtocolMatchesStep) {
+  // A band run driven from outside through step_begin, the band space's W
+  // apply, step_advance and step_finish is bitwise the run step() drives.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 7;
+  const int p = 3, steps = 2;
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const dist::BlockLayout bands(nb, p);
+  const td::PtImOptions opt = ptim_options(td::PtImVariant::kAce);
+  auto run = [&](bool staged) {
+    std::pair<td::TdState, std::vector<td::PtImStepStats>> out;
+    ptmpi::run_ranks(p, 1, [&](ptmpi::Comm& c) {
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, ham::HamiltonianOptions{});
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      td::TdState s = td::scatter_state(init, bands, c.rank());
+      td::PtImPropagator prop(bdh, opt, nullptr);
+      EXPECT_TRUE(prop.staged());
+      std::vector<td::PtImStepStats> stats;
+      for (int i = 0; i < steps; ++i) {
+        if (!staged) {
+          stats.push_back(prop.step(s));
+          continue;
+        }
+        auto sess = prop.step_begin(s);
+        la::MatC w;
+        do {
+          prop.space().exchange_diag(sess.ace_phi, sess.ace_occ, w);
+        } while (prop.step_advance(s, sess, w));
+        stats.push_back(prop.step_finish(s, sess));
+      }
+      const td::TdState full = prop.space().gather(s);
+      if (c.rank() == 0) out = {full, stats};
+    });
+    return out;
+  };
+  const auto want = run(false);
+  const auto got = run(true);
+  EXPECT_EQ(la::frob_diff(got.first.phi, want.first.phi), 0.0);
+  EXPECT_EQ(la::frob_diff(got.first.sigma, want.first.sigma), 0.0);
+  for (int i = 0; i < steps; ++i) {
+    const auto& a = got.second[static_cast<size_t>(i)];
+    const auto& b = want.second[static_cast<size_t>(i)];
+    EXPECT_EQ(a.scf_iterations, b.scf_iterations) << "step " << i;
+    EXPECT_EQ(a.outer_iterations, b.outer_iterations) << "step " << i;
+    EXPECT_EQ(a.exchange_applications, b.exchange_applications);
+    EXPECT_GT(a.exchange_applications, 1) << "step " << i;
+  }
 }
