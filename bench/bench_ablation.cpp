@@ -1,5 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out (measured on
-// the real solver):
+// Ablation studies for the design choices the README's "Benchmarks"
+// section calls out (measured on the real solver):
 //   A. Anderson mixing history (paper uses 20) vs plain damped iteration —
 //      SCF iterations per PT-IM step.
 //   B. ACE outer tolerance vs exact-exchange application count — the knob

@@ -19,33 +19,64 @@ const char* pattern_name(ExchangePattern p) {
 
 namespace {
 
-// Circulation bodies shared by the FP64 and FP32 pipelines, templated over
-// the slab scalar (CS = cplx or cplxf) so the precision modes cannot drift
-// apart: with CS = cplxf the sources are down-converted once at the
-// real-space edge and the ring moves half the bytes, while the apply
-// overloads keep the accumulation into `out` FP64.
-
+// The one dense band circulation, templated over the slab scalar (CS = cplx
+// or cplxf) so the precision modes cannot drift apart: with CS = cplxf the
+// sources are down-converted once at the real-space edge and the ring
+// moves half the bytes, while run_pairs keeps the accumulation into `out`
+// FP64. The weighted kind circulates [phi_b | theta_b] pairs, so one slab
+// moves both the bra orbital and its sigma-contracted weight; its round job
+// lists phi_b as field 2b with the weights one field further on.
 template <typename CS>
-la::MatC diag_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
-                          const la::MatC& src_local,
-                          const std::vector<real_t>& d_all,
-                          const la::MatC& tgt_local,
-                          const BlockLayout& src_bands, ExchangePattern pat) {
-  const auto& map = xop.map();
-  const size_t ng = map.grid().size();
+la::MatC circulate(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
+                   const ham::PairSeam& seam, const la::MatC& src_local,
+                   const std::vector<real_t>& d_all,
+                   const la::MatC* theta_local, const la::MatC& tgt_local,
+                   const BlockLayout& src_bands, ExchangePattern pat) {
+  const size_t nloc = seam.nloc();
+  const size_t w_me = src_local.cols();
+  const size_t fields = theta_local ? 2 : 1;  // payload fields per band
 
-  la::Matrix<CS> mine_m;
-  map.to_real_batch(src_local, mine_m);
-  std::vector<CS> mine(mine_m.data(), mine_m.data() + mine_m.size());
+  la::Matrix<CS> phi_r;
+  seam.sources(src_local, phi_r);
+  std::vector<CS> mine;
+  if (theta_local) {
+    la::Matrix<CS> theta_r;
+    seam.sources(*theta_local, theta_r);
+    mine.resize(2 * w_me * nloc);
+    for (size_t b = 0; b < w_me; ++b) {
+      std::copy(phi_r.col(b), phi_r.col(b) + nloc,
+                mine.begin() + static_cast<long>(2 * b * nloc));
+      std::copy(theta_r.col(b), theta_r.col(b) + nloc,
+                mine.begin() + static_cast<long>((2 * b + 1) * nloc));
+    }
+  } else {
+    mine.assign(phi_r.data(), phi_r.data() + phi_r.size());
+  }
+  la::Matrix<CS> tgt_r;
+  seam.targets(tgt_local, tgt_r);
 
   la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
-  auto apply_block = [&](const CS* slab, int origin) {
+  std::vector<ham::ExchangeOperator::PairJob<CS>> round(1);
+  ham::ExchangeOperator::PairJob<CS>& job = round[0];
+  job.tgt = tgt_r.data();
+  job.ntgt = tgt_r.cols();
+  job.out = &out;
+  auto apply = [&](const CS* slab, int origin) {
     const size_t w = src_bands.count(origin);
-    if (w == 0 || tgt_local.cols() == 0) return;
-    xop.apply_diag_realspace(slab, w, d_all.data() + src_bands.offset(origin),
-                             tgt_local, out, /*accumulate=*/true);
+    if (w == 0 || job.ntgt == 0) return;
+    job.src = slab;
+    job.idx.clear();
+    if (theta_local) {
+      job.weight = slab + nloc;
+      for (size_t b = 0; b < w; ++b) job.idx.push_back(2 * b);
+    } else {
+      job.d = d_all.data() + src_bands.offset(origin);
+      for (size_t b = 0; b < w; ++b)
+        if (job.d[b] != 0.0) job.idx.push_back(b);
+    }
+    xop.run_pairs(seam, round);
   };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block);
+  circulate_slabs(band, src_bands, fields * nloc, mine, pat, apply);
   return out;
 }
 
@@ -96,48 +127,6 @@ la::MatC diag_circulation_gamma(ptmpi::Comm& c,
   return out;
 }
 
-template <typename CS>
-la::MatC mixed_circulation(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
-                           const la::MatC& src_local,
-                           const la::MatC& theta_local,
-                           const la::MatC& tgt_local,
-                           const BlockLayout& src_bands, ExchangePattern pat) {
-  const auto& map = xop.map();
-  const size_t ng = map.grid().size();
-  const size_t w_me = src_local.cols();
-
-  // Payload per band: [phi_k | theta_k] real-space pair, so one circulation
-  // moves both the bra orbital and its sigma-contracted weight.
-  la::Matrix<CS> phi_r, theta_r;
-  map.to_real_batch(src_local, phi_r);
-  map.to_real_batch(theta_local, theta_r);
-  std::vector<CS> mine(2 * w_me * ng);
-  for (size_t b = 0; b < w_me; ++b) {
-    std::copy(phi_r.col(b), phi_r.col(b) + ng, mine.begin() + 2 * b * ng);
-    std::copy(theta_r.col(b), theta_r.col(b) + ng,
-              mine.begin() + (2 * b + 1) * ng);
-  }
-
-  la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
-  std::vector<CS> phis, thetas;
-  auto apply_block = [&](const CS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || tgt_local.cols() == 0) return;
-    phis.resize(w * ng);
-    thetas.resize(w * ng);
-    for (size_t b = 0; b < w; ++b) {
-      std::copy(slab + 2 * b * ng, slab + (2 * b + 1) * ng,
-                phis.begin() + b * ng);
-      std::copy(slab + (2 * b + 1) * ng, slab + (2 * b + 2) * ng,
-                thetas.begin() + b * ng);
-    }
-    xop.apply_weighted_realspace(phis.data(), thetas.data(), w, tgt_local, out,
-                                 /*accumulate=*/true);
-  };
-  circulate_slabs(c, src_bands, 2 * ng, mine, pat, apply_block);
-  return out;
-}
-
 // Γ-point agreement vote: this rank's sources (already in real space) and
 // targets are tested with the operator's shared realness criterion, then
 // the per-rank verdicts are combined — real payloads circulate only when
@@ -162,6 +151,33 @@ bool gamma_vote(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
 
 }  // namespace
 
+std::vector<real_t> allgather_occupations(ptmpi::Comm& band,
+                                          const std::vector<real_t>& d_local,
+                                          const BlockLayout& src_bands) {
+  std::vector<size_t> counts(static_cast<size_t>(band.size()));
+  for (int r = 0; r < band.size(); ++r)
+    counts[static_cast<size_t>(r)] = src_bands.count(r);
+  std::vector<real_t> d(src_bands.total());
+  band.allgatherv(d_local.data(), d_local.size(), d.data(), counts);
+  return d;
+}
+
+la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
+                         const ham::PairSeam& seam, const la::MatC& src_local,
+                         const std::vector<real_t>& d_all,
+                         const la::MatC* theta_local, const la::MatC& tgt_local,
+                         const BlockLayout& src_bands, ExchangePattern pat) {
+  PTIM_CHECK(src_bands.parts() == band.size());
+  PTIM_CHECK(src_local.cols() == src_bands.count(band.rank()));
+  PTIM_CHECK(theta_local ? theta_local->cols() == src_local.cols()
+                         : d_all.size() == src_bands.total());
+  if (xop.options().precision != Precision::kDouble)
+    return circulate<cplxf>(band, xop, seam, src_local, d_all, theta_local,
+                            tgt_local, src_bands, pat);
+  return circulate<cplx>(band, xop, seam, src_local, d_all, theta_local,
+                         tgt_local, src_bands, pat);
+}
+
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
                                           const ham::ExchangeOperator& xop,
                                           const la::MatC& src_local,
@@ -169,19 +185,13 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
                                           const la::MatC& tgt_local,
                                           const BlockLayout& src_bands,
                                           ExchangePattern pat) {
-  const int p = c.size();
-  const int me = c.rank();
-  PTIM_CHECK(src_bands.parts() == p);
+  PTIM_CHECK(src_bands.parts() == c.size());
   PTIM_CHECK(d_local.size() == src_local.cols());
-  PTIM_CHECK(src_local.cols() == src_bands.count(me));
+  PTIM_CHECK(src_local.cols() == src_bands.count(c.rank()));
 
   // Occupation slices are tiny; share them once so any origin's slab can be
   // weighted locally. They stay FP64 in every precision mode.
-  std::vector<size_t> counts(static_cast<size_t>(p));
-  for (int r = 0; r < p; ++r)
-    counts[static_cast<size_t>(r)] = src_bands.count(r);
-  std::vector<real_t> d(src_bands.total());
-  c.allgatherv(d_local.data(), d_local.size(), d.data(), counts);
+  const std::vector<real_t> d = allgather_occupations(c, d_local, src_bands);
 
   // ISDF replaces the slab circulation wholesale: band-parallel fit from
   // Allreduced Gram partials, then a local GEMM apply (dist/isdf_dist).
@@ -193,7 +203,8 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
     // Γ-point fast path: if every rank's sources and targets are real,
     // circulate REAL slabs (half the ring bytes) through the packed
     // real-pair pipeline; otherwise fall through to the complex
-    // circulation, bitwise-identical to gamma_real off.
+    // circulation, which runs no per-round gate and so is bitwise-identical
+    // to gamma_real off on every rank.
     if (xop.options().precision != Precision::kDouble) {
       la::MatCf mine_m;
       xop.map().to_real_batch(src_local, mine_m);
@@ -210,26 +221,16 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
     }
   }
 
-  if (xop.options().precision != Precision::kDouble)
-    return diag_circulation<cplxf>(c, xop, src_local, d, tgt_local, src_bands,
-                                   pat);
-  return diag_circulation<cplx>(c, xop, src_local, d, tgt_local, src_bands,
-                                pat);
+  return circulate_pairs(c, xop, ham::FullGridSeam(xop), src_local, d, nullptr,
+                         tgt_local, src_bands, pat);
 }
 
 la::MatC exchange_apply_distributed_mixed_local(
     ptmpi::Comm& c, const ham::ExchangeOperator& xop, const la::MatC& src_local,
     const la::MatC& theta_local, const la::MatC& tgt_local,
     const BlockLayout& src_bands, ExchangePattern pat) {
-  PTIM_CHECK(src_bands.parts() == c.size());
-  PTIM_CHECK(src_local.cols() == src_bands.count(c.rank()));
-  PTIM_CHECK(theta_local.cols() == src_local.cols());
-
-  if (xop.options().precision != Precision::kDouble)
-    return mixed_circulation<cplxf>(c, xop, src_local, theta_local, tgt_local,
-                                    src_bands, pat);
-  return mixed_circulation<cplx>(c, xop, src_local, theta_local, tgt_local,
-                                 src_bands, pat);
+  return circulate_pairs(c, xop, ham::FullGridSeam(xop), src_local, {},
+                         &theta_local, tgt_local, src_bands, pat);
 }
 
 la::MatC exchange_apply_distributed(ptmpi::Comm& c,

@@ -10,6 +10,14 @@
 // the band blocks it owns (the layout of the PT-IM propagator state). The
 // legacy full-replication signature is kept as a thin wrapper that slices
 // the global matrices before delegating.
+//
+// Every dense complex entry point, here and in dist/slab_exchange, is one
+// call into circulate_pairs: the 1-D ones pass the full-grid seam and the
+// world communicator, the 2-D ones the z-slab seam of a GridContext and its
+// band communicator. Each circulation round is a one-job
+// ExchangeOperator::run_pairs pack over the origin rank's slab, the same
+// engine as the serial apply. ISDF and the Γ-point real circulation are
+// dispatched by the 1-D diag entry before it.
 
 #include <vector>
 
@@ -19,6 +27,25 @@
 #include "ptmpi/comm.hpp"
 
 namespace ptim::dist {
+
+// Occupation slices of every band, shared once over the band communicator
+// with Allgatherv (FP64 in every precision mode).
+std::vector<real_t> allgather_occupations(ptmpi::Comm& band,
+                                          const std::vector<real_t>& d_local,
+                                          const BlockLayout& src_bands);
+
+// The one dense band circulation. Transforms this rank's band block of
+// sources once through the seam (packed as [phi_b | theta_b] pairs when
+// theta_local is given) and its targets once, then circulates the source
+// slabs around `band` (circulate_slabs) and runs every round as a one-job
+// run_pairs pack over the origin rank's slab. d_all: the occupations of
+// every band (diag kind; allgather_occupations), ignored when theta_local
+// carries the sigma contraction. Returns alpha*Vx*tgt_local.
+la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
+                         const ham::PairSeam& seam, const la::MatC& src_local,
+                         const std::vector<real_t>& d_all,
+                         const la::MatC* theta_local, const la::MatC& tgt_local,
+                         const BlockLayout& src_bands, ExchangePattern pat);
 
 // Diagonal-occupation exchange on rank-local blocks: this rank holds
 // src_local = src[:, src_bands-of-rank] with occupations d_local (same

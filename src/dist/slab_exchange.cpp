@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "dist/circulate.hpp"
+#include "dist/exchange_dist.hpp"
+#include "obs/obs.hpp"
 
 namespace ptim::dist {
 
@@ -50,6 +51,14 @@ auto& fft_of(GridContext& gc) {
     return gc.fft64();
 }
 
+template <typename CS>
+const auto& kernel_of(const ham::ExchangeOperator& xop) {
+  if constexpr (std::is_same_v<CS, cplxf>)
+    return xop.kernel_f32();
+  else
+    return xop.kernel();
+}
+
 // --- slab transforms -------------------------------------------------------
 // Each helper reproduces one SphereGridMap path exactly (see the scale
 // convention note in pw/transforms.hpp): per grid point the arithmetic is
@@ -57,7 +66,8 @@ auto& fft_of(GridContext& gc) {
 
 // to_real_batch semantics (sources): scale folded into the scatter.
 template <typename CS>
-std::vector<CS> to_real_slab_batch(GridContext& gc, const la::MatC& coeffs) {
+void to_real_slab_batch(GridContext& gc, const la::MatC& coeffs,
+                        la::Matrix<CS>& slab) {
   auto& f = fft_of<CS>(gc);
   const size_t npen = gc.npencil();
   const size_t m = coeffs.cols();
@@ -71,19 +81,18 @@ std::vector<CS> to_real_slab_batch(GridContext& gc, const la::MatC& coeffs) {
     for (size_t k = 0; k < sph.size(); ++k)
       pb[loc[k]] = static_cast<CS>(cb[sph[k]] * s);
   }
-  std::vector<CS> slab(gc.nreal() * m);
+  slab.resize(gc.nreal(), m);
   f.inverse(pen.data(), slab.data(), m);
-  return slab;
 }
 
 // Single-column to_real semantics (targets). FP64 applies the output scale
 // AFTER the inverse transform (matching SphereGridMap::to_real); FP32 folds
 // it into the scatter (matching the FP32 single-column overload).
 template <typename CS>
-std::vector<CS> to_real_slab_single(GridContext& gc, const la::MatC& coeffs) {
+void to_real_slab_single(GridContext& gc, const la::MatC& coeffs,
+                         la::Matrix<CS>& slab) {
   auto& f = fft_of<CS>(gc);
   const size_t npen = gc.npencil();
-  const size_t nloc = gc.nreal();
   const size_t m = coeffs.cols();
   const auto& sph = gc.sphere_idx();
   const auto& loc = gc.pencil_idx();
@@ -97,27 +106,27 @@ std::vector<CS> to_real_slab_single(GridContext& gc, const la::MatC& coeffs) {
       pb[loc[k]] = fp32 ? static_cast<CS>(cb[sph[k]] * s)
                         : static_cast<CS>(cb[sph[k]]);
   }
-  std::vector<CS> slab(nloc * m);
+  slab.resize(gc.nreal(), m);
   f.inverse(pen.data(), slab.data(), m);
   if (!fp32) {
-    const size_t total = nloc * m;
-    for (size_t i = 0; i < total; ++i)
-      slab[i] *= static_cast<RealOf<CS>>(s);
+    for (size_t i = 0; i < slab.size(); ++i)
+      slab.data()[i] *= static_cast<RealOf<CS>>(s);
   }
-  return slab;
 }
 
 // Distributed analogue of ExchangeOperator::kernel_filter_block: forward
 // slab FFT, K(G)/Ng multiply on the y pencil (kernel indexed by global grid
-// index), inverse slab FFT. Same FFT-count bookkeeping.
+// index), inverse slab FFT. Same FFT-count bookkeeping and span.
+template <typename CS>
 void kernel_filter_slab(GridContext& gc, const ham::ExchangeOperator& xop,
-                        cplx* block, size_t nb, std::vector<cplx>& pen) {
-  auto& f = gc.fft64();
+                        CS* block, size_t nb, std::vector<CS>& pen) {
+  OBS_SPAN("xchg.kernel_filter", obs::Cat::kFft);
+  using R = RealOf<CS>;
+  auto& f = fft_of<CS>(gc);
   const size_t npen = gc.npencil();
   const auto& gidx = gc.pencil_global();
-  const auto& kernel = xop.kernel();
-  const real_t inv_ng =
-      1.0 / static_cast<real_t>(gc.map().grid().size());
+  const auto& kernel = kernel_of<CS>(xop);
+  const R inv_ng = R(1) / static_cast<R>(gc.map().grid().size());
   pen.resize(npen * nb);
   f.forward(block, pen.data(), nb);
 #pragma omp parallel for schedule(static) collapse(2)
@@ -128,31 +137,15 @@ void kernel_filter_slab(GridContext& gc, const ham::ExchangeOperator& xop,
   xop.fft_count += static_cast<long>(2 * nb);
 }
 
-void kernel_filter_slab(GridContext& gc, const ham::ExchangeOperator& xop,
-                        cplxf* block, size_t nb, std::vector<cplxf>& pen) {
-  auto& f = gc.fft32();
-  const size_t npen = gc.npencil();
-  const auto& gidx = gc.pencil_global();
-  const auto& kernel = xop.kernel_f32();
-  const realf_t inv_ng =
-      1.0f / static_cast<realf_t>(gc.map().grid().size());
-  pen.resize(npen * nb);
-  f.forward(block, pen.data(), nb);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t i = 0; i < nb; ++i)
-    for (size_t r = 0; r < npen; ++r)
-      pen[i * npen + r] *= kernel[gidx[r]] * inv_ng;
-  f.inverse(pen.data(), block, nb);
-  xop.fft_count += static_cast<long>(2 * nb);
-}
-
-// Distributed gather_accumulate over all targets of one circulation round:
-// one batched FP64 forward slab FFT, the sphere gather on owned pencils,
-// one exact Allreduce over the grid communicator (disjoint support), then
-// the serial out_col update. Batching across targets is bitwise-free
-// because the batched transform equals per-array singles.
+// Distributed gather_accumulate over ntgt accumulator columns at once: one
+// batched FP64 forward slab FFT, the sphere gather on owned pencils, one
+// exact Allreduce over the grid communicator (disjoint support), then the
+// serial update of out columns j0..j0+ntgt-1. Batching across targets is
+// bitwise-free because the batched transform equals per-array singles.
 void gather_accumulate_slab(GridContext& gc, const ham::ExchangeOperator& xop,
-                            const cplx* acc, size_t ntgt, la::MatC& out) {
+                            const cplx* acc, size_t ntgt, la::MatC& out,
+                            size_t j0) {
+  OBS_SPAN("xchg.gather", obs::Cat::kCompute);
   auto& f = gc.fft64();
   const size_t npen = gc.npencil();
   const size_t npw = gc.map().sphere().npw();
@@ -172,140 +165,51 @@ void gather_accumulate_slab(GridContext& gc, const ham::ExchangeOperator& xop,
 
   const real_t a = -xop.options().alpha;
   for (size_t j = 0; j < ntgt; ++j) {
-    cplx* oj = out.col(j);
+    cplx* oj = out.col(j0 + j);
     const cplx* cj = coeffs.data() + j * npw;
     for (size_t p = 0; p < npw; ++p) oj[p] += a * cj[p];
   }
 }
 
-// --- circulation bodies ----------------------------------------------------
-// Structured exactly like exchange_dist's diag/mixed circulations, with the
-// per-round apply built from the slab stage primitives: the loop nest
-// (targets outer, batch_size source blocks inner) matches
-// pair_accumulate_blocks / weighted_blocks line for line, so at pb = 1 the
-// result is bit-identical to the serial operator and at fixed pb it is
-// bit-identical to the 1-D band-parallel path for every pg.
-
-template <typename CS>
-la::MatC diag_circulation_slab(GridContext& gc,
-                               const ham::ExchangeOperator& xop,
-                               const la::MatC& src_local,
-                               const std::vector<real_t>& d_all,
-                               const la::MatC& tgt_local,
-                               const BlockLayout& src_bands,
-                               ExchangePattern pat) {
-  const size_t nloc = gc.nreal();
-  const size_t ntgt = tgt_local.cols();
-  const size_t bs = std::max<size_t>(1, xop.options().batch_size);
-  const bool compensated =
-      std::is_same_v<CS, cplxf> &&
-      xop.options().precision == Precision::kSingleCompensated;
-
-  const std::vector<CS> mine = to_real_slab_batch<CS>(gc, src_local);
-  const std::vector<CS> tgt_r = to_real_slab_single<CS>(gc, tgt_local);
-
-  la::MatC out(tgt_local.rows(), ntgt, cplx(0.0));
-  std::vector<CS> block(bs * nloc), pen;
-  std::vector<cplx> acc(nloc * ntgt), comp(compensated ? nloc * ntgt : 0);
-  std::vector<size_t> active;
-
-  auto apply_block = [&](const CS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || ntgt == 0) return;
-    const real_t* d = d_all.data() + src_bands.offset(origin);
-    active.clear();
-    for (size_t i = 0; i < w; ++i)
-      if (d[i] != 0.0) active.push_back(i);
-    if (active.empty()) return;
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
-    for (size_t j = 0; j < ntgt; ++j) {
-      for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
-        const size_t nb = std::min(bs, active.size() - i0);
-        xop.pair_form_block(slab, active.data() + i0, nb,
-                            tgt_r.data() + j * nloc, block.data(), nloc);
-        kernel_filter_slab(gc, xop, block.data(), nb, pen);
-        xop.accumulate_block(slab, active.data() + i0, d, nb, block.data(),
-                             acc.data() + j * nloc,
-                             compensated ? comp.data() + j * nloc : nullptr,
-                             nloc);
-      }
-    }
-    gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
-  };
-  circulate_slabs(gc.band(), src_bands, nloc, mine, pat, apply_block);
-  return out;
-}
-
-template <typename CS>
-la::MatC mixed_circulation_slab(GridContext& gc,
-                                const ham::ExchangeOperator& xop,
-                                const la::MatC& src_local,
-                                const la::MatC& theta_local,
-                                const la::MatC& tgt_local,
-                                const BlockLayout& src_bands,
-                                ExchangePattern pat) {
-  const size_t nloc = gc.nreal();
-  const size_t ntgt = tgt_local.cols();
-  const size_t w_me = src_local.cols();
-  const size_t bs = std::max<size_t>(1, xop.options().batch_size);
-  const bool compensated =
-      std::is_same_v<CS, cplxf> &&
-      xop.options().precision == Precision::kSingleCompensated;
-
-  // Payload per band: [phi_k | theta_k] slab pair, as in the 1-D path.
-  const std::vector<CS> phi_r = to_real_slab_batch<CS>(gc, src_local);
-  const std::vector<CS> theta_r = to_real_slab_batch<CS>(gc, theta_local);
-  std::vector<CS> mine(2 * w_me * nloc);
-  for (size_t b = 0; b < w_me; ++b) {
-    std::copy(phi_r.begin() + static_cast<long>(b * nloc),
-              phi_r.begin() + static_cast<long>((b + 1) * nloc),
-              mine.begin() + static_cast<long>(2 * b * nloc));
-    std::copy(theta_r.begin() + static_cast<long>(b * nloc),
-              theta_r.begin() + static_cast<long>((b + 1) * nloc),
-              mine.begin() + static_cast<long>((2 * b + 1) * nloc));
+// The z-slab seam of run_pairs: fields are this rank's nreal() slab points,
+// every transform is a distributed slab FFT over the grid communicator, and
+// a job's target columns are gathered together (one batched slab FFT and
+// one grid Allreduce per circulation round).
+class SlabSeam final : public ham::PairSeam {
+ public:
+  SlabSeam(GridContext& gc, const ham::ExchangeOperator& xop)
+      : gc_(gc), xop_(xop) {}
+  size_t nloc() const override { return gc_.nreal(); }
+  void sources(const la::MatC& c, la::MatC& r) const override {
+    to_real_slab_batch(gc_, c, r);
+  }
+  void sources(const la::MatC& c, la::MatCf& r) const override {
+    to_real_slab_batch(gc_, c, r);
+  }
+  void targets(const la::MatC& c, la::MatC& r) const override {
+    to_real_slab_single(gc_, c, r);
+  }
+  void targets(const la::MatC& c, la::MatCf& r) const override {
+    to_real_slab_single(gc_, c, r);
+  }
+  void filter(cplx* block, size_t nb) const override {
+    kernel_filter_slab(gc_, xop_, block, nb, pen64_);
+  }
+  void filter(cplxf* block, size_t nb) const override {
+    kernel_filter_slab(gc_, xop_, block, nb, pen32_);
+  }
+  size_t gather_width(size_t ntgt) const override { return ntgt; }
+  void gather(const cplx* acc, size_t ncol, la::MatC& out,
+              size_t j0) const override {
+    gather_accumulate_slab(gc_, xop_, acc, ncol, out, j0);
   }
 
-  const std::vector<CS> tgt_r = to_real_slab_single<CS>(gc, tgt_local);
-
-  la::MatC out(tgt_local.rows(), ntgt, cplx(0.0));
-  std::vector<CS> phis, thetas, block(bs * nloc), pen;
-  std::vector<cplx> acc(nloc * ntgt), comp(compensated ? nloc * ntgt : 0);
-  std::vector<size_t> idx;
-
-  auto apply_block = [&](const CS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || ntgt == 0) return;
-    phis.resize(w * nloc);
-    thetas.resize(w * nloc);
-    for (size_t b = 0; b < w; ++b) {
-      std::copy(slab + 2 * b * nloc, slab + (2 * b + 1) * nloc,
-                phis.begin() + static_cast<long>(b * nloc));
-      std::copy(slab + (2 * b + 1) * nloc, slab + (2 * b + 2) * nloc,
-                thetas.begin() + static_cast<long>(b * nloc));
-    }
-    // Every source participates (the weight carries the sigma contraction).
-    idx.resize(w);
-    for (size_t i = 0; i < w; ++i) idx[i] = i;
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
-    for (size_t j = 0; j < ntgt; ++j) {
-      for (size_t i0 = 0; i0 < w; i0 += bs) {
-        const size_t nb = std::min(bs, w - i0);
-        xop.pair_form_block(phis.data(), idx.data() + i0, nb,
-                            tgt_r.data() + j * nloc, block.data(), nloc);
-        kernel_filter_slab(gc, xop, block.data(), nb, pen);
-        xop.accumulate_weighted_block(
-            thetas.data(), idx.data() + i0, nb, block.data(),
-            acc.data() + j * nloc,
-            compensated ? comp.data() + j * nloc : nullptr, nloc);
-      }
-    }
-    gather_accumulate_slab(gc, xop, acc.data(), ntgt, out);
-  };
-  circulate_slabs(gc.band(), src_bands, 2 * nloc, mine, pat, apply_block);
-  return out;
-}
+ private:
+  GridContext& gc_;
+  const ham::ExchangeOperator& xop_;
+  mutable std::vector<cplx> pen64_;  // pencil workspaces, reused per block
+  mutable std::vector<cplxf> pen32_;
+};
 
 }  // namespace
 
@@ -316,25 +220,14 @@ la::MatC exchange_apply_slab_local(GridContext& gc,
                                    const la::MatC& tgt_local,
                                    const BlockLayout& src_bands,
                                    ExchangePattern pat) {
-  const int pb = gc.band().size();
-  const int me = gc.band().rank();
-  PTIM_CHECK(src_bands.parts() == pb);
+  PTIM_CHECK(src_bands.parts() == gc.band().size());
   PTIM_CHECK(d_local.size() == src_local.cols());
-  PTIM_CHECK(src_local.cols() == src_bands.count(me));
-
-  // Occupation slices are shared over the band communicator, FP64 always
-  // (identical to the 1-D path, so the allgathered vector matches bitwise).
-  std::vector<size_t> counts(static_cast<size_t>(pb));
-  for (int r = 0; r < pb; ++r)
-    counts[static_cast<size_t>(r)] = src_bands.count(r);
-  std::vector<real_t> d(src_bands.total());
-  gc.band().allgatherv(d_local.data(), d_local.size(), d.data(), counts);
-
-  if (xop.options().precision != Precision::kDouble)
-    return diag_circulation_slab<cplxf>(gc, xop, src_local, d, tgt_local,
-                                        src_bands, pat);
-  return diag_circulation_slab<cplx>(gc, xop, src_local, d, tgt_local,
-                                     src_bands, pat);
+  // Allgathered over the band communicator exactly as in the 1-D path, so
+  // the occupation vector matches it bitwise.
+  const std::vector<real_t> d =
+      allgather_occupations(gc.band(), d_local, src_bands);
+  return circulate_pairs(gc.band(), xop, SlabSeam(gc, xop), src_local, d,
+                         nullptr, tgt_local, src_bands, pat);
 }
 
 la::MatC exchange_apply_slab_mixed_local(
@@ -342,15 +235,8 @@ la::MatC exchange_apply_slab_mixed_local(
     const la::MatC& src_local, const la::MatC& theta_local,
     const la::MatC& tgt_local, const BlockLayout& src_bands,
     ExchangePattern pat) {
-  PTIM_CHECK(src_bands.parts() == gc.band().size());
-  PTIM_CHECK(src_local.cols() == src_bands.count(gc.band().rank()));
-  PTIM_CHECK(theta_local.cols() == src_local.cols());
-
-  if (xop.options().precision != Precision::kDouble)
-    return mixed_circulation_slab<cplxf>(gc, xop, src_local, theta_local,
-                                         tgt_local, src_bands, pat);
-  return mixed_circulation_slab<cplx>(gc, xop, src_local, theta_local,
-                                      tgt_local, src_bands, pat);
+  return circulate_pairs(gc.band(), xop, SlabSeam(gc, xop), src_local, {},
+                         &theta_local, tgt_local, src_bands, pat);
 }
 
 }  // namespace ptim::dist

@@ -7,12 +7,13 @@
 // over the pb rows exactly as in the 1-D band-parallel path, and the
 // real-space grid is z-slab-split over the pg columns. Source orbitals
 // circulate as z-SLAB portions around the BAND communicator (payload
-// w * nreal instead of w * Ng — the pg-fold reduction in ring bytes),
-// while every pair FFT runs as a distributed slab transform
-// (fft::DistFft3) across the GRID communicator and the pointwise
-// pair-form / kernel-filter / accumulate stages run on each rank's slab
-// through the ExchangeOperator stage primitives. The final sphere gather
-// is a distributed forward transform plus one exact (disjoint-support)
+// w * nreal instead of w * Ng — the pg-fold reduction in ring bytes).
+// Both entry points are dist::circulate_pairs (dist/exchange_dist) over a
+// z-slab ham::PairSeam: the pair engine of the serial and 1-D applies
+// (ExchangeOperator::run_pairs) runs its pointwise stages on this rank's
+// slab, every pair FFT is a distributed slab transform (fft::DistFft3)
+// across the GRID communicator, and a round's target columns are gathered
+// together by one batched slab transform plus one exact (disjoint-support)
 // Allreduce of the sphere coefficients over the grid communicator.
 //
 // Bit-identity guarantees (pinned in tests/test_grid2d.cpp):
@@ -23,7 +24,10 @@
 //    arithmetic is pointwise and the cross-rank assembly touches disjoint
 //    grid points), so pg > 1 runs match the 1-D band-parallel operator,
 //  * all three circulation patterns x {FP64, FP32} agree bitwise; the band
-//    ring is the same host engine as the 1-D path (dist/circulate.hpp).
+//    ring is the same host engine as the 1-D path (dist/circulate.hpp),
+//  * a traced apply records the serial path's exchange phases
+//    (xchg.pair_form, xchg.kernel_filter, xchg.accumulate, xchg.gather)
+//    on every rank.
 
 #include <memory>
 #include <vector>

@@ -52,6 +52,15 @@ bool field_is_real_tol(const C* v, size_t n, double tol) {
 constexpr double kRealTolF64 = 1e-12;
 constexpr double kRealTolF32 = 1e-5;
 
+// Column-by-column to_real (the single-column scale convention).
+template <typename CS>
+void to_real_columns(const pw::SphereGridMap& map, const la::MatC& coeffs,
+                     la::Matrix<CS>& real) {
+  real.resize(map.grid().size(), coeffs.cols());
+  for (size_t j = 0; j < coeffs.cols(); ++j)
+    map.to_real(coeffs.col(j), real.col(j));
+}
+
 }  // namespace
 
 bool ExchangeOperator::field_is_real(const cplx* v, size_t n) {
@@ -105,99 +114,6 @@ ExchangeOperator::ExchangeOperator(const pw::SphereGridMap& wfc_map,
     kernelf_[i] = static_cast<realf_t>(kernel_[i]);
 }
 
-// Core pair loop shared by the diag paths. src_real holds source orbitals
-// in real space; for each target j accumulate
-//   acc_j(r) = sum_i d_i phi_i(r) * IFFT[ K(G) FFT[ conj(phi_i) psi_j ] ](r)
-// and return -alpha * acc_j gathered to the sphere. Zero-occupation sources
-// are compressed away, then the work is dispatched to the per-pair baseline
-// or the batched-FFT hot path depending on ExchangeOptions::batch_size, and
-// to the FP32 pipeline when the precision policy asks for it.
-void ExchangeOperator::pair_accumulate(const cplx* src_real, size_t nsrc,
-                                       const real_t* d, const la::MatC& tgt,
-                                       la::MatC& out, bool accumulate) const {
-  if (opt_.precision != Precision::kDouble) {
-    // Down-convert the sources once at the edge; everything downstream of
-    // this point runs the float pair pipeline.
-    const size_t ng = map_->grid().size();
-    std::vector<cplxf> srcf(nsrc * ng);
-#pragma omp parallel for schedule(static)
-    for (size_t i = 0; i < nsrc * ng; ++i)
-      srcf[i] = static_cast<cplxf>(src_real[i]);
-    pair_accumulate_f32(srcf.data(), nsrc, d, tgt, out, accumulate);
-    return;
-  }
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  if (opt_.gamma_real &&
-      try_gamma_real<real_t, cplx>(src_real, nsrc, d, active, tgt, out))
-    return;
-
-  if (opt_.batch_size <= 1)
-    pair_accumulate_single(src_real, d, active, tgt, out);
-  else
-    pair_accumulate_blocks(src_real, d, active, tgt, out);
-}
-
-void ExchangeOperator::pair_accumulate_f32(const cplxf* src_real, size_t nsrc,
-                                           const real_t* d, const la::MatC& tgt,
-                                           la::MatC& out,
-                                           bool accumulate) const {
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  if (opt_.gamma_real &&
-      try_gamma_real<realf_t, cplxf>(src_real, nsrc, d, active, tgt, out))
-    return;
-
-  pair_accumulate_blocks(src_real, d, active, tgt, out);
-}
-
-void ExchangeOperator::pair_accumulate_single(
-    const cplx* src_real, const real_t* d, const std::vector<size_t>& active,
-    const la::MatC& tgt, la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  const size_t ntgt = tgt.cols();
-  const auto& fft3 = map_->grid().fft();
-
-  std::vector<cplx> tgt_real(ng), pair(ng), acc(ng), gathered(tgt.rows());
-  for (size_t j = 0; j < ntgt; ++j) {
-    map_->to_real(tgt.col(j), tgt_real.data());
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    for (const size_t i : active) {
-      const cplx* si = src_real + i * ng;
-#pragma omp parallel for schedule(static)
-      for (size_t r = 0; r < ng; ++r) pair[r] = std::conj(si[r]) * tgt_real[r];
-      fft3.forward(pair.data());
-      const real_t inv_ng = 1.0 / static_cast<real_t>(ng);
-#pragma omp parallel for schedule(static)
-      for (size_t r = 0; r < ng; ++r) pair[r] *= kernel_[r] * inv_ng;
-      fft3.inverse(pair.data());
-      fft_count += 2;
-      // inverse() scaled by 1/Ng; undo it (we want the unscaled synthesis).
-      const real_t w = d[i] * static_cast<real_t>(ng);
-#pragma omp parallel for schedule(static)
-      for (size_t r = 0; r < ng; ++r) acc[r] += w * si[r] * pair[r];
-    }
-    map_->to_sphere(acc.data(), gathered.data());
-    cplx* oj = out.col(j);
-    const real_t a = -opt_.alpha;
-    for (size_t p = 0; p < tgt.rows(); ++p) oj[p] += a * gathered[p];
-  }
-}
-
 void ExchangeOperator::kernel_filter_block(cplx* block, size_t nb) const {
   OBS_SPAN("xchg.kernel_filter", obs::Cat::kFft);
   const size_t ng = map_->grid().size();
@@ -225,10 +141,10 @@ void ExchangeOperator::kernel_filter_block(cplxf* block, size_t nb) const {
 }
 
 // --- stage primitives ------------------------------------------------------
-// The pointwise hot-path stages, each the exact loop the fused engines below
-// are assembled from, so a stage-by-stage composition is bit-identical to
-// the batched applies by construction. Explicitly instantiated at the end
-// of this file for the FP64 and FP32 scalars.
+// The pointwise hot-path stages, each the exact loop the engines below are
+// assembled from, so a stage-by-stage composition is bit-identical to the
+// applies by construction. Explicitly instantiated at the end of this file
+// for the FP64 and FP32 scalars.
 
 template <typename CS>
 void ExchangeOperator::pair_form_block(const CS* src_real, const size_t* idx,
@@ -276,6 +192,7 @@ void ExchangeOperator::accumulate_weighted_block(const CS* weight_real,
                                                  const CS* block, cplx* acc,
                                                  cplx* comp,
                                                  size_t nloc) const {
+  OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
   if (nloc == kFullGrid) nloc = ng;
 #pragma omp parallel for schedule(static)
@@ -487,85 +404,122 @@ void ExchangeOperator::apply_diag_realspace_real(const realf_t* src_real,
                                               tgt_r.data(), ntgt, out);
 }
 
-// Shared batched block engine for the diag paths, templated over the slab
-// scalar: CS = cplx runs the FP64 pipeline, CS = cplxf the FP32 one (pair
-// forming, FFTs and kernel filter in single precision; every float product
-// is promoted to FP64 exactly once inside the accumulation, which runs
-// plain or Kahan-compensated depending on the policy). batch_size == 1
-// degenerates to width-1 blocks, preserving the per-pair transform count.
-// The body is a straight-line composition of the stage primitives above.
+// --- the dense pair engine -------------------------------------------------
+// Every dense complex apply apart from Alg. 2's baseline. Per job the loop
+// nest is targets outer, batch_size blocks of idx inner, in order, whatever
+// else shares the round: pair forming, the kernel filter and the FP64
+// accumulation are per-lane and per-job, so packing jobs (or cutting
+// blocks to width 1) regroups transforms without moving a bit. Every float
+// product is promoted to FP64 exactly once inside the accumulation, plain
+// or Kahan-compensated depending on the policy.
 template <typename CS>
-void ExchangeOperator::pair_accumulate_blocks(const CS* src_real,
-                                              const real_t* d,
-                                              const std::vector<size_t>& active,
-                                              const la::MatC& tgt,
-                                              la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  const size_t ntgt = tgt.cols();
+void ExchangeOperator::run_pairs(const PairSeam& seam,
+                                 const std::vector<PairJob<CS>>& jobs) const {
+  const size_t nloc = seam.nloc();
   const size_t bs = std::max<size_t>(1, opt_.batch_size);
   const bool compensated = std::is_same_v<CS, cplxf> &&
                            opt_.precision == Precision::kSingleCompensated;
 
-  std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), comp(compensated ? ng : 0), gathered(tgt.rows());
-  for (size_t j = 0; j < ntgt; ++j) {
-    map_->to_real(tgt.col(j), tgt_real.data());
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
-    for (size_t i0 = 0; i0 < active.size(); i0 += bs) {
-      const size_t nb = std::min(bs, active.size() - i0);
-      pair_form_block(src_real, active.data() + i0, nb, tgt_real.data(),
-                      block.data());
-      kernel_filter_block(block.data(), nb);
-      accumulate_block(src_real, active.data() + i0, d, nb, block.data(),
-                       acc.data(), compensated ? comp.data() : nullptr);
+  // Progress of one unfinished job. Its accumulator holds gw target
+  // columns (the seam's gather width); column j lives in slot j % gw.
+  struct Cursor {
+    const PairJob<CS>* job = nullptr;
+    size_t gw = 1;
+    std::vector<cplx> acc, comp;
+    size_t j = 0;    // current target column
+    size_t i0 = 0;   // next block start within job->idx
+    size_t nb = 0;   // this round's block width
+    size_t off = 0;  // its first lane in the shared block
+  };
+  std::vector<Cursor> live;
+  for (const PairJob<CS>& job : jobs) {
+    if (job.idx.empty() || job.ntgt == 0) continue;
+    Cursor c;
+    c.job = &job;
+    c.gw = seam.gather_width(job.ntgt);
+    c.acc.resize(c.gw * nloc);
+    if (compensated) c.comp.resize(c.gw * nloc);
+    live.push_back(std::move(c));
+  }
+  std::vector<CS> block(live.size() * bs * nloc);
+  while (!live.empty()) {
+    size_t width = 0;
+    for (Cursor& c : live) {
+      c.nb = std::min(bs, c.job->idx.size() - c.i0);
+      c.off = width;
+      pair_form_block(c.job->src, c.job->idx.data() + c.i0, c.nb,
+                      c.job->tgt + c.j * nloc, block.data() + width * nloc,
+                      nloc);
+      width += c.nb;
     }
-    gather_accumulate(acc.data(), gathered.data(), out.col(j));
+    seam.filter(block.data(), width);
+    for (Cursor& c : live) {
+      const PairJob<CS>& job = *c.job;
+      const size_t slot = c.j % c.gw;
+      cplx* acc = c.acc.data() + slot * nloc;
+      cplx* comp = compensated ? c.comp.data() + slot * nloc : nullptr;
+      if (c.i0 == 0) {
+        std::fill(acc, acc + nloc, cplx(0.0));
+        if (comp) std::fill(comp, comp + nloc, cplx(0.0));
+      }
+      const size_t* idx = job.idx.data() + c.i0;
+      const CS* lanes = block.data() + c.off * nloc;
+      if (job.weight)
+        accumulate_weighted_block(job.weight, idx, c.nb, lanes, acc, comp,
+                                  nloc);
+      else
+        accumulate_block(job.src, idx, job.d, c.nb, lanes, acc, comp, nloc);
+      c.i0 += c.nb;
+      if (c.i0 < job.idx.size()) continue;
+      c.i0 = 0;
+      if (slot + 1 == c.gw || c.j + 1 == job.ntgt)
+        seam.gather(c.acc.data(), slot + 1, *job.out, c.j - slot);
+      ++c.j;
+    }
+    const auto done = [](const Cursor& c) { return c.j == c.job->ntgt; };
+    live.erase(std::remove_if(live.begin(), live.end(), done), live.end());
   }
 }
 
-// Weighted-pair analogue of pair_accumulate_blocks (scalar occupation d_k
-// replaced by the real-space weight field w_k), same CS convention.
-template <typename CS>
-void ExchangeOperator::weighted_blocks(const CS* src_real,
-                                       const CS* weight_real, size_t nsrc,
-                                       const la::MatC& tgt,
-                                       la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  const size_t ntgt = tgt.cols();
-  const size_t bs = std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
+FullGridSeam::FullGridSeam(const ExchangeOperator& x)
+    : x_(x), scratch_(x.map().sphere().npw()) {}
 
-  // Every source participates (the weight field carries the sigma
-  // contraction), so the stage index list is the identity.
-  std::vector<size_t> idx(nsrc);
-  for (size_t i = 0; i < nsrc; ++i) idx[i] = i;
+size_t FullGridSeam::nloc() const { return x_.map().grid().size(); }
 
-  std::vector<CS> tgt_real(ng), block(bs * ng);
-  std::vector<cplx> acc(ng), comp(compensated ? ng : 0), gathered(tgt.rows());
-  for (size_t j = 0; j < ntgt; ++j) {
-    map_->to_real(tgt.col(j), tgt_real.data());
-    std::fill(acc.begin(), acc.end(), cplx(0.0));
-    std::fill(comp.begin(), comp.end(), cplx(0.0));
-    for (size_t i0 = 0; i0 < nsrc; i0 += bs) {
-      const size_t nb = std::min(bs, nsrc - i0);
-      pair_form_block(src_real, idx.data() + i0, nb, tgt_real.data(),
-                      block.data());
-      kernel_filter_block(block.data(), nb);
-      accumulate_weighted_block(weight_real, idx.data() + i0, nb,
-                                block.data(), acc.data(),
-                                compensated ? comp.data() : nullptr);
-    }
-    gather_accumulate(acc.data(), gathered.data(), out.col(j));
-  }
+void FullGridSeam::sources(const la::MatC& coeffs, la::MatC& real) const {
+  x_.map().to_real_batch(coeffs, real);
+}
+void FullGridSeam::sources(const la::MatC& coeffs, la::MatCf& real) const {
+  x_.map().to_real_batch(coeffs, real);
+}
+
+void FullGridSeam::targets(const la::MatC& coeffs, la::MatC& real) const {
+  to_real_columns(x_.map(), coeffs, real);
+}
+void FullGridSeam::targets(const la::MatC& coeffs, la::MatCf& real) const {
+  to_real_columns(x_.map(), coeffs, real);
+}
+
+void FullGridSeam::filter(cplx* block, size_t nb) const {
+  x_.kernel_filter_block(block, nb);
+}
+void FullGridSeam::filter(cplxf* block, size_t nb) const {
+  x_.kernel_filter_block(block, nb);
+}
+
+void FullGridSeam::gather(const cplx* acc, size_t ncol, la::MatC& out,
+                          size_t j0) const {
+  const size_t ng = nloc();
+  for (size_t c = 0; c < ncol; ++c)
+    x_.gather_accumulate(acc + c * ng, scratch_.data(), out.col(j0 + c));
 }
 
 // Alg. 2 verbatim with the pair FFT inside the i loop on purpose — this
-// reproduces the baseline's N^3 transform count (see DESIGN.md). With
-// batch_size > 1 the i loop is blocked: each block member transforms its
-// own (redundant) copy of the pair density, preserving the count while
-// going through the batched FFT engine. Same CS convention as above.
+// reproduces the baseline's N^3 transform count (see the README, "The ring
+// engine"), so it stays outside run_pairs. With batch_size > 1 the i loop
+// is blocked: each block member transforms its own (redundant) copy of the
+// pair density, preserving the count while going through the batched FFT
+// engine. Same CS convention as above.
 template <typename CS>
 void ExchangeOperator::mixed_naive_blocks(const la::Matrix<CS>& src_real,
                                           const la::MatC& sigma,
@@ -618,42 +572,6 @@ void ExchangeOperator::mixed_naive_blocks(const la::Matrix<CS>& src_real,
   }
 }
 
-void ExchangeOperator::apply_weighted_realspace(const cplx* src_real,
-                                                const cplx* weight_real,
-                                                size_t nsrc,
-                                                const la::MatC& tgt,
-                                                la::MatC& out,
-                                                bool accumulate) const {
-  if (opt_.precision != Precision::kDouble) {
-    const size_t ng = map_->grid().size();
-    std::vector<cplxf> srcf(nsrc * ng), wf(nsrc * ng);
-#pragma omp parallel for schedule(static)
-    for (size_t i = 0; i < nsrc * ng; ++i) {
-      srcf[i] = static_cast<cplxf>(src_real[i]);
-      wf[i] = static_cast<cplxf>(weight_real[i]);
-    }
-    apply_weighted_realspace(srcf.data(), wf.data(), nsrc, tgt, out,
-                             accumulate);
-    return;
-  }
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  if (nsrc == 0) return;
-  weighted_blocks(src_real, weight_real, nsrc, tgt, out);
-}
-
-void ExchangeOperator::apply_weighted_realspace(const cplxf* src_real,
-                                                const cplxf* weight_real,
-                                                size_t nsrc,
-                                                const la::MatC& tgt,
-                                                la::MatC& out,
-                                                bool accumulate) const {
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  if (nsrc == 0) return;
-  weighted_blocks(src_real, weight_real, nsrc, tgt, out);
-}
-
 void ExchangeOperator::set_isdf_rank_factor(real_t c) {
   if (!(c > 0.0))
     throw Error("ExchangeOperator::set_isdf_rank_factor: factor must be "
@@ -675,128 +593,52 @@ void ExchangeOperator::apply_diag(const la::MatC& src,
   PTIM_CHECK(d.size() == src.cols());
   if (opt_.compression == ExchangeCompression::kIsdf) {
     // Low-rank route: fit + GEMM apply (ham/isdf), handling the precision
-    // edge itself. The realspace/ring primitives below stay dense — the
-    // distributed ISDF path replaces the circulation wholesale
-    // (dist/isdf_dist) instead of intercepting partial-source calls.
+    // edge itself. The distributed ISDF path replaces the circulation
+    // wholesale (dist/isdf_dist) instead of intercepting per-round applies.
     isdf::apply_diag(*this, src, d, tgt, out, accumulate);
     return;
   }
-  if (opt_.precision != Precision::kDouble) {
-    // Sources go straight to FP32 real space (down-convert at the edge).
-    la::MatCf src_real;
-    map_->to_real_batch(src, src_real);
-    pair_accumulate_f32(src_real.data(), src_real.cols(), d.data(), tgt, out,
-                        accumulate);
-    return;
-  }
-  la::MatC src_real;
-  map_->to_real_batch(src, src_real);
-  pair_accumulate(src_real.data(), src_real.cols(), d.data(), tgt, out,
-                  accumulate);
-}
-
-namespace {
-
-// Per-job progress of a packed application (CS = cplx or cplxf, matching
-// the operator's precision policy). Each cursor replays EXACTLY the loop
-// structure of pair_accumulate_blocks — column by column, block by block in
-// order — so sharing the FFT batch with other jobs cannot change its
-// arithmetic.
-template <typename CS>
-struct PackedCursor {
-  la::Matrix<CS> src_real;       // sources in real space (owned)
-  const real_t* d = nullptr;     // occupations, indexed by `active`
-  const la::MatC* tgt = nullptr;
-  la::MatC* out = nullptr;
-  std::vector<size_t> active;    // nonzero-occupation source list
-  std::vector<CS> tgt_real;
-  std::vector<cplx> acc, comp, gathered;
-  size_t j = 0;                  // current target column
-  size_t i0 = 0;                 // next source block start within `active`
-  bool col_open = false;
-  bool done = false;
-};
-
-// Round-robin block engine over a pack of cursors: one batch_size block per
-// unfinished job per round, one concatenated kernel_filter_block call, then
-// per-job accumulation. Uses only the public stage primitives, so each
-// job's per-block arithmetic is the fused engine's by construction.
-template <typename CS>
-void packed_blocks(const ExchangeOperator& x, std::vector<PackedCursor<CS>>& cur,
-                   bool compensated) {
-  const size_t ng = x.map().grid().size();
-  const size_t bs = std::max<size_t>(1, x.batch_size());
-  std::vector<CS> block(cur.size() * bs * ng);
-  struct Member {
-    PackedCursor<CS>* c;
-    size_t nb;
-    size_t off;  // element offset into the shared block buffer
-  };
-  std::vector<Member> members;
-  members.reserve(cur.size());
-  for (;;) {
-    members.clear();
-    size_t width = 0;
-    for (auto& c : cur) {
-      if (c.done) continue;
-      if (!c.col_open) {
-        x.map().to_real(c.tgt->col(c.j), c.tgt_real.data());
-        std::fill(c.acc.begin(), c.acc.end(), cplx(0.0));
-        std::fill(c.comp.begin(), c.comp.end(), cplx(0.0));
-        c.i0 = 0;
-        c.col_open = true;
-      }
-      const size_t nb = std::min(bs, c.active.size() - c.i0);
-      x.pair_form_block(c.src_real.data(), c.active.data() + c.i0, nb,
-                        c.tgt_real.data(), block.data() + width * ng, ng);
-      members.push_back({&c, nb, width});
-      width += nb;
-    }
-    if (members.empty()) break;
-    x.kernel_filter_block(block.data(), width);
-    for (const Member& m : members) {
-      PackedCursor<CS>& c = *m.c;
-      x.accumulate_block(c.src_real.data(), c.active.data() + c.i0, c.d, m.nb,
-                         block.data() + m.off * ng, c.acc.data(),
-                         compensated ? c.comp.data() : nullptr, ng);
-      c.i0 += m.nb;
-      if (c.i0 >= c.active.size()) {
-        x.gather_accumulate(c.acc.data(), c.gathered.data(),
-                            c.out->col(c.j));
-        ++c.j;
-        c.col_open = false;
-        if (c.j >= c.tgt->cols()) c.done = true;
-      }
-    }
-  }
+  if (!accumulate) out.fill(cplx(0.0));
+  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
+  const std::vector<DiagApplyJob> one{{&src, &d, &tgt, &out}};
+  if (opt_.precision != Precision::kDouble)
+    diag_pack<cplxf>(one);
+  else
+    diag_pack<cplx>(one);
 }
 
 template <typename CS>
-void run_packed(const ExchangeOperator& x,
-                const std::vector<ExchangeOperator::DiagApplyJob>& jobs,
-                bool compensated) {
-  const size_t ng = x.map().grid().size();
-  std::vector<PackedCursor<CS>> cur(jobs.size());
+void ExchangeOperator::diag_pack(const std::vector<DiagApplyJob>& jobs) const {
+  using RS = typename CS::value_type;
+  const FullGridSeam seam(*this);
+  // Sources and targets stay in real space for the whole pack (sources
+  // down-converted once at the edge under the FP32 policy).
+  std::vector<la::Matrix<CS>> src_r(jobs.size()), tgt_r(jobs.size());
+  std::vector<PairJob<CS>> pack;
   for (size_t k = 0; k < jobs.size(); ++k) {
-    const auto& job = jobs[k];
-    PackedCursor<CS>& c = cur[k];
-    x.map().to_real_batch(*job.src, c.src_real);
-    c.d = job.d->data();
-    c.tgt = job.tgt;
-    c.out = job.out;
-    c.active.reserve(job.d->size());
-    for (size_t i = 0; i < job.d->size(); ++i)
-      if ((*job.d)[i] != 0.0) c.active.push_back(i);
-    c.tgt_real.resize(ng);
-    c.acc.resize(ng);
-    if (compensated) c.comp.resize(ng);
-    c.gathered.resize(job.tgt->rows());
-    c.done = c.active.empty() || job.tgt->cols() == 0;
+    const DiagApplyJob& job = jobs[k];
+    const std::vector<real_t>& d = *job.d;
+    std::vector<size_t> active;
+    for (size_t i = 0; i < d.size(); ++i)
+      if (d[i] != 0.0) active.push_back(i);
+    if (active.empty() || job.tgt->cols() == 0) continue;
+    seam.sources(*job.src, src_r[k]);
+    if (opt_.gamma_real &&
+        try_gamma_real<RS, CS>(src_r[k].data(), d.size(), d.data(), active,
+                               *job.tgt, *job.out))
+      continue;
+    seam.targets(*job.tgt, tgt_r[k]);
+    PairJob<CS> pj;
+    pj.src = src_r[k].data();
+    pj.d = d.data();
+    pj.idx = std::move(active);
+    pj.tgt = tgt_r[k].data();
+    pj.ntgt = job.tgt->cols();
+    pj.out = job.out;
+    pack.push_back(std::move(pj));
   }
-  packed_blocks(x, cur, compensated);
+  run_pairs(seam, pack);
 }
-
-}  // namespace
 
 void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                                          bool accumulate) const {
@@ -818,12 +660,10 @@ void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                        /*accumulate=*/true);
     return;
   }
-  if (opt_.precision != Precision::kDouble) {
-    run_packed<cplxf>(*this, jobs,
-                      opt_.precision == Precision::kSingleCompensated);
-  } else {
-    run_packed<cplx>(*this, jobs, false);
-  }
+  if (opt_.precision != Precision::kDouble)
+    diag_pack<cplxf>(jobs);
+  else
+    diag_pack<cplx>(jobs);
 }
 
 void ExchangeOperator::apply_mixed_naive(const la::MatC& src,
@@ -902,6 +742,10 @@ template void ExchangeOperator::accumulate_weighted_block(
 template void ExchangeOperator::accumulate_weighted_block(
     const cplxf*, const size_t*, size_t, const cplxf*, cplx*, cplx*,
     size_t) const;
+template void ExchangeOperator::run_pairs(
+    const PairSeam&, const std::vector<PairJob<cplx>>&) const;
+template void ExchangeOperator::run_pairs(
+    const PairSeam&, const std::vector<PairJob<cplxf>>&) const;
 template void ExchangeOperator::pair_pack_block_real(const real_t*,
                                                      const size_t*, size_t,
                                                      const real_t*, cplx*,

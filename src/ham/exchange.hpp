@@ -16,6 +16,14 @@
 //                        phi' = Phi Q, then apply_diag (Sec. IV-A1).
 // All produce identical results (tests enforce agreement to 1e-12).
 //
+// Every dense complex apply apart from Alg. 2's baseline runs ONE block
+// engine, run_pairs: serial apply_diag is a one-job pack, apply_diag_packed
+// an N-job pack, and each round of the band-parallel exchange (1-D and 2-D,
+// occupation- and theta-weighted; dist/exchange_dist) a one-job pack over
+// the origin rank's slab. Where the fields live sits behind PairSeam: the
+// whole wavefunction grid (FullGridSeam) or one rank's z slab
+// (dist::GridContext). The Γ-point real-pair engine keeps its own loop.
+//
 // Precision policy (ExchangeOptions::precision): with Precision::kSingle*
 // the pair densities, their FFTs and the kernel multiply run in FP32 —
 // sources and targets are down-converted once at the real-space edge — while
@@ -46,6 +54,7 @@ namespace ptim::ham {
 enum class ExchangeCompression { kDense, kIsdf };
 
 class ExchangeOperator;
+class PairSeam;
 
 // Scope of an ISDF point set held on an exchange operator
 // (ExchangeOperator::hold_isdf_points): the set is released when the scope
@@ -81,8 +90,9 @@ struct ExchangeOptions {
   bool screened = true;
   // Source orbitals per batched-FFT block. Pair densities are formed,
   // transformed and accumulated in blocks of this size through
-  // Fft3::forward_batch/inverse_batch; 1 selects the original per-pair
-  // path (one FFT at a time), kept as the ablation baseline.
+  // Fft3::forward_batch/inverse_batch; 1 runs width-1 blocks (one pair FFT
+  // at a time), the ablation baseline. Results are bitwise equal at every
+  // width.
   size_t batch_size = 8;
   // Scalar type of the pair-FFT hot path and ring payloads (see above).
   Precision precision = Precision::kDouble;
@@ -176,15 +186,17 @@ class ExchangeOperator {
   };
 
   // Apply several independent diag-exchange problems through SHARED batched
-  // pair FFTs: each round takes one batch_size block from every unfinished
-  // job, concatenates them into a single forward/inverse batch, then
-  // accumulates each slice back into its own job. The ensemble driver packs
-  // one job per in-flight trajectory this way. Per job the result is
-  // BITWISE identical to a standalone apply_diag call: every job keeps its
-  // own column order, block partitioning and FP64 accumulation order, and
-  // each lane of the batched FFT transforms independently of its neighbors
-  // (see fft/fft.hpp). Under kIsdf there is no shared batch: every job is
-  // a standalone apply on THIS operator, fitted on its held point set.
+  // pair FFTs: the N-job pack of run_pairs. Each round takes one batch_size
+  // block from every unfinished job, concatenates them into a single
+  // forward/inverse batch, then accumulates each slice back into its own
+  // job. The ensemble driver packs one job per in-flight trajectory this
+  // way. Per job the result and the pair-FFT count are BITWISE identical to
+  // a standalone apply_diag call: every job keeps its own column order,
+  // block partitioning and FP64 accumulation order, and each lane of the
+  // batched FFT transforms independently of its neighbors (see fft/fft.hpp).
+  // A job whose fields pass the Γ-point gate (gamma_real) runs the real
+  // engine standalone, and under kIsdf every job is a standalone apply on
+  // THIS operator, fitted on its held point set.
   void apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                          bool accumulate = false) const;
 
@@ -198,41 +210,41 @@ class ExchangeOperator {
                         const la::MatC& tgt, la::MatC& out,
                         bool accumulate = false) const;
 
-  // Partial application with sources already in real space: the primitive
-  // used by the distributed Bcast/Ring/Async patterns (src/dist), where the
-  // circulating blocks are real-space orbital slabs. out (+)= contribution
-  // of these sources only.
-  void apply_diag_realspace(const la::MatC& src_real,
-                            const std::vector<real_t>& d, const la::MatC& tgt,
-                            la::MatC& out, bool accumulate) const {
-    PTIM_CHECK(d.size() == src_real.cols());
-    PTIM_CHECK(src_real.rows() == map_->grid().size());
-    pair_accumulate(src_real.data(), src_real.cols(), d.data(), tgt, out,
-                    accumulate);
-  }
-
-  // Raw-pointer variant for circulating ring buffers (dist layer): nsrc
-  // real-space orbitals stored contiguously, nsrc occupation weights.
-  void apply_diag_realspace(const cplx* src_real, size_t nsrc,
-                            const real_t* d, const la::MatC& tgt,
-                            la::MatC& out, bool accumulate) const {
-    pair_accumulate(src_real, nsrc, d, tgt, out, accumulate);
-  }
-  // FP32-slab variant: the sources arrive as single-precision real-space
-  // orbitals (the distributed ring's halved payload) and feed the FP32 pair
-  // kernel directly — no intermediate up-conversion.
-  void apply_diag_realspace(const cplxf* src_real, size_t nsrc,
-                            const real_t* d, const la::MatC& tgt,
-                            la::MatC& out, bool accumulate) const {
-    pair_accumulate_f32(src_real, nsrc, d, tgt, out, accumulate);
-  }
+  // --- the dense pair engine ---------------------------------------------
+  // One job of run_pairs (CS = cplx for the FP64 pipeline, cplxf for FP32).
+  // Fields are seam.nloc() points each; field s of the job starts at
+  // src + s * nloc. idx lists, in order, the fields that take part, each
+  // weighted either by its occupation d[s] (weight == nullptr; idx holds
+  // the nonzero ones) or by the real-space field weight + s * nloc (the
+  // sigma-contracted theta of the mixed-state path; d is unused). An
+  // interleaved [phi_b | theta_b] payload lists phi_b as field 2b with
+  // weight = src + nloc. For each of the ntgt target fields t_j,
+  //   out_j += -alpha * sphere( sum_s w_s(r) IFFT[K FFT[conj(f_s) t_j]](r) ).
+  template <typename CS>
+  struct PairJob {
+    const CS* src = nullptr;
+    const real_t* d = nullptr;
+    const CS* weight = nullptr;
+    std::vector<size_t> idx;
+    const CS* tgt = nullptr;  // ntgt fields, nloc points each
+    size_t ntgt = 0;
+    la::MatC* out = nullptr;  // npw x ntgt, accumulated into
+  };
+  // Run a pack of jobs: each round takes the next <= batch_size block of
+  // every unfinished job, forms the pairs into one shared buffer, filters
+  // it with one seam.filter call and accumulates each job's slice (FP64,
+  // Kahan-compensated under kSingleCompensated); finished target columns
+  // go through seam.gather. Defined for CS = cplx and cplxf.
+  template <typename CS>
+  void run_pairs(const PairSeam& seam,
+                 const std::vector<PairJob<CS>>& jobs) const;
 
   // Γ-point variants for REAL circulating slabs (dist layer, gamma_real
   // mode): nsrc purely real real-space orbitals stored contiguously. The
   // caller must have verified that the TARGETS are real too (the dist
   // layer agrees on this across ranks before switching to real payloads);
-  // their imaginary parts are dropped here. Ring bytes halve versus the
-  // complex slabs above (quarter, for the float variant versus cplx).
+  // their imaginary parts are dropped here. Ring bytes halve versus
+  // complex slabs (quarter, for the float variant versus cplx).
   void apply_diag_realspace_real(const real_t* src_real, size_t nsrc,
                                  const real_t* d, const la::MatC& tgt,
                                  la::MatC& out, bool accumulate) const;
@@ -240,28 +252,12 @@ class ExchangeOperator {
                                  const real_t* d, const la::MatC& tgt,
                                  la::MatC& out, bool accumulate) const;
 
-  // Generalized pair accumulation for the distributed mixed-state (full
-  // sigma) path: the scalar occupation d_k is replaced by a real-space
-  // weight field w_k = Theta_k = sum_i sigma_ik phi_i, so
-  //   out_j (+)= -alpha sum_k w_k(r) IFFT[K FFT[conj(src_k) psi_j]](r).
-  // With w_k = d_k src_k this reduces to apply_diag_realspace; with
-  // Theta = Phi*sigma it equals apply_mixed_naive without requiring every
-  // rank to hold the full source block.
-  void apply_weighted_realspace(const cplx* src_real, const cplx* weight_real,
-                                size_t nsrc, const la::MatC& tgt, la::MatC& out,
-                                bool accumulate) const;
-  // FP32-slab variant (distributed ring payloads in single precision).
-  void apply_weighted_realspace(const cplxf* src_real,
-                                const cplxf* weight_real, size_t nsrc,
-                                const la::MatC& tgt, la::MatC& out,
-                                bool accumulate) const;
-
   // --- stage primitives --------------------------------------------------
-  // The hot-path stages of the batched diag/weighted pipelines. The batched
-  // apply paths below are built from exactly these calls, so a
-  // stage-by-stage composition is bit-identical to the fused apply. idx
-  // selects source columns: source i of the block is column idx[i] of
-  // src_real (the compressed active-occupation list).
+  // The hot-path stages of the pair engines. run_pairs and the Γ-point
+  // engine are built from exactly these calls, so a stage-by-stage
+  // composition is bit-identical to the fused apply. idx selects source
+  // columns: source i of the block is column idx[i] of src_real (the
+  // compressed active-occupation list).
   //
   // The pointwise stages are member templates over the slab scalar (CS =
   // cplx for the FP64 pipeline, cplxf for FP32; RS = real_t / realf_t the
@@ -293,7 +289,7 @@ class ExchangeOperator {
                         size_t nloc = kFullGrid) const;
   // Weighted variant (mixed-state path): the scalar occupation is replaced
   // by the real-space weight field w, acc[r] += sum_i Ng * w[idx[i]](r) *
-  // block[i](r).
+  // block[i](r). Records the same xchg.accumulate span.
   template <typename CS>
   void accumulate_weighted_block(const CS* weight_real, const size_t* idx,
                                  size_t nb, const CS* block, cplx* acc,
@@ -346,33 +342,11 @@ class ExchangeOperator {
   mutable std::atomic<long> fft_count{0};
 
  private:
-  void pair_accumulate(const cplx* src_real, size_t nsrc, const real_t* d,
-                       const la::MatC& tgt, la::MatC& out,
-                       bool accumulate) const;
-  // Per-pair baseline (batch_size == 1): one FFT at a time, per-loop
-  // OpenMP regions — the ablation reference.
-  void pair_accumulate_single(const cplx* src_real, const real_t* d,
-                              const std::vector<size_t>& active,
-                              const la::MatC& tgt, la::MatC& out) const;
-  // Batched hot path: blocks of batch_size pair densities through the
-  // batched FFT with fused elementwise passes.
-  void pair_accumulate_batched(const cplx* src_real, const real_t* d,
-                               const std::vector<size_t>& active,
-                               const la::MatC& tgt, la::MatC& out) const;
-  // FP32 pipeline: float sources, float pair FFTs, FP64 (optionally
-  // Kahan-compensated) accumulation. batch_size == 1 runs width-1 blocks so
-  // the transform count matches the per-pair baseline exactly.
-  void pair_accumulate_f32(const cplxf* src_real, size_t nsrc,
-                           const real_t* d, const la::MatC& tgt, la::MatC& out,
-                           bool accumulate) const;
-  // One block engine per apply shape, templated over the slab scalar
-  // (CS = cplx for the FP64 pipeline, cplxf for FP32): pair forming, the
-  // kernel filter and the FP64 accumulation share a single body so the
-  // precision modes cannot drift apart. Defined in exchange.cpp only.
+  // The dense diag applies (apply_diag, apply_diag_packed) after their
+  // checks: sources to real space, the Γ-point gate per job, then one
+  // run_pairs pack on the full grid over the jobs that stay complex.
   template <typename CS>
-  void pair_accumulate_blocks(const CS* src_real, const real_t* d,
-                              const std::vector<size_t>& active,
-                              const la::MatC& tgt, la::MatC& out) const;
+  void diag_pack(const std::vector<DiagApplyJob>& jobs) const;
   // Γ-point real engine (RS = real_t/realf_t with CS = cplx/cplxf the
   // matching packed-lane scalar): blocks of 2*batch_size REAL pair
   // densities ride batch_size complex FFT lanes. Block boundaries sit at
@@ -386,18 +360,14 @@ class ExchangeOperator {
                                    const std::vector<size_t>& active,
                                    const RS* tgt_real, size_t ntgt,
                                    la::MatC& out) const;
-  // Realness gate shared by pair_accumulate / pair_accumulate_f32: if
-  // every active source and every target is real in real space, runs the
-  // real engine and returns true; otherwise returns false and the caller
-  // falls through to the complex pipeline (bitwise-identical to
-  // gamma_real == false).
+  // Realness gate of diag_pack: if every active source and every target
+  // is real in real space, runs the real engine and returns true;
+  // otherwise returns false and the job stays in the complex pack
+  // (bitwise-identical to gamma_real == false).
   template <typename RS, typename CS>
   bool try_gamma_real(const CS* src_real, size_t nsrc, const real_t* d,
                       const std::vector<size_t>& active, const la::MatC& tgt,
                       la::MatC& out) const;
-  template <typename CS>
-  void weighted_blocks(const CS* src_real, const CS* weight_real, size_t nsrc,
-                       const la::MatC& tgt, la::MatC& out) const;
   template <typename CS>
   void mixed_naive_blocks(const la::Matrix<CS>& src_real,
                           const la::MatC& sigma, const la::MatC& tgt,
@@ -410,6 +380,62 @@ class ExchangeOperator {
   std::vector<size_t> isdf_points_;  // held ISDF points (empty: none)
 
   friend class IsdfPointHold;
+};
+
+// Where the fields of a run_pairs apply live. The engine only sees nloc
+// points per field and runs the pointwise stages itself; the seam places
+// the fields in real space and runs the two stages that are not pointwise,
+// the K(G) filter and the sphere gather. Two implementations: FullGridSeam
+// (the whole wavefunction grid: serial applies and the 1-D band ring) and
+// the z-slab seam of the 2-D layout (dist/slab_exchange). Per grid point
+// both do the same arithmetic, so at pb = 1 a 2-D apply equals the serial
+// one bit for bit (pinned in test_grid2d).
+class PairSeam {
+ public:
+  PairSeam() = default;
+  PairSeam(const PairSeam&) = delete;
+  PairSeam& operator=(const PairSeam&) = delete;
+  virtual ~PairSeam() = default;
+  // Points per field.
+  virtual size_t nloc() const = 0;
+  // Sources to real space, nloc x m (to_real_batch: scale folded into the
+  // scatter).
+  virtual void sources(const la::MatC& coeffs, la::MatC& real) const = 0;
+  virtual void sources(const la::MatC& coeffs, la::MatCf& real) const = 0;
+  // Targets to real space, nloc x m, with the single-column to_real
+  // convention (FP64 scales after the FFT, FP32 folds the scale in).
+  virtual void targets(const la::MatC& coeffs, la::MatC& real) const = 0;
+  virtual void targets(const la::MatC& coeffs, la::MatCf& real) const = 0;
+  // K(G)/Ng filter of nb pair densities in place; fft_count += 2 nb.
+  virtual void filter(cplx* block, size_t nb) const = 0;
+  virtual void filter(cplxf* block, size_t nb) const = 0;
+  // Target columns one gather takes: 1 gathers each column as soon as its
+  // sources are done, ntgt a job's columns at once.
+  virtual size_t gather_width(size_t ntgt) const = 0;
+  // out column j0 + c += -alpha * sphere(acc column c), for c < ncol.
+  virtual void gather(const cplx* acc, size_t ncol, la::MatC& out,
+                      size_t j0) const = 0;
+};
+
+// The whole wavefunction grid: nloc = Ng, rank-local transforms, one Ng
+// accumulator per job gathered column by column. Never communicates.
+class FullGridSeam final : public PairSeam {
+ public:
+  explicit FullGridSeam(const ExchangeOperator& x);
+  size_t nloc() const override;
+  void sources(const la::MatC& coeffs, la::MatC& real) const override;
+  void sources(const la::MatC& coeffs, la::MatCf& real) const override;
+  void targets(const la::MatC& coeffs, la::MatC& real) const override;
+  void targets(const la::MatC& coeffs, la::MatCf& real) const override;
+  void filter(cplx* block, size_t nb) const override;
+  void filter(cplxf* block, size_t nb) const override;
+  size_t gather_width(size_t) const override { return 1; }
+  void gather(const cplx* acc, size_t ncol, la::MatC& out,
+              size_t j0) const override;
+
+ private:
+  const ExchangeOperator& x_;
+  mutable std::vector<cplx> scratch_;  // npw gather workspace
 };
 
 inline void IsdfPointHold::release() {

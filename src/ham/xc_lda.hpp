@@ -1,7 +1,7 @@
 #pragma once
 // LDA exchange-correlation, Perdew–Zunger 1981 parameterization of the
 // Ceperley–Alder electron gas (unpolarized). The paper's HSE06 uses PBE as
-// the semilocal part; we substitute LDA (documented in DESIGN.md) — the
+// the semilocal part; we substitute LDA (see the README, "Layout") — the
 // hybrid's cost driver, the screened Fock operator, is unchanged.
 
 #include <vector>

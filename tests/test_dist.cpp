@@ -399,6 +399,58 @@ TEST(ExchangeDist, GammaRealComplexOrbitalsFallBackBitwise) {
   }
 }
 
+TEST(ExchangeDist, GammaRealVoteFailureFallsBackOnEveryRank) {
+  // Real sources everywhere but complex targets on the last rank only: the
+  // vote fails, and every rank — including those whose own fields are real
+  // — must run the complex circulation bit for bit as with gamma_real off,
+  // spending the same pair FFTs. No per-round realness gate may pick the
+  // real engine on the ranks whose slab and targets happen to be real.
+  XEnv e;
+  ham::ExchangeOptions opt;
+  opt.gamma_real = true;
+  ham::ExchangeOperator xg{e.map, opt};
+  const size_t npw = e.sys.sphere->npw();
+  const size_t nb = 5;
+  const la::MatC src = test::random_real_orbitals(e.map, nb, 436);
+  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.1};
+
+  const int p = 3;
+  const dist::BlockLayout sb(nb, p);
+  std::vector<la::MatC> tgts;
+  for (int r = 0; r < p; ++r)
+    tgts.push_back(r == p - 1
+                       ? test::random_orbitals(npw, 2, 437)
+                       : test::random_real_orbitals(e.map, 2, 438 + r));
+
+  auto run = [&](const ham::ExchangeOperator& x, dist::ExchangePattern pat) {
+    std::vector<la::MatC> out(static_cast<size_t>(p));
+    x.fft_count = 0;
+    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+      const int me = c.rank();
+      const std::vector<real_t> d_local(
+          d.begin() + static_cast<long>(sb.offset(me)),
+          d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
+      out[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
+          c, x, dist::scatter_bands(src, sb, me), d_local,
+          tgts[static_cast<size_t>(me)], sb, pat);
+    });
+    return out;
+  };
+  for (const auto pat :
+       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+        dist::ExchangePattern::kAsyncRing}) {
+    const auto off = run(e.xop, pat);
+    const auto on = run(xg, pat);
+    EXPECT_EQ(xg.fft_count.load(), e.xop.fft_count.load())
+        << dist::pattern_name(pat);
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(la::frob_diff(off[static_cast<size_t>(r)],
+                              on[static_cast<size_t>(r)]),
+                0.0)
+          << dist::pattern_name(pat) << " rank " << r;
+  }
+}
+
 // ------------------------------------------------------------- rotation ---
 
 class RotateParam : public ::testing::TestWithParam<int> {};

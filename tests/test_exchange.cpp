@@ -177,8 +177,9 @@ TEST(Exchange, ZeroOccupationsShortCircuit) {
 // ----------------------------------------------------- batched exchange ---
 
 TEST(ExchangeBatch, BatchedDiagMatchesPerPair) {
-  // The acceptance bar for the batched engine: blocks of >= 8 sources
-  // through the batched FFT agree with the per-pair path to 1e-10.
+  // Blocks of >= 8 sources through the batched FFT reproduce width-1
+  // blocks (one pair FFT at a time) bit for bit: batching regroups the
+  // same per-lane transforms and the same in-order FP64 accumulation.
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
   ham::ExchangeOptions single_opt, batched_opt;
@@ -198,11 +199,7 @@ TEST(ExchangeBatch, BatchedDiagMatchesPerPair) {
   xop_single.apply_diag(phi, d, tgt, out_single);
   xop_batched.apply_diag(phi, d, tgt, out_batched);
 
-  real_t max_abs = 0.0;
-  for (size_t i = 0; i < out_single.size(); ++i)
-    max_abs = std::max(
-        max_abs, std::abs(out_single.data()[i] - out_batched.data()[i]));
-  EXPECT_LE(max_abs, 1e-10);
+  EXPECT_EQ(la::frob_diff(out_single, out_batched), 0.0);
   // Identical transform counts: batching changes grouping, not complexity.
   EXPECT_EQ(xop_single.fft_count, xop_batched.fft_count);
 }
@@ -226,16 +223,13 @@ TEST(ExchangeBatch, BatchedNaiveMatchesPerPair) {
   xop_single.apply_mixed_naive(phi, sigma, tgt, out_single);
   xop_batched.apply_mixed_naive(phi, sigma, tgt, out_batched);
 
-  real_t max_abs = 0.0;
-  for (size_t i = 0; i < out_single.size(); ++i)
-    max_abs = std::max(
-        max_abs, std::abs(out_single.data()[i] - out_batched.data()[i]));
-  EXPECT_LE(max_abs, 1e-10);
+  EXPECT_EQ(la::frob_diff(out_single, out_batched), 0.0);
   EXPECT_EQ(xop_single.fft_count, xop_batched.fft_count);
 }
 
 TEST(ExchangeBatch, OddBatchSizesAgree) {
-  // Partial trailing blocks for every block width.
+  // Partial trailing blocks for every block width, in every precision
+  // mode: bitwise equal to width 1 with the same transform count.
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
   const size_t npw = sys.sphere->npw();
@@ -245,24 +239,102 @@ TEST(ExchangeBatch, OddBatchSizesAgree) {
   d[2] = 0.0;  // exercise occupation compression inside a block
   const la::MatC tgt = test::random_orbitals(npw, 2, 632);
 
-  ham::ExchangeOptions ref_opt;
-  ref_opt.batch_size = 1;
-  ham::ExchangeOperator ref_op(map, ref_opt);
-  la::MatC ref(npw, 2);
-  ref_op.apply_diag(phi, d, tgt, ref);
+  for (const Precision prec :
+       {Precision::kDouble, Precision::kSingle,
+        Precision::kSingleCompensated}) {
+    ham::ExchangeOptions ref_opt;
+    ref_opt.batch_size = 1;
+    ref_opt.precision = prec;
+    ham::ExchangeOperator ref_op(map, ref_opt);
+    la::MatC ref(npw, 2);
+    ref_op.apply_diag(phi, d, tgt, ref);
 
-  for (const size_t bs : {size_t(2), size_t(3), size_t(8), size_t(16)}) {
-    ham::ExchangeOptions opt;
-    opt.batch_size = bs;
-    ham::ExchangeOperator xop(map, opt);
-    la::MatC out(npw, 2);
-    xop.apply_diag(phi, d, tgt, out);
-    real_t max_abs = 0.0;
-    for (size_t i = 0; i < out.size(); ++i)
-      max_abs = std::max(max_abs, std::abs(out.data()[i] - ref.data()[i]));
-    EXPECT_LE(max_abs, 1e-10) << "batch_size=" << bs;
-    EXPECT_EQ(xop.fft_count, static_cast<long>(2 * (nb - 1) * 2))
-        << "batch_size=" << bs;
+    for (const size_t bs : {size_t(2), size_t(3), size_t(8), size_t(16)}) {
+      ham::ExchangeOptions opt = ref_opt;
+      opt.batch_size = bs;
+      ham::ExchangeOperator xop(map, opt);
+      la::MatC out(npw, 2);
+      xop.apply_diag(phi, d, tgt, out);
+      EXPECT_EQ(la::frob_diff(out, ref), 0.0)
+          << "batch_size=" << bs << " prec=" << precision_name(prec);
+      EXPECT_EQ(xop.fft_count, static_cast<long>(2 * (nb - 1) * 2))
+          << "batch_size=" << bs << " prec=" << precision_name(prec);
+    }
+  }
+}
+
+// ------------------------------------------------------ packed applies ---
+
+TEST(ExchangePacked, JobsMatchStandaloneBitwise) {
+  // apply_diag_packed shares one batched pair FFT per round across jobs;
+  // per job the result must equal a standalone apply_diag bit for bit and
+  // the pack must spend exactly the standalone transforms. The pack mixes
+  // source and target counts, an all-zero-occupation job and a job with no
+  // targets; under gamma_real a real-orbital job joins it and must take
+  // the real engine exactly as its standalone apply does.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
+  const size_t npw = sys.sphere->npw();
+
+  struct Problem {
+    size_t nsrc, ntgt;
+    std::vector<real_t> d;
+    la::MatC src, tgt;
+  };
+  // The fourth job has all-zero occupations, the fifth no targets.
+  std::vector<Problem> probs = {
+      {5, 3, {1.0, 0.8, 0.0, 0.4, 0.1}, {}, {}},
+      {11, 2, std::vector<real_t>(11, 0.3), {}, {}},
+      {2, 4, {0.9, 0.05}, {}, {}},
+      {3, 2, {0.0, 0.0, 0.0}, {}, {}},
+      {4, 0, {1.0, 0.7, 0.5, 0.2}, {}, {}},
+  };
+  unsigned seed = 651;
+  for (Problem& p : probs) {
+    p.src = test::random_orbitals(npw, p.nsrc, seed++);
+    p.tgt = test::random_orbitals(npw, p.ntgt, seed++);
+  }
+
+  for (const bool gamma : {false, true}) {
+    if (gamma) {
+      Problem p{5, 3, {1.0, 0.6, 0.3, 0.2, 0.1}, {}, {}};
+      p.src = test::random_real_orbitals(map, p.nsrc, 660);
+      p.tgt = test::random_real_orbitals(map, p.ntgt, 661);
+      probs.push_back(std::move(p));
+    }
+    for (const Precision prec :
+         {Precision::kDouble, Precision::kSingle,
+          Precision::kSingleCompensated}) {
+      ham::ExchangeOptions opt;
+      opt.precision = prec;
+      opt.batch_size = 3;
+      opt.gamma_real = gamma;
+      ham::ExchangeOperator xop(map, opt);
+
+      long standalone_ffts = 0;
+      std::vector<la::MatC> ref;
+      for (const Problem& p : probs) {
+        ref.emplace_back(npw, p.tgt.cols());
+        xop.fft_count = 0;
+        xop.apply_diag(p.src, p.d, p.tgt, ref.back());
+        standalone_ffts += xop.fft_count;
+      }
+
+      std::vector<la::MatC> out;
+      for (const Problem& p : probs) out.emplace_back(npw, p.tgt.cols());
+      std::vector<ham::ExchangeOperator::DiagApplyJob> jobs;
+      for (size_t k = 0; k < probs.size(); ++k)
+        jobs.push_back({&probs[k].src, &probs[k].d, &probs[k].tgt, &out[k]});
+      xop.fft_count = 0;
+      xop.apply_diag_packed(jobs);
+
+      EXPECT_EQ(xop.fft_count, standalone_ffts)
+          << "gamma=" << gamma << " prec=" << precision_name(prec);
+      for (size_t k = 0; k < probs.size(); ++k)
+        EXPECT_EQ(la::frob_diff(out[k], ref[k]), 0.0)
+            << "job " << k << " gamma=" << gamma
+            << " prec=" << precision_name(prec);
+    }
   }
 }
 

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,6 +23,7 @@
 #include "fft/dist_fft.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"
+#include "obs/obs.hpp"
 #include "ptmpi/comm.hpp"
 #include "test_helpers.hpp"
 
@@ -512,17 +515,14 @@ TEST(SlabExchange, MixedWeightedPathMatchesBandParallel) {
   la::gemm_nn(src, sigma, theta);
   const la::MatC tgt = test::random_orbitals(npw, 4, 532);
 
-  // Serial reference for the pb = 1 anchor.
+  // One-rank band circulation: the reference for the pb = 1 anchor.
   ham::ExchangeOperator serial_op(e.map, {});
-  la::MatC ref_serial(npw, tgt.cols());
-  {
-    la::MatC src_real;
-    e.map.to_real_batch(src, src_real);
-    la::MatC theta_real;
-    e.map.to_real_batch(theta, theta_real);
-    serial_op.apply_weighted_realspace(src_real.data(), theta_real.data(), nb,
-                                       tgt, ref_serial, /*accumulate=*/false);
-  }
+  la::MatC ref_serial;
+  ptmpi::run_ranks(1, 2, [&](ptmpi::Comm& c) {
+    ref_serial = dist::exchange_apply_distributed_mixed_local(
+        c, serial_op, src, theta, tgt, dist::BlockLayout(nb, 1),
+        dist::ExchangePattern::kRing);
+  });
   {
     const auto rows =
         run_slab_mixed(e, dist::ProcessGrid{1, 3}, Precision::kDouble,
@@ -591,6 +591,52 @@ TEST(SlabExchange, GridDimensionReducesRingBytes) {
     const long long bytes_2d = ring_bytes(0);
     EXPECT_LT(bytes_2d, bytes_1d) << dist::pattern_name(pat);
     EXPECT_GT(bytes_2d, 0) << dist::pattern_name(pat);
+  }
+}
+
+TEST(SlabExchange, RecordsExchangePhaseSpansOnEveryRank) {
+  // A traced 2x2 slab apply records the same exchange phases as a serial
+  // or 1-D apply — pair forming, kernel filter, accumulation and gather —
+  // on every rank, for the occupation- and the theta-weighted kinds.
+  XEnv e;
+  const size_t npw = e.sys.sphere->npw();
+  const size_t nb = 4;
+  const la::MatC src = test::random_orbitals(npw, nb, 550);
+  const la::MatC sigma = test::random_occupation_matrix(nb, 551);
+  la::MatC theta(npw, nb);
+  la::gemm_nn(src, sigma, theta);
+  const la::MatC tgt = test::random_orbitals(npw, nb, 552);
+  const std::vector<real_t> d{1.0, 0.7, 0.4, 0.2};
+  const dist::ProcessGrid pgrid{2, 2};
+
+  // Tracing window that cannot leak into later tests, even on failure.
+  struct TraceWindow {
+    TraceWindow() {
+      obs::clear();
+      obs::set_enabled(true);
+    }
+    ~TraceWindow() {
+      obs::set_enabled(false);
+      obs::clear();
+    }
+  };
+  for (const bool weighted : {false, true}) {
+    TraceWindow window;
+    if (weighted)
+      (void)run_slab_mixed(e, pgrid, Precision::kDouble,
+                           dist::ExchangePattern::kRing, src, theta, tgt);
+    else
+      (void)run_slab_diag(e, pgrid, Precision::kDouble,
+                          dist::ExchangePattern::kRing, src, d, tgt);
+    for (int r = 0; r < 4; ++r) {
+      std::set<std::string> names;
+      for (const obs::Span& sp : obs::snapshot(r))
+        names.insert(obs::name_of(sp.name_id));
+      for (const char* want : {"xchg.pair_form", "xchg.kernel_filter",
+                               "xchg.accumulate", "xchg.gather"})
+        EXPECT_EQ(names.count(want), 1u)
+            << want << " missing on rank " << r << " weighted=" << weighted;
+    }
   }
 }
 
