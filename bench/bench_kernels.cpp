@@ -5,8 +5,10 @@
 // (PTIM_HAVE_BENCHMARK; CI images lack the library): the plain-chrono
 // comparisons below always build — per-pair vs batched exchange, FP64 vs
 // FP32, dense vs ISDF, the per-SIMD-ISA c2c vs Γ-point r2c engine
-// head-to-head and the complex vs gamma_real exchange pipeline — and the
-// latter two record FFT-count-gated rows to BENCH_kernels.json.
+// head-to-head, the engine at the production grids (14^3, 7^3) with its
+// FP32 error, and the complex vs gamma_real exchange pipeline — and the
+// latter three record gated rows (FFT counts, the FP32 error) to
+// BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -489,6 +492,8 @@ struct KernelRow {
   size_t fields;
   double seconds;
   long ffts;
+  std::string box;  // grid of the production-grid rows; "" = none
+  double rel_rms;   // FP32-vs-FP64 error rows only; < 0 = none
 };
 std::vector<KernelRow> kernel_rows;
 
@@ -565,9 +570,76 @@ void fft_engine_comparison() {
                   fft::simd::isa_name(isa), v.name, nfields, best, v.ffts,
                   scalar_c2c / best);
       kernel_rows.push_back({"fft_engine", fft::simd::isa_name(isa), v.name,
-                             nfields, best, v.ffts});
+                             nfields, best, v.ffts, "", -1.0});
     }
     fft::simd::clear_forced_isa();
+  }
+}
+
+// The batched engine at the grids the code runs: the 14^3 density grid
+// (semilocal apply, density, Hartree) and the 7^3 exchange grid (pair and
+// ISDF filter transforms), FP64 c2c per SIMD ISA, plus each grid's FP32
+// transform error against FP64. The error row is bitwise the same on every
+// ISA, so it is gated (lower is better) alongside the FFT counts.
+void fft_production_grids() {
+  const size_t nfields = 20;
+  const int reps = 40;
+  std::printf("\nBatched 3-D FFT engine at the production grids: FP64 c2c, "
+              "%zu fields (forward + inverse, min of %d)\n",
+              nfields, reps);
+  std::printf("%8s %6s %12s %6s %10s\n", "isa", "box", "seconds", "FFTs",
+              "us/FFT");
+  using fft::simd::Isa;
+  for (const size_t n : {size_t{14}, size_t{7}}) {
+    const std::string box = std::to_string(n) + "^3";
+    fft::Fft3 f(n, n, n);
+    fft::Fft3f f32(n, n, n);
+    const size_t ng = f.size();
+    Rng rng(23);
+    std::vector<cplx> input(nfields * ng);
+    for (auto& v : input) v = cplx(rng.uniform() - 0.5, rng.uniform() - 0.5);
+    const long ffts = 2L * static_cast<long>(nfields);
+    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
+      if (!fft::simd::available(isa)) continue;
+      fft::simd::force_isa(isa);
+      std::vector<cplx> data = input;
+      f.forward_batch(data.data(), nfields);  // warm-up
+      f.inverse_batch(data.data(), nfields);
+      double best = 1e300;
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        f.forward_batch(data.data(), nfields);
+        f.inverse_batch(data.data(), nfields);
+        const auto t1 = std::chrono::steady_clock::now();
+        best =
+            std::min(best, std::chrono::duration<double>(t1 - t0).count());
+      }
+      std::printf("%8s %6s %12.6f %6ld %10.2f\n", fft::simd::isa_name(isa),
+                  box.c_str(), best, ffts,
+                  best / static_cast<double>(ffts) * 1e6);
+      kernel_rows.push_back({"fft_engine", fft::simd::isa_name(isa), "c2c",
+                             nfields, best, ffts, box, -1.0});
+      fft::simd::clear_forced_isa();
+    }
+    // FP32 forward transform vs the FP64 one of the same (rounded) input.
+    std::vector<cplx> ref = input;
+    std::vector<cplxf> got(input.size());
+    for (size_t i = 0; i < input.size(); ++i) {
+      got[i] = static_cast<cplxf>(input[i]);
+      ref[i] = static_cast<cplx>(got[i]);
+    }
+    f.forward_batch(ref.data(), nfields);
+    f32.forward_batch(got.data(), nfields);
+    double err2 = 0.0, ref2 = 0.0;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      err2 += std::norm(static_cast<cplx>(got[i]) - ref[i]);
+      ref2 += std::norm(ref[i]);
+    }
+    const double rel_rms = std::sqrt(err2 / ref2);
+    std::printf("%8s %6s FP32 forward vs FP64: relative rms error %.3e\n",
+                "-", box.c_str(), rel_rms);
+    kernel_rows.push_back({"fft_fp32_error", "-", "c2c", nfields, 0.0,
+                           static_cast<long>(nfields), box, rel_rms});
   }
 }
 
@@ -609,7 +681,8 @@ void exchange_gamma_comparison() {
     std::printf("%12s %12.5f %10ld %9.2fx\n",
                 gamma ? "gamma_real" : "complex", sec, ffts, base / sec);
     kernel_rows.push_back({"exchange_gamma", "-",
-                           gamma ? "gamma_real" : "complex", nb, sec, ffts});
+                           gamma ? "gamma_real" : "complex", nb, sec, ffts, "",
+                           -1.0});
   }
 }
 
@@ -621,11 +694,14 @@ void write_kernels_json() {
       const KernelRow& r = kernel_rows[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"isa\": \"%s\", \"variant\": "
-                   "\"%s\", \"fields\": %zu, \"seconds\": %.6e, "
-                   "\"ffts\": %ld}%s\n",
-                   r.name.c_str(), r.isa.c_str(), r.variant.c_str(),
-                   r.fields, r.seconds, r.ffts,
-                   i + 1 < kernel_rows.size() ? "," : "");
+                   "\"%s\", ",
+                   r.name.c_str(), r.isa.c_str(), r.variant.c_str());
+      if (!r.box.empty()) std::fprintf(f, "\"box\": \"%s\", ", r.box.c_str());
+      std::fprintf(f, "\"fields\": %zu, \"seconds\": %.6e, \"ffts\": %ld",
+                   r.fields, r.seconds, r.ffts);
+      if (r.rel_rms >= 0.0)
+        std::fprintf(f, ", \"rel_rms_error\": %.6e", r.rel_rms);
+      std::fprintf(f, "}%s\n", i + 1 < kernel_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -649,6 +725,7 @@ int main(int argc, char** argv) {
   exchange_precision_comparison();
   exchange_isdf_comparison();
   fft_engine_comparison();
+  fft_production_grids();
   exchange_gamma_comparison();
   write_kernels_json();
   return 0;

@@ -154,6 +154,7 @@ uint64_t EnsembleCampaign::job_hash(const io::JobSpec& spec) const {
 }
 
 int EnsembleCampaign::submit(const CampaignJob& job) {
+  check_laser_or_kick(job.name, job.laser.has_value(), job.kick);
   td::TdState s0 = job.initial ? *job.initial : sim_->initial_state();
   io::JobSpec spec;
   spec.name = job.name;

@@ -70,7 +70,8 @@ struct CampaignOptions {
 };
 
 // One ensemble trajectory job (mirrors EnsembleJob: per-job laser, delta
-// kick, optional replacement initial state).
+// kick, optional replacement initial state). As there, a laser and a
+// nonzero kick are exclusive: submit() throws on both.
 struct CampaignJob {
   std::string name;
   std::optional<td::LaserParams> laser;

@@ -15,7 +15,17 @@ EnsembleDriver::EnsembleDriver(Simulation& sim, RunConfig cfg)
   PTIM_CHECK_MSG(cfg_.steps >= 0, "EnsembleDriver: bad step count");
 }
 
+void check_laser_or_kick(const std::string& name, bool has_laser,
+                         const grid::Vec3& kick) {
+  const bool kicked = kick[0] != 0.0 || kick[1] != 0.0 || kick[2] != 0.0;
+  if (has_laser && kicked)
+    throw Error("job '" + name +
+                "' has both a laser and a delta kick: the laser's A(t) "
+                "would overwrite the kick; submit them as separate jobs");
+}
+
 void EnsembleDriver::submit(EnsembleJob job) {
+  check_laser_or_kick(job.name, job.laser.has_value(), job.kick);
   jobs_.push_back(std::move(job));
 }
 

@@ -38,7 +38,10 @@ struct EnsembleJob {
   // Per-job laser, envelope placed against the run's horizon (the lazy
   // placement RunConfig enables). Unset = no field.
   std::optional<td::LaserParams> laser;
-  // Delta-kick vector potential applied at t = 0 (absorption spectra).
+  // Delta-kick vector potential applied at t = 0 (absorption spectra). A
+  // job carries a laser OR a nonzero kick: the propagator sets A from the
+  // laser every step, which would silently drop the kick, so submit()
+  // throws on both.
   grid::Vec3 kick{0.0, 0.0, 0.0};
   // Optional replacement initial state; unset = the shared ground state.
   std::optional<td::TdState> initial;
@@ -50,6 +53,12 @@ struct EnsembleJobResult {
   MeasurementSet measurements;
   std::vector<td::PtImStepStats> steps;
 };
+
+// Throws ptim::Error naming the job when it carries both a laser and a
+// nonzero kick. EnsembleDriver::submit and EnsembleCampaign::submit call
+// it.
+void check_laser_or_kick(const std::string& name, bool has_laser,
+                         const grid::Vec3& kick);
 
 class EnsembleDriver {
  public:

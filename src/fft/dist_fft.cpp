@@ -153,27 +153,15 @@ void DistFft3T<R>::forward(const C* slab, C* pencil, size_t nbatch) const {
   // input is const: stage through the persistent scratch so callers can
   // keep their real-space payloads (the circulating ring slabs) intact.
   work_.assign(slab, slab + nbatch * nreal_1);
-  detail::axis_pass(
-      p0_, n0_, nbatch * n1_ * zloc, [&](size_t q) { return q * n0_; },
-      size_t{1}, work_.data(), true);
-  detail::axis_pass(
-      p1_, n1_, nbatch * zloc * n0_,
-      [&](size_t q) {
-        const size_t b = q / (zloc * n0_);
-        const size_t rem = q % (zloc * n0_);
-        const size_t z = rem / n0_;
-        const size_t i0 = rem % n0_;
-        return b * nreal_1 + z * n0_ * n1_ + i0;
-      },
-      n0_, work_.data(), true);
+  const detail::BoxAxes ax =
+      detail::box_axes(n0_, n1_, n2_, zloc, pplane, nbatch);
+  detail::axis_pass(p0_, ax.a0, work_.data(), true);
+  detail::axis_pass(p1_, ax.a1, work_.data(), true);
 
   slab_to_pencil(work_.data(), pencil, nbatch);
 
   // Axis 2 on the y pencil (z lines are complete locally).
-  detail::axis_pass(
-      p2_, n2_, nbatch * pplane,
-      [&](size_t q) { return (q / pplane) * (pplane * n2_) + (q % pplane); },
-      pplane, pencil, true);
+  detail::axis_pass(p2_, ax.a2, pencil, true);
   seconds_ += t.seconds();
 }
 
@@ -191,26 +179,14 @@ void DistFft3T<R>::inverse(const C* pencil, C* slab, size_t nbatch) const {
   // Mirror of forward: axis 2 on the pencil, transpose back, axes 1 and 0
   // on the slab, then the serial engine's single trailing 1/size() scale.
   work_.assign(pencil, pencil + nbatch * npencil_1);
-  detail::axis_pass(
-      p2_, n2_, nbatch * pplane,
-      [&](size_t q) { return (q / pplane) * (pplane * n2_) + (q % pplane); },
-      pplane, work_.data(), false);
+  const detail::BoxAxes ax =
+      detail::box_axes(n0_, n1_, n2_, zloc, pplane, nbatch);
+  detail::axis_pass(p2_, ax.a2, work_.data(), false);
 
   pencil_to_slab(work_.data(), slab, nbatch);
 
-  detail::axis_pass(
-      p1_, n1_, nbatch * zloc * n0_,
-      [&](size_t q) {
-        const size_t b = q / (zloc * n0_);
-        const size_t rem = q % (zloc * n0_);
-        const size_t z = rem / n0_;
-        const size_t i0 = rem % n0_;
-        return b * nreal_1 + z * n0_ * n1_ + i0;
-      },
-      n0_, slab, false);
-  detail::axis_pass(
-      p0_, n0_, nbatch * n1_ * zloc, [&](size_t q) { return q * n0_; },
-      size_t{1}, slab, false);
+  detail::axis_pass(p1_, ax.a1, slab, false);
+  detail::axis_pass(p0_, ax.a0, slab, false);
 
   const R s = R(1) / static_cast<R>(size());
   const size_t total = nbatch * nreal_1;

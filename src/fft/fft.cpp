@@ -9,24 +9,12 @@
 
 namespace ptim::fft {
 
-// The dispatched kernels size their stack tiles off simd::kMaxTile.
-static_assert(simd::kMaxTile == Plan1DT<double>::kMaxTile,
-              "simd::kMaxTile must match Plan1DT::kMaxTile");
-
 namespace {
 
 bool factors_into_small_primes(size_t n) {
   for (size_t p : {size_t{2}, size_t{3}, size_t{5}, size_t{7}})
     while (n % p == 0) n /= p;
   return n == 1;
-}
-
-size_t smallest_prime_factor(size_t n) {
-  for (size_t p : {size_t{2}, size_t{3}, size_t{5}, size_t{7}})
-    if (n % p == 0) return p;
-  for (size_t p = 11; p * p <= n; p += 2)
-    if (n % p == 0) return p;
-  return n;
 }
 
 // Twiddle/chirp angles are evaluated in double regardless of the plan's
@@ -50,14 +38,27 @@ size_t next_fft_size(size_t n) {
 template <typename R>
 Plan1DT<R>::Plan1DT(size_t n) : n_(n) {
   PTIM_CHECK_MSG(n >= 1, "Plan1D: size must be positive");
-  tw_.resize(n);
-  const double dn = static_cast<double>(n);
-  for (size_t k = 0; k < n; ++k) {
-    const double ang = -kTwoPi * static_cast<double>(k) / dn;
-    tw_[k] = unit_root<R>(ang);
-  }
   use_bluestein_ = !factors_into_small_primes(n) && n > 1;
-  if (use_bluestein_) {
+  if (!use_bluestein_) {
+    size_t rest = n;
+    for (size_t r : {size_t{4}, size_t{2}, size_t{3}, size_t{5}, size_t{7}})
+      for (; rest % r == 0; rest /= r) radix_.push_back(r);
+    size_t len = n;
+    for (size_t s = 0; s + 1 < radix_.size(); ++s) {
+      const size_t r = radix_[s], m = len / r;
+      tw_off_.push_back(tw_re_.size());
+      for (size_t k2 = 0; k2 < m; ++k2)
+        for (size_t j = 1; j < r; ++j) {
+          const double ang = -kTwoPi * static_cast<double>((j * k2) % len) /
+                             static_cast<double>(len);
+          const C w = unit_root<R>(ang);
+          tw_re_.push_back(w.real());
+          tw_im_.push_back(w.imag());
+        }
+      len = m;
+    }
+  } else {
+    const double dn = static_cast<double>(n);
     m_ = 1;
     while (m_ < 2 * n - 1) m_ *= 2;
     conv_plan_ = std::make_unique<Plan1DT<R>>(m_);
@@ -97,74 +98,14 @@ void Plan1DT<R>::inverse(const C* in, C* out) const {
   for (size_t i = 0; i < n_; ++i) out[i] *= inv;
 }
 
+// A single line is a width-1 tile of the same engine.
 template <typename R>
 void Plan1DT<R>::transform(const C* in, C* out, bool fwd) const {
-  if (n_ == 1) {
-    out[0] = in[0];
-    return;
-  }
   if (in == out) {
-    std::vector<C> tmp(in, in + n_);
-    transform(tmp.data(), out, fwd);
-    return;
-  }
-  if (use_bluestein_)
-    bluestein(in, out, fwd);
-  else
-    recurse(n_, in, 1, out, 1, fwd);
-}
-
-// DFT_n of the input viewed with the given stride; tw_step maps local
-// twiddle index k to the top-level root table: w_n^k == tw_[k * tw_step]
-// (conjugated for the inverse transform).
-template <typename R>
-void Plan1DT<R>::recurse(size_t n, const C* in, size_t stride, C* out,
-                         size_t tw_step, bool fwd) const {
-  // Twiddles advance by a fixed stride per term: one modulo reduction per
-  // row, then an add-with-conditional-subtract walks the root table — no
-  // integer division in the inner loops (it used to dominate the FFT).
-  auto root_at = [&](size_t idx) -> C {
-    const C w = tw_[idx];
-    return fwd ? w : std::conj(w);
-  };
-
-  if (n <= 7 || smallest_prime_factor(n) == n) {
-    // Direct small DFT.
-    for (size_t k = 0; k < n; ++k) {
-      C acc = 0.0;
-      const size_t step = (k * tw_step) % n_;
-      size_t idx = 0;
-      for (size_t j = 0; j < n; ++j) {
-        acc += root_at(idx) * in[j * stride];
-        idx += step;
-        if (idx >= n_) idx -= n_;
-      }
-      out[k] = acc;
-    }
-    return;
-  }
-
-  const size_t r = smallest_prime_factor(n);
-  const size_t m = n / r;
-  // Sub-transforms of the r decimated sequences, each written contiguously.
-  for (size_t j = 0; j < r; ++j)
-    recurse(m, in + j * stride, stride * r, out + j * m, tw_step * r, fwd);
-
-  // Butterfly combine: X[q*m + k2] = sum_j w_n^{j(q*m+k2)} Y_j[k2].
-  C tmp[8];
-  for (size_t k2 = 0; k2 < m; ++k2) {
-    for (size_t q = 0; q < r; ++q) {
-      C acc = 0.0;
-      const size_t step = ((q * m + k2) * tw_step) % n_;
-      size_t idx = 0;
-      for (size_t j = 0; j < r; ++j) {
-        acc += root_at(idx) * out[j * m + k2];
-        idx += step;
-        if (idx >= n_) idx -= n_;
-      }
-      tmp[q] = acc;
-    }
-    for (size_t q = 0; q < r; ++q) out[q * m + k2] = tmp[q];
+    const std::vector<C> copy(in, in + n_);
+    transform_many(copy.data(), out, 1, fwd);
+  } else {
+    transform_many(in, out, 1, fwd);
   }
 }
 
@@ -186,8 +127,8 @@ void Plan1DT<R>::inverse_many(const C* in, C* out, size_t vlen) const {
 }
 
 // Interleaved-tile entry points: thin de/re-interleaving wrappers over the
-// split-plane engine (kept for callers that hold complex tiles; the 3-D
-// batch engine gathers into planes directly and skips this copy).
+// split-plane engine, for single lines and callers that hold complex tiles
+// (the 3-D batch engine gathers into planes directly and skips this copy).
 template <typename R>
 void Plan1DT<R>::transform_many(const C* in, C* out, size_t vlen,
                                 bool fwd) const {
@@ -261,41 +202,40 @@ void Plan1DT<R>::transform_many_split(const R* in_re, const R* in_im,
     }
     return;
   }
-  // Fetch the active ISA's kernel table once per transform; the recursion
-  // below touches data only through it.
+  // The inverse is the forward transform of the swapped planes: with
+  // swap(a + ib) = b + ia, swap(DFT(swap(x))) is the unscaled inverse DFT,
+  // so one set of forward codelets and twiddles serves both directions.
+  if (!fwd) {
+    std::swap(in_re, in_im);
+    std::swap(out_re, out_im);
+  }
+  // Fetch the active ISA's kernel table once per transform; the stages
+  // below touch data only through it.
   const simd::PassKernels<R>& ker = simd::pass_kernels<R>(simd::active_isa());
-  recurse_many_split(n_, in_re, in_im, 1, out_re, out_im, 1, fwd, vlen, ker);
+  run_stage(0, n_, in_re, in_im, 1, out_re, out_im, vlen, ker);
 }
 
-// Vector analogue of recurse() on split planes: identical index algebra,
-// but every twiddle is materialized once and swept across the `vlen`
-// contiguous line slots of both planes. The two inner passes — the direct
-// small-DFT leaf and the radix-r butterfly combine — live in the
-// dispatched SIMD kernels (fft/simd*.cpp): the scalar table holds the
-// verbatim pre-dispatch loops, the AVX2/AVX-512/NEON tables run the same
-// per-lane operation order with explicit (never fused) vector intrinsics,
-// so every ISA produces bitwise-identical planes. Twiddles advance by a
-// fixed stride with one modulo per row (the inner loops are
-// division-free).
+// Decimation in time: stage s reads r interleaved subsequences of its
+// input (every r-th line row), transforms each into a contiguous block of
+// m rows, and combines the blocks in place with the twiddled radix-r
+// codelet: X[q*m + k2] = sum_j w_r^{jq} (w_n^{j k2} Y_j[k2]).
 template <typename R>
-void Plan1DT<R>::recurse_many_split(size_t n, const R* in_re, const R* in_im,
-                                    size_t stride, R* out_re, R* out_im,
-                                    size_t tw_step, bool fwd, size_t vlen,
-                                    const simd::PassKernels<R>& ker) const {
-  if (n <= 7 || smallest_prime_factor(n) == n) {
-    ker.dft_rows(n, in_re, in_im, stride, out_re, out_im, tw_.data(), n_,
-                 tw_step, fwd, vlen);
+void Plan1DT<R>::run_stage(size_t s, size_t n, const R* in_re,
+                           const R* in_im, size_t stride, R* out_re,
+                           R* out_im, size_t vlen,
+                           const simd::PassKernels<R>& ker) const {
+  const size_t r = radix_[s];
+  if (s + 1 == radix_.size()) {
+    ker.leaf[r](in_re, in_im, stride, out_re, out_im, vlen);
     return;
   }
-
-  const size_t r = smallest_prime_factor(n);
   const size_t m = n / r;
   for (size_t j = 0; j < r; ++j)
-    recurse_many_split(m, in_re + j * stride * vlen, in_im + j * stride * vlen,
-                       stride * r, out_re + j * m * vlen,
-                       out_im + j * m * vlen, tw_step * r, fwd, vlen, ker);
-
-  ker.butterfly(r, m, out_re, out_im, tw_.data(), n_, tw_step, fwd, vlen);
+    run_stage(s + 1, m, in_re + j * stride * vlen, in_im + j * stride * vlen,
+              stride * r, out_re + j * m * vlen, out_im + j * m * vlen, vlen,
+              ker);
+  ker.stage[r](m, out_re, out_im, tw_re_.data() + tw_off_[s],
+               tw_im_.data() + tw_off_[s], vlen);
 }
 
 template <typename R>
@@ -385,8 +325,9 @@ void Fft3T<R>::inverse_batch(C* data, size_t nbatch) const {
 // tile, R-wide vectorization over the lanes), and scattered back.
 // Consecutive line indices are chosen so that tile gathers walk memory
 // contiguously on the strided axes. The distributed slab engine
-// (DistFft3T) calls the SAME axis_pass on its local line sets, which is
-// what makes it bit-identical to this engine by construction.
+// (DistFft3T) calls the SAME axis_pass on the same box_axes line sets over
+// its local extents, which is what makes it bit-identical to this engine
+// by construction.
 //
 // Axis order: forward sweeps 0 -> 1 -> 2, the inverse sweeps 2 -> 1 -> 0.
 // The reversed inverse is what makes a z-slab-distributed transform
@@ -395,45 +336,16 @@ void Fft3T<R>::inverse_batch(C* data, size_t nbatch) const {
 template <typename R>
 void Fft3T<R>::transform_batch(C* data, size_t nbatch, Dir dir) const {
   const bool fwd = dir == Dir::kForward;
-  const size_t ng = size();
-  const size_t plane = n0_ * n1_;
-
-  // Axis 0: contiguous lines, the whole batch is one flat line array.
-  auto axis0 = [&] {
-    detail::axis_pass(
-        p0_, n0_, nbatch * n1_ * n2_, [&](size_t q) { return q * n0_; },
-        size_t{1}, data, fwd);
-  };
-  // Axis 1: stride n0 within each (batch, i2) plane; consecutive q's are
-  // consecutive i0, so tile gathers read contiguous memory.
-  auto axis1 = [&] {
-    detail::axis_pass(
-        p1_, n1_, nbatch * n2_ * n0_,
-        [&](size_t q) {
-          const size_t b = q / (n2_ * n0_);
-          const size_t rem = q % (n2_ * n0_);
-          const size_t i2 = rem / n0_;
-          const size_t i0 = rem % n0_;
-          return b * ng + i2 * plane + i0;
-        },
-        n0_, data, fwd);
-  };
-  // Axis 2: stride n0*n1; consecutive q's walk the contiguous plane.
-  auto axis2 = [&] {
-    detail::axis_pass(
-        p2_, n2_, nbatch * plane,
-        [&](size_t q) { return (q / plane) * ng + (q % plane); }, plane, data,
-        fwd);
-  };
-
+  const detail::BoxAxes ax =
+      detail::box_axes(n0_, n1_, n2_, n2_, n0_ * n1_, nbatch);
   if (fwd) {
-    axis0();
-    axis1();
-    axis2();
+    detail::axis_pass(p0_, ax.a0, data, true);
+    detail::axis_pass(p1_, ax.a1, data, true);
+    detail::axis_pass(p2_, ax.a2, data, true);
   } else {
-    axis2();
-    axis1();
-    axis0();
+    detail::axis_pass(p2_, ax.a2, data, false);
+    detail::axis_pass(p1_, ax.a1, data, false);
+    detail::axis_pass(p0_, ax.a0, data, false);
   }
 }
 

@@ -1,12 +1,13 @@
 #pragma once
 // Complex FFTs written from scratch (no FFTW/cuFFT on this machine).
 //
-// Plan1DT<R>: recursive mixed-radix Cooley–Tukey for sizes whose prime
-// factors are in {2,3,5,7}, with a Bluestein chirp-z fallback for anything
-// else. Fft3T<R>: in-place 3-D transform over a column-major (i0 fastest)
-// box, parallelized over independent lines with OpenMP — the drop-in
-// stand-in for the batched cuFFT/FFTW calls in PWDFT's Fock-exchange inner
-// loop.
+// Plan1DT<R>: mixed-radix Cooley–Tukey for sizes whose prime factors are in
+// {2,3,5,7}, run as stages of constant-coefficient radix-2/3/4/5/7
+// codelets (fft/codelets.hpp) with per-stage twiddle tables, and a
+// Bluestein chirp-z fallback for anything else. Fft3T<R>: in-place 3-D
+// transform over a column-major (i0 fastest) box, parallelized over
+// independent lines with OpenMP — the drop-in stand-in for the batched
+// cuFFT/FFTW calls in PWDFT's Fock-exchange inner loop.
 //
 // Both engines are templated over the scalar type R and instantiated for
 // float and double: the FP32 instantiation carries the exact-exchange hot
@@ -14,7 +15,7 @@
 // trajectory stays in FP64. Twiddle/chirp tables are always computed in
 // double and rounded once, so the float transforms lose no accuracy to
 // table generation. This is also the seam a GPU/SVE backend would plug
-// into — the kernels are already scalar-generic.
+// into — the codelets are already scalar-generic.
 //
 // Conventions: forward = sum_j x_j e^{-2 pi i jk/n} (no scaling);
 //              inverse = sum_j x_j e^{+2 pi i jk/n} scaled by 1/n,
@@ -22,10 +23,11 @@
 //
 // Batched path: Plan1DT::*_many transform a tile of independent lines stored
 // element-major (element k of line l at in[k*vlen + l]), so every twiddle
-// factor is fetched once per butterfly and applied across the whole tile in
-// a contiguous, vectorizable inner loop. Fft3T::forward_batch/inverse_batch
-// run a contiguous batch of 3-D arrays through that machinery with one
-// OpenMP region and per-thread tile scratch — the stand-in for the batched
+// factor is fetched once per codelet and applied across the whole tile in
+// a contiguous, vectorizable inner loop. The single-line transforms are
+// width-1 tiles of the same engine. Fft3T::forward_batch/inverse_batch run
+// a contiguous batch of 3-D arrays through that machinery with one OpenMP
+// region and per-thread tile scratch — the stand-in for the batched
 // cuFFT/rocFFT calls that dominate the paper's exact-exchange apply.
 
 #include <array>
@@ -87,23 +89,29 @@ class Plan1DT {
 
  private:
   void transform(const C* in, C* out, bool fwd) const;
-  void recurse(size_t n, const C* in, size_t stride, C* out, size_t tw_step,
-               bool fwd) const;
   void bluestein(const C* in, C* out, bool fwd) const;
   void transform_many(const C* in, C* out, size_t vlen, bool fwd) const;
   void transform_many_split(const R* in_re, const R* in_im, R* out_re,
                             R* out_im, size_t vlen, bool fwd) const;
-  // The two inner-pass loops run through the SIMD kernel table `ker`,
-  // selected ONCE per transform_many_split call (fft/simd.hpp) — the
-  // runtime-dispatch seam shared by the serial and distributed engines.
-  void recurse_many_split(size_t n, const R* in_re, const R* in_im,
-                          size_t stride, R* out_re, R* out_im, size_t tw_step,
-                          bool fwd, size_t vlen,
-                          const simd::PassKernels<R>& ker) const;
+  // Forward transform of stage s (length n, input lines `stride` rows
+  // apart) into contiguous rows: radix_[s] sub-transforms, then the
+  // stage's twiddled codelet — or the leaf codelet at the last stage. The
+  // codelets run through the SIMD kernel table `ker`, selected ONCE per
+  // transform_many_split call (fft/simd.hpp) — the runtime-dispatch seam
+  // shared by the serial and distributed engines.
+  void run_stage(size_t s, size_t n, const R* in_re, const R* in_im,
+                 size_t stride, R* out_re, R* out_im, size_t vlen,
+                 const simd::PassKernels<R>& ker) const;
 
   size_t n_ = 0;
   bool use_bluestein_ = false;
-  std::vector<C> tw_;  // forward roots: exp(-2 pi i k/n), k < n
+  // Cooley–Tukey radices, outermost stage first, radix 4 before 2 before
+  // the odd primes (14 = 2*7, 28 = 4*7); the last one is the leaf. Stage s
+  // (length len, m = len / r) owns the twiddles w_len^{j*k2}, j = 1..r-1,
+  // k2 < m, at tw_re_/tw_im_[tw_off_[s] + k2*(r-1) + j-1].
+  std::vector<size_t> radix_;
+  std::vector<size_t> tw_off_;
+  std::vector<R> tw_re_, tw_im_;
 
   // Bluestein precomputation.
   size_t m_ = 0;                           // power-of-two convolution size

@@ -1,16 +1,17 @@
 #pragma once
 // Runtime-dispatched SIMD kernels for the split-plane tile FFT engine.
 //
-// The two hot loops of Plan1DT<R>::recurse_many_split — the direct
-// small-DFT leaf and the radix-r butterfly combine — are compiled once per
-// instruction set (scalar baseline, AVX2, AVX-512F, NEON) in dedicated
-// translation units that receive the matching -m<isa> flag, and selected
-// once per transform through the PassKernels function-pointer table below.
-// The scalar TU contains the verbatim pre-dispatch loops, and every vector
-// TU performs the same per-lane operation sequence with explicit
-// mul/add/sub intrinsics (never FMA; all kernel TUs are built with
-// -ffp-contract=off), so EVERY ISA is bitwise-identical to the scalar
-// path in both FP64 and FP32 — pinned by tests/test_fft_conformance.cpp.
+// Plan1DT<R> runs every transform as Cooley–Tukey stages of radix 2, 3, 4,
+// 5 or 7: a leaf codelet (strided input, no twiddles) at the bottom and a
+// twiddled stage codelet per combine above it. The codelets are written
+// once, as plain per-lane loops over the tile's lines, in
+// fft/codelets.hpp. Each ISA's translation unit (scalar baseline, AVX2,
+// AVX-512F, NEON) includes that one source, is compiled with its own
+// -m<isa> flag and -ffp-contract=off, and exports the resulting table
+// below. No lane's operation sequence depends on the vector width and
+// nothing is fused or reassociated, so EVERY ISA is bitwise-identical to
+// the scalar path in both FP64 and FP32 by construction — pinned by
+// tests/test_fft_conformance.cpp.
 //
 // Selection order: force_isa() (test hook) > the PTIM_SIMD environment
 // variable (scalar|avx2|avx512|neon|native) > best_available(). An
@@ -19,7 +20,6 @@
 // both the serial batched engine (Fft3T via fft/axis_pass.hpp) and the
 // distributed slab engine (DistFft3T) drive — one dispatch covers both.
 
-#include <complex>
 #include <cstddef>
 
 namespace ptim::fft::simd {
@@ -28,27 +28,24 @@ enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
 
 const char* isa_name(Isa isa);
 
-// Widest tile the kernels size their stack scratch for; must match
-// Plan1DT<R>::kMaxTile (static_assert'd in fft.cpp).
-inline constexpr size_t kMaxTile = 16;
-
-// The dispatched pass kernels of one (scalar type, ISA) pair. Both operate
-// on element-major split-plane tiles of `vlen` lanes (element k of lane l
-// at [k*vlen + l]) and walk the shared top-level root table `tw` (size
-// n_total, forward roots) by `tw_step`-scaled strides exactly like the
-// scalar recursion they replace.
+// The codelets of one (scalar type, ISA) pair, indexed by radix (null
+// outside {2, 3, 4, 5, 7}). Both operate on element-major split-plane
+// tiles of `vlen` lanes: element k of lane l at [k*vlen + l].
+inline constexpr size_t kRadixSlots = 8;
 template <typename R>
 struct PassKernels {
-  // Direct small-DFT leaf: out[k] = sum_j w^{k j} in[j] over n rows of
-  // vlen lanes, inputs strided by `stride` rows.
-  void (*dft_rows)(size_t n, const R* in_re, const R* in_im, size_t stride,
-                   R* out_re, R* out_im, const std::complex<R>* tw,
-                   size_t n_total, size_t tw_step, bool fwd, size_t vlen);
-  // Radix-r butterfly combine over the r contiguous m-row sub-transform
-  // outputs, in place: X[q*m + k2] = sum_j w^{j(q*m+k2)} Y_j[k2].
-  void (*butterfly)(size_t r, size_t m, R* out_re, R* out_im,
-                    const std::complex<R>* tw, size_t n_total, size_t tw_step,
-                    bool fwd, size_t vlen);
+  // Leaf: out row k = sum_j w_r^{jk} in row j, forward sign, for r input
+  // rows `in_rows` rows apart and r contiguous output rows.
+  using Leaf = void (*)(const R* in_re, const R* in_im, size_t in_rows,
+                        R* out_re, R* out_im, size_t vlen);
+  // Stage, in place over r contiguous blocks of m rows: for each column
+  // k2 < m, row j*m + k2 is multiplied by twiddle (tw_re, tw_im)[k2*(r-1)
+  // + j-1] (j >= 1; column 0 is untwiddled), then the r rows of the
+  // column are combined by the radix-r codelet.
+  using Stage = void (*)(size_t m, R* re, R* im, const R* tw_re,
+                         const R* tw_im, size_t vlen);
+  Leaf leaf[kRadixSlots];
+  Stage stage[kRadixSlots];
 };
 
 // --- variant queries ------------------------------------------------------

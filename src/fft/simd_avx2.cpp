@@ -1,51 +1,17 @@
-// AVX2 kernels of the dispatched FFT pass (fft/simd.hpp). Compiled with
-// -mavx2 (and -ffp-contract=off) when the compiler supports it; an empty
-// fallback TU otherwise. Explicit mul/add/sub intrinsics only — no FMA —
-// so the results are bitwise-identical to the scalar kernels.
+// AVX2 table of the dispatched FFT codelets (fft/simd.hpp): the one codelet
+// source (fft/codelets.hpp) compiled with -mavx2 and -ffp-contract=off when
+// the compiler supports the flag; an empty fallback TU otherwise. No FMA,
+// so the results are bitwise-identical to the scalar table.
 
 #include "fft/simd.hpp"
 
 #if defined(__AVX2__)
 
-#include <immintrin.h>
-
-#include "fft/simd_kernels_impl.hpp"
+#include "fft/codelets.hpp"
 
 namespace ptim::fft::simd::detail {
-namespace {
-
-struct VecAvx2d {
-  using T = __m256d;
-  static constexpr size_t width = 4;
-  static T load(const double* p) { return _mm256_loadu_pd(p); }
-  static void store(double* p, T v) { _mm256_storeu_pd(p, v); }
-  static T set1(double x) { return _mm256_set1_pd(x); }
-  static T add(T a, T b) { return _mm256_add_pd(a, b); }
-  static T sub(T a, T b) { return _mm256_sub_pd(a, b); }
-  static T mul(T a, T b) { return _mm256_mul_pd(a, b); }
-};
-
-struct VecAvx2f {
-  using T = __m256;
-  static constexpr size_t width = 8;
-  static T load(const float* p) { return _mm256_loadu_ps(p); }
-  static void store(float* p, T v) { _mm256_storeu_ps(p, v); }
-  static T set1(float x) { return _mm256_set1_ps(x); }
-  static T add(T a, T b) { return _mm256_add_ps(a, b); }
-  static T sub(T a, T b) { return _mm256_sub_ps(a, b); }
-  static T mul(T a, T b) { return _mm256_mul_ps(a, b); }
-};
-
-const PassKernels<double> kAvx2F64{&dft_rows_impl<double, VecAvx2d>,
-                                   &butterfly_impl<double, VecAvx2d>};
-const PassKernels<float> kAvx2F32{&dft_rows_impl<float, VecAvx2f>,
-                                  &butterfly_impl<float, VecAvx2f>};
-
-}  // namespace
-
-const PassKernels<double>* avx2_kernels_f64() { return &kAvx2F64; }
-const PassKernels<float>* avx2_kernels_f32() { return &kAvx2F32; }
-
+const PassKernels<double>* avx2_kernels_f64() { return &kKernelsF64; }
+const PassKernels<float>* avx2_kernels_f32() { return &kKernelsF32; }
 }  // namespace ptim::fft::simd::detail
 
 #else  // !defined(__AVX2__)

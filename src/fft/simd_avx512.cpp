@@ -1,52 +1,18 @@
-// AVX-512F kernels of the dispatched FFT pass (fft/simd.hpp). Compiled
-// with -mavx512f (and -ffp-contract=off) when the compiler supports it; an
-// empty fallback TU otherwise. Explicit mul/add/sub intrinsics only — no
-// FMA, even though AVX-512F carries fused instructions — so the results
-// are bitwise-identical to the scalar kernels.
+// AVX-512F table of the dispatched FFT codelets (fft/simd.hpp): the one
+// codelet source (fft/codelets.hpp) compiled with -mavx512f and
+// -ffp-contract=off when the compiler supports the flag; an empty fallback
+// TU otherwise. No FMA, even though AVX-512F carries fused instructions,
+// so the results are bitwise-identical to the scalar table.
 
 #include "fft/simd.hpp"
 
 #if defined(__AVX512F__)
 
-#include <immintrin.h>
-
-#include "fft/simd_kernels_impl.hpp"
+#include "fft/codelets.hpp"
 
 namespace ptim::fft::simd::detail {
-namespace {
-
-struct VecAvx512d {
-  using T = __m512d;
-  static constexpr size_t width = 8;
-  static T load(const double* p) { return _mm512_loadu_pd(p); }
-  static void store(double* p, T v) { _mm512_storeu_pd(p, v); }
-  static T set1(double x) { return _mm512_set1_pd(x); }
-  static T add(T a, T b) { return _mm512_add_pd(a, b); }
-  static T sub(T a, T b) { return _mm512_sub_pd(a, b); }
-  static T mul(T a, T b) { return _mm512_mul_pd(a, b); }
-};
-
-struct VecAvx512f {
-  using T = __m512;
-  static constexpr size_t width = 16;
-  static T load(const float* p) { return _mm512_loadu_ps(p); }
-  static void store(float* p, T v) { _mm512_storeu_ps(p, v); }
-  static T set1(float x) { return _mm512_set1_ps(x); }
-  static T add(T a, T b) { return _mm512_add_ps(a, b); }
-  static T sub(T a, T b) { return _mm512_sub_ps(a, b); }
-  static T mul(T a, T b) { return _mm512_mul_ps(a, b); }
-};
-
-const PassKernels<double> kAvx512F64{&dft_rows_impl<double, VecAvx512d>,
-                                     &butterfly_impl<double, VecAvx512d>};
-const PassKernels<float> kAvx512F32{&dft_rows_impl<float, VecAvx512f>,
-                                    &butterfly_impl<float, VecAvx512f>};
-
-}  // namespace
-
-const PassKernels<double>* avx512_kernels_f64() { return &kAvx512F64; }
-const PassKernels<float>* avx512_kernels_f32() { return &kAvx512F32; }
-
+const PassKernels<double>* avx512_kernels_f64() { return &kKernelsF64; }
+const PassKernels<float>* avx512_kernels_f32() { return &kKernelsF32; }
 }  // namespace ptim::fft::simd::detail
 
 #else  // !defined(__AVX512F__)

@@ -1,53 +1,19 @@
-// NEON (AArch64 Advanced SIMD) kernels of the dispatched FFT pass
+// NEON (AArch64 Advanced SIMD) table of the dispatched FFT codelets
 // (fft/simd.hpp) — the paper's A64FX/ARM target. NEON is baseline on
-// AArch64, so no extra compiler flag is needed; an empty fallback TU is
-// produced on other architectures. Explicit mul/add/sub intrinsics only —
-// no fused vmla/vfma — and the TU is compiled with -ffp-contract=off, so
-// the results are bitwise-identical to the scalar kernels.
+// AArch64, so the one codelet source (fft/codelets.hpp) needs no extra
+// compiler flag; an empty fallback TU is produced on other architectures.
+// The TU is compiled with -ffp-contract=off (no fused vmla/vfma), so the
+// results are bitwise-identical to the scalar table.
 
 #include "fft/simd.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
 
-#include <arm_neon.h>
-
-#include "fft/simd_kernels_impl.hpp"
+#include "fft/codelets.hpp"
 
 namespace ptim::fft::simd::detail {
-namespace {
-
-struct VecNeonD {
-  using T = float64x2_t;
-  static constexpr size_t width = 2;
-  static T load(const double* p) { return vld1q_f64(p); }
-  static void store(double* p, T v) { vst1q_f64(p, v); }
-  static T set1(double x) { return vdupq_n_f64(x); }
-  static T add(T a, T b) { return vaddq_f64(a, b); }
-  static T sub(T a, T b) { return vsubq_f64(a, b); }
-  static T mul(T a, T b) { return vmulq_f64(a, b); }
-};
-
-struct VecNeonF {
-  using T = float32x4_t;
-  static constexpr size_t width = 4;
-  static T load(const float* p) { return vld1q_f32(p); }
-  static void store(float* p, T v) { vst1q_f32(p, v); }
-  static T set1(float x) { return vdupq_n_f32(x); }
-  static T add(T a, T b) { return vaddq_f32(a, b); }
-  static T sub(T a, T b) { return vsubq_f32(a, b); }
-  static T mul(T a, T b) { return vmulq_f32(a, b); }
-};
-
-const PassKernels<double> kNeonF64{&dft_rows_impl<double, VecNeonD>,
-                                   &butterfly_impl<double, VecNeonD>};
-const PassKernels<float> kNeonF32{&dft_rows_impl<float, VecNeonF>,
-                                  &butterfly_impl<float, VecNeonF>};
-
-}  // namespace
-
-const PassKernels<double>* neon_kernels_f64() { return &kNeonF64; }
-const PassKernels<float>* neon_kernels_f32() { return &kNeonF32; }
-
+const PassKernels<double>* neon_kernels_f64() { return &kKernelsF64; }
+const PassKernels<float>* neon_kernels_f32() { return &kKernelsF32; }
 }  // namespace ptim::fft::simd::detail
 
 #else  // not AArch64 NEON

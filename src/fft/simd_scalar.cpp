@@ -1,89 +1,13 @@
-// Scalar reference kernels of the dispatched FFT pass (fft/simd.hpp).
-//
-// These are the VERBATIM pre-dispatch inner loops of
-// Plan1DT<R>::recurse_many_split — moved here unchanged so the scalar path
-// stays bitwise-identical to the engine's pre-SIMD results (the compiler
-// sees the same statements under the same flags; -ffp-contract=off pins
-// the no-FMA contract on FMA-capable baselines such as AArch64). Every
-// vector ISA is in turn pinned bitwise-identical to THESE kernels by
-// tests/test_fft_conformance.cpp.
+// Scalar-baseline table of the dispatched FFT codelets (fft/simd.hpp): the
+// one codelet source (fft/codelets.hpp) compiled at the build's baseline
+// ISA with -ffp-contract=off. The reference every vector ISA is pinned
+// bitwise-identical to by tests/test_fft_conformance.cpp.
 
-#include <algorithm>
-
-#include "fft/simd.hpp"
+#include "fft/codelets.hpp"
 
 namespace ptim::fft::simd::detail {
-namespace {
 
-template <typename R>
-void dft_rows_scalar(size_t n, const R* in_re, const R* in_im, size_t stride,
-                     R* out_re, R* out_im, const std::complex<R>* tw,
-                     size_t n_total, size_t tw_step, bool fwd, size_t vlen) {
-  for (size_t k = 0; k < n; ++k) {
-    R* okr = out_re + k * vlen;
-    R* oki = out_im + k * vlen;
-    std::fill(okr, okr + vlen, R(0));
-    std::fill(oki, oki + vlen, R(0));
-    const size_t step = (k * tw_step) % n_total;
-    size_t idx = 0;
-    for (size_t j = 0; j < n; ++j) {
-      const R wr = tw[idx].real();
-      const R wi = fwd ? tw[idx].imag() : -tw[idx].imag();
-      idx += step;
-      if (idx >= n_total) idx -= n_total;
-      const R* ijr = in_re + j * stride * vlen;
-      const R* iji = in_im + j * stride * vlen;
-      for (size_t l = 0; l < vlen; ++l) {
-        okr[l] += wr * ijr[l] - wi * iji[l];
-        oki[l] += wr * iji[l] + wi * ijr[l];
-      }
-    }
-  }
-}
-
-template <typename R>
-void butterfly_scalar(size_t r, size_t m, R* out_re, R* out_im,
-                      const std::complex<R>* tw, size_t n_total,
-                      size_t tw_step, bool fwd, size_t vlen) {
-  R tmp_re[8 * kMaxTile], tmp_im[8 * kMaxTile];
-  for (size_t k2 = 0; k2 < m; ++k2) {
-    for (size_t q = 0; q < r; ++q) {
-      R* tqr = tmp_re + q * vlen;
-      R* tqi = tmp_im + q * vlen;
-      std::fill(tqr, tqr + vlen, R(0));
-      std::fill(tqi, tqi + vlen, R(0));
-      const size_t step = ((q * m + k2) * tw_step) % n_total;
-      size_t idx = 0;
-      for (size_t j = 0; j < r; ++j) {
-        const R wr = tw[idx].real();
-        const R wi = fwd ? tw[idx].imag() : -tw[idx].imag();
-        idx += step;
-        if (idx >= n_total) idx -= n_total;
-        const R* yjr = out_re + (j * m + k2) * vlen;
-        const R* yji = out_im + (j * m + k2) * vlen;
-        for (size_t l = 0; l < vlen; ++l) {
-          tqr[l] += wr * yjr[l] - wi * yji[l];
-          tqi[l] += wr * yji[l] + wi * yjr[l];
-        }
-      }
-    }
-    for (size_t q = 0; q < r; ++q) {
-      std::copy(tmp_re + q * vlen, tmp_re + (q + 1) * vlen,
-                out_re + (q * m + k2) * vlen);
-      std::copy(tmp_im + q * vlen, tmp_im + (q + 1) * vlen,
-                out_im + (q * m + k2) * vlen);
-    }
-  }
-}
-
-const PassKernels<double> kScalarF64{&dft_rows_scalar<double>,
-                                     &butterfly_scalar<double>};
-const PassKernels<float> kScalarF32{&dft_rows_scalar<float>,
-                                    &butterfly_scalar<float>};
-
-}  // namespace
-
-const PassKernels<double>* scalar_kernels_f64() { return &kScalarF64; }
-const PassKernels<float>* scalar_kernels_f32() { return &kScalarF32; }
+const PassKernels<double>* scalar_kernels_f64() { return &kKernelsF64; }
+const PassKernels<float>* scalar_kernels_f32() { return &kKernelsF32; }
 
 }  // namespace ptim::fft::simd::detail

@@ -489,6 +489,32 @@ TEST(Campaign, MultiWorkerDispatchMatchesIndependentRunsBitwise) {
   remove_tree(dir);
 }
 
+// --- a laser + kick job is refused before anything is persisted ----------
+
+TEST(Campaign, LaserPlusKickJobIsRejectedAtSubmit) {
+  const std::string dir = "test_campaign_laser_kick";
+  remove_tree(dir);
+  core::CampaignOptions opt;
+  opt.dir = dir;
+  opt.ham_factory = make_tiny_ham;
+  core::EnsembleCampaign camp(host_sim(), campaign_config(2, 0), opt);
+  core::CampaignJob job;
+  job.name = "pump_and_kick";
+  job.laser = td::LaserParams{};
+  job.kick = {1e-3, 0.0, 0.0};
+  job.initial = initial_state(tiny().sphere->npw());
+  try {
+    camp.submit(job);
+    ADD_FAILURE() << "a laser + kick job was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pump_and_kick"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(camp.poll().empty());
+  EXPECT_EQ(camp.pending(), 0u);
+  remove_tree(dir);
+}
+
 // --- drifted-config resume is refused -------------------------------------
 
 TEST(Campaign, DriftedConfigResumeIsRefusedNotSilentlyWrong) {

@@ -341,6 +341,36 @@ TEST(Ensemble, FailedRunLeavesUnrunJobsSubmitted) {
   }
 }
 
+// --- a laser and a kick are exclusive per job -----------------------------
+
+TEST(EnsembleSubmit, RejectsLaserPlusKickNamingTheJob) {
+  // The propagator sets A from the laser every step, so a kick submitted
+  // with a laser used to vanish: the job ended bitwise equal to the plain
+  // pulse run. submit() now refuses it instead.
+  core::EnsembleDriver ens(shared_sim(), ace_config(1));
+  core::EnsembleJob job;
+  job.name = "pump_and_kick";
+  job.laser = td::LaserParams{};
+  job.kick = {0.0, 0.0, 1e-3};
+  try {
+    ens.submit(job);
+    ADD_FAILURE() << "a laser + kick job was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pump_and_kick"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ens.pending(), 0u);
+
+  // Either perturbation alone is accepted.
+  core::EnsembleJob pulse = job;
+  pulse.kick = {};
+  ens.submit(pulse);
+  core::EnsembleJob kick = job;
+  kick.laser.reset();
+  ens.submit(kick);
+  EXPECT_EQ(ens.pending(), 2u);
+}
+
 // --- lazy laser-envelope placement (LAST: mutates shared_sim's laser) -----
 
 TEST(LazyLaser, ResolvesAgainstRunHorizon) {

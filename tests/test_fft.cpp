@@ -75,12 +75,15 @@ TEST_P(FftSize, Parseval) {
   EXPECT_NEAR(ey, ex * static_cast<real_t>(n), 1e-8 * ex * n);
 }
 
-// Mixed-radix {2,3,5,7} sizes plus primes (Bluestein) and awkward products.
+// Mixed-radix {2,3,5,7} sizes plus primes (Bluestein) and awkward products;
+// the multiples of 7 cover the grids the code runs (7^3 exchange, 14^3
+// density) and every radix-7 leaf and stage combination up to 56 = 4*2*7.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSize,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12,
                                            15, 16, 18, 20, 24, 25, 27, 30, 32,
                                            36, 45, 48, 60, 64, 11, 13, 17, 31,
-                                           101, 121, 77));
+                                           101, 121, 77, 14, 21, 28, 35, 42,
+                                           49, 56));
 
 TEST(Fft, DeltaIsConstant) {
   const size_t n = 24;
@@ -316,7 +319,8 @@ TEST_P(FftSizeF32, RoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeF32,
                          ::testing::Values(1, 2, 6, 8, 16, 20, 30, 36, 48, 64,
-                                           11, 13, 17, 31, 101, 77));
+                                           11, 13, 17, 31, 101, 77, 14, 21, 28,
+                                           35, 42, 49, 56));
 
 // Bluestein-sized (non-{2,3,5,7}) boxes through the batched 3-D engine, in
 // both precisions: every axis of {11,13,9} except the last needs the

@@ -358,16 +358,24 @@ void check_bitwise_vs_scalar(std::array<size_t, 3> d, size_t nbatch,
 
 }  // namespace
 
+// {7,7,7} and {14,14,14} are the exchange and density grids the code runs;
+// {28,14,7} puts a radix-4 and a radix-2 stage over radix-7 leaves.
 TEST(FftSimdBitwise, VectorIsasMatchScalarFp64) {
   check_bitwise_vs_scalar<double>({6, 5, 4}, 3, 2000);
   check_bitwise_vs_scalar<double>({11, 13, 9}, 2, 2001);  // Bluestein axes
   check_bitwise_vs_scalar<double>({16, 8, 4}, 1, 2002);   // pow-2 radix path
+  check_bitwise_vs_scalar<double>({7, 7, 7}, 3, 2003);
+  check_bitwise_vs_scalar<double>({14, 14, 14}, 2, 2004);
+  check_bitwise_vs_scalar<double>({28, 14, 7}, 1, 2005);
 }
 
 TEST(FftSimdBitwise, VectorIsasMatchScalarFp32) {
   check_bitwise_vs_scalar<float>({6, 5, 4}, 3, 2010);
   check_bitwise_vs_scalar<float>({11, 13, 9}, 2, 2011);
   check_bitwise_vs_scalar<float>({16, 8, 4}, 1, 2012);
+  check_bitwise_vs_scalar<float>({7, 7, 7}, 3, 2013);
+  check_bitwise_vs_scalar<float>({14, 14, 14}, 2, 2014);
+  check_bitwise_vs_scalar<float>({28, 14, 7}, 1, 2015);
 }
 
 TEST(FftSimdDispatch, SelectionAndForcing) {
