@@ -2,8 +2,10 @@
 // PT-IM vs RK4 gauge-consistency claim (the paper's Fig. 7 in miniature).
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <vector>
 
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
@@ -295,4 +297,26 @@ TEST(Observables, SigmaDiagnostics) {
   mixed(0, 0) = 0.7;
   mixed(1, 1) = 0.3;
   EXPECT_GT(td::sigma_idempotency_defect(mixed), 0.1);
+}
+
+TEST(Observables, DipoleIsBitwiseIndependentOfThreads) {
+  // Run-to-run comparisons of dipole traces are exact (a trajectory and
+  // its replay must record equal bits), so the grid sum may depend on
+  // neither the thread count nor the order the threads finish in.
+  const grid::Lattice lattice = grid::Lattice::cubic(8.0);
+  const grid::FftGrid g(lattice, {14, 14, 14});
+  Rng rng(11);
+  std::vector<real_t> rho(g.size());
+  for (real_t& r : rho) r = rng.uniform();
+  const grid::Vec3 dir{0.6, -0.8, 0.0};
+
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const real_t one = td::dipole(rho, g, dir);
+  omp_set_num_threads(4);
+  for (int rep = 0; rep < 50; ++rep)
+    ASSERT_EQ(td::dipole(rho, g, dir), one) << "4 threads, repeat " << rep;
+  omp_set_num_threads(3);
+  EXPECT_EQ(td::dipole(rho, g, dir), one);
+  omp_set_num_threads(saved);
 }
