@@ -498,10 +498,9 @@ struct KernelRow {
 std::vector<KernelRow> kernel_rows;
 
 // Batched 3-D engine head-to-head per available SIMD ISA: the complex c2c
-// batch vs the Γ-point r2c paths — full (unscrambled conjugate-symmetric
-// spectra) and packed (two reals per lane, the transform the exchange
-// pipeline actually runs). Acceptance: packed r2c at the best ISA >= 2x
-// the scalar c2c batch on the same fields.
+// batch vs the Γ-point packed path (two reals per lane, the transform the
+// exchange pair engine runs on real fields). Acceptance: packed r2c at the
+// best ISA >= 2x the scalar c2c batch on the same fields.
 void fft_engine_comparison() {
   const size_t n = 20, nfields = 16;
   fft::Fft3 f(n, n, n);
@@ -510,14 +509,12 @@ void fft_engine_comparison() {
   Rng rng(17);
   std::vector<real_t> rdata(nfields * ng);
   for (auto& v : rdata) v = rng.uniform() - 0.5;
-  std::vector<cplx> cdata(nfields * ng), spec(nfields * ng),
-      packed(nlanes * ng);
+  std::vector<cplx> cdata(nfields * ng), packed(nlanes * ng);
   for (size_t i = 0; i < cdata.size(); ++i) cdata[i] = cplx(rdata[i], 0.0);
   for (size_t q = 0; q < nlanes; ++q)
     for (size_t i = 0; i < ng; ++i)
       packed[q * ng + i] =
           cplx(rdata[2 * q * ng + i], rdata[(2 * q + 1) * ng + i]);
-  std::vector<real_t> rout(nfields * ng);
 
   std::printf("\nBatched 3-D FFT engine: c2c vs Γ-point r2c per SIMD ISA "
               "(%zu^3 box, %zu real fields)\n",
@@ -542,12 +539,6 @@ void fft_engine_comparison() {
            f.inverse_batch(cdata.data(), nfields);
          },
          2L * static_cast<long>(nfields)},
-        {"r2c_full",
-         [&] {
-           f.forward_batch_real(rdata.data(), spec.data(), nfields);
-           f.inverse_batch_real(spec.data(), rout.data(), nfields);
-         },
-         2L * static_cast<long>(nlanes)},
         {"r2c_packed",
          [&] {
            f.forward_batch(packed.data(), nlanes);

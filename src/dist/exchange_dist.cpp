@@ -1,6 +1,7 @@
 #include "dist/exchange_dist.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "dist/circulate.hpp"
 #include "dist/isdf_dist.hpp"
@@ -19,25 +20,100 @@ const char* pattern_name(ExchangePattern p) {
 
 namespace {
 
-// The one dense band circulation, templated over the slab scalar (CS = cplx
-// or cplxf) so the precision modes cannot drift apart: with CS = cplxf the
-// sources are down-converted once at the real-space edge and the ring
-// moves half the bytes, while run_pairs keeps the accumulation into `out`
-// FP64. The weighted kind circulates [phi_b | theta_b] pairs, so one slab
-// moves both the bra orbital and its sigma-contracted weight; its round job
-// lists phi_b as field 2b with the weights one field further on.
+// The one round loop of every band-parallel dense apply. `mine` holds this
+// rank's band block, one field of nloc points per band; circulate_slabs
+// moves it around `band` and each round runs a one-job run_pairs pack over
+// the origin rank's slab. PS is the payload scalar: cplx / cplxf, or
+// real_t / realf_t for Γ-point payloads (half the ring bytes at equal
+// precision). The weighted kind circulates [phi_b | theta_b] pairs, so one
+// slab moves both the bra orbital and its sigma-contracted weight; its
+// round job lists phi_b as field 2b with the weights one field further
+// on. Complex rounds accumulate into the result in arrival order. Real
+// rounds are staged per origin and summed in origin order 0..p-1 after the
+// circulation: the patterns deliver slabs in different orders, so the
+// staged sum is what makes the real result bitwise the same for every
+// pattern. (Staging complex rounds would reorder the sums every complex
+// trajectory was taken with.)
+template <typename PS>
+la::MatC run_rounds(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
+                    const ham::PairSeam& seam, const std::vector<PS>& mine,
+                    bool weighted, const std::vector<real_t>& d_all,
+                    const PS* tgt, size_t ntgt, size_t npw,
+                    const BlockLayout& src_bands, ExchangePattern pat) {
+  constexpr bool staged = std::is_floating_point_v<PS>;
+  const size_t nloc = seam.nloc();
+  la::MatC out(npw, ntgt, cplx(0.0));
+  std::vector<la::MatC> by_origin(
+      staged ? static_cast<size_t>(band.size()) : 0, out);
+  std::vector<ham::ExchangeOperator::PairJob<PS>> round(1);
+  ham::ExchangeOperator::PairJob<PS>& job = round[0];
+  job.tgt = tgt;
+  job.ntgt = ntgt;
+  job.out = &out;
+  auto apply = [&](const PS* slab, int origin) {
+    const size_t w = src_bands.count(origin);
+    if (w == 0 || ntgt == 0) return;
+    job.src = slab;
+    job.idx.clear();
+    if (weighted) {
+      job.weight = slab + nloc;
+      for (size_t b = 0; b < w; ++b) job.idx.push_back(2 * b);
+    } else {
+      job.d = d_all.data() + src_bands.offset(origin);
+      for (size_t b = 0; b < w; ++b)
+        if (job.d[b] != 0.0) job.idx.push_back(b);
+    }
+    if (staged) job.out = &by_origin[static_cast<size_t>(origin)];
+    xop.run_pairs(seam, round);
+  };
+  circulate_slabs(band, src_bands, (weighted ? 2 : 1) * nloc, mine, pat,
+                  apply);
+  for (const la::MatC& o : by_origin)
+    for (size_t i = 0; i < out.size(); ++i) out.data()[i] += o.data()[i];
+  return out;
+}
+
+// Transforms this rank's sources and targets once through the seam (CS =
+// cplx or cplxf: with cplxf the sources are down-converted once at the
+// real-space edge and the ring moves half the bytes, while run_pairs keeps
+// the accumulation into the result FP64), then runs the round loop. With
+// vote_gamma (the 1-D diag entry under gamma_real) every rank first tests
+// its sources with nonzero occupation and its targets with the serial
+// gate's realness check; real payloads circulate only when EVERY rank's
+// fields pass (an allreduced sum of 1.0 flags must equal p), and otherwise
+// the complex rounds run exactly as with gamma_real off.
 template <typename CS>
 la::MatC circulate(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                    const ham::PairSeam& seam, const la::MatC& src_local,
                    const std::vector<real_t>& d_all,
                    const la::MatC* theta_local, const la::MatC& tgt_local,
-                   const BlockLayout& src_bands, ExchangePattern pat) {
+                   const BlockLayout& src_bands, ExchangePattern pat,
+                   bool vote_gamma) {
   const size_t nloc = seam.nloc();
   const size_t w_me = src_local.cols();
-  const size_t fields = theta_local ? 2 : 1;  // payload fields per band
-
-  la::Matrix<CS> phi_r;
+  const size_t npw = tgt_local.rows();
+  la::Matrix<CS> phi_r, tgt_r;
   seam.sources(src_local, phi_r);
+  seam.targets(tgt_local, tgt_r);
+
+  if (vote_gamma) {
+    const real_t* d_me = d_all.data() + src_bands.offset(band.rank());
+    std::vector<size_t> active;
+    for (size_t b = 0; b < w_me; ++b)
+      if (d_me[b] != 0.0) active.push_back(b);
+    real_t vote =
+        ham::ExchangeOperator::fields_are_real(phi_r, active, tgt_r) ? 1.0
+                                                                      : 0.0;
+    band.allreduce_sum(&vote, 1);
+    if (vote == static_cast<real_t>(band.size())) {
+      const auto tgt_re = ham::ExchangeOperator::real_parts(tgt_r);
+      return run_rounds(band, xop, seam,
+                        ham::ExchangeOperator::real_parts(phi_r), false,
+                        d_all, tgt_re.data(), tgt_r.cols(), npw, src_bands,
+                        pat);
+    }
+  }
+
   std::vector<CS> mine;
   if (theta_local) {
     la::Matrix<CS> theta_r;
@@ -52,101 +128,26 @@ la::MatC circulate(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
   } else {
     mine.assign(phi_r.data(), phi_r.data() + phi_r.size());
   }
-  la::Matrix<CS> tgt_r;
-  seam.targets(tgt_local, tgt_r);
-
-  la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
-  std::vector<ham::ExchangeOperator::PairJob<CS>> round(1);
-  ham::ExchangeOperator::PairJob<CS>& job = round[0];
-  job.tgt = tgt_r.data();
-  job.ntgt = tgt_r.cols();
-  job.out = &out;
-  auto apply = [&](const CS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || job.ntgt == 0) return;
-    job.src = slab;
-    job.idx.clear();
-    if (theta_local) {
-      job.weight = slab + nloc;
-      for (size_t b = 0; b < w; ++b) job.idx.push_back(2 * b);
-    } else {
-      job.d = d_all.data() + src_bands.offset(origin);
-      for (size_t b = 0; b < w; ++b)
-        if (job.d[b] != 0.0) job.idx.push_back(b);
-    }
-    xop.run_pairs(seam, round);
-  };
-  circulate_slabs(band, src_bands, fields * nloc, mine, pat, apply);
-  return out;
+  return run_rounds(band, xop, seam, mine, theta_local != nullptr, d_all,
+                    tgt_r.data(), tgt_r.cols(), npw, src_bands, pat);
 }
 
-// Γ-point circulation (gamma_real mode, fields verified real by every
-// rank): the ring carries REAL real-space slabs — half the bytes of the
-// complex circulation above at equal precision (a quarter for RS = realf_t
-// versus cplx) — and each slab's contribution runs the packed real-pair
-// pipeline. Contributions are staged PER ORIGIN and reduced in origin
-// order 0..p-1 after the circulation: the three patterns deliver slabs in
-// different orders, so accumulating on arrival (as the complex path does)
-// would give pattern-dependent bits, while the staged reduction makes the
-// result bitwise-invariant across patterns (pinned in test_dist).
-template <typename RS, typename CS>
-la::MatC diag_circulation_gamma(ptmpi::Comm& c,
-                                const ham::ExchangeOperator& xop,
-                                const la::Matrix<CS>& mine_m,
-                                const std::vector<real_t>& d_all,
-                                const la::MatC& tgt_local,
-                                const BlockLayout& src_bands,
-                                ExchangePattern pat) {
-  const size_t ng = xop.map().grid().size();
-  const size_t w_me = mine_m.cols();
-
-  std::vector<RS> mine(w_me * ng);
-  for (size_t b = 0; b < w_me; ++b)
-    for (size_t r = 0; r < ng; ++r)
-      mine[b * ng + r] = mine_m.col(b)[r].real();
-
-  const int p = c.size();
-  std::vector<la::MatC> contrib(
-      static_cast<size_t>(p),
-      la::MatC(tgt_local.rows(), tgt_local.cols(), cplx(0.0)));
-  auto apply_block = [&](const RS* slab, int origin) {
-    const size_t w = src_bands.count(origin);
-    if (w == 0 || tgt_local.cols() == 0) return;
-    xop.apply_diag_realspace_real(slab, w,
-                                  d_all.data() + src_bands.offset(origin),
-                                  tgt_local, contrib[static_cast<size_t>(origin)],
-                                  /*accumulate=*/true);
-  };
-  circulate_slabs(c, src_bands, ng, mine, pat, apply_block);
-
-  la::MatC out(tgt_local.rows(), tgt_local.cols(), cplx(0.0));
-  for (int o = 0; o < p; ++o) {
-    const la::MatC& co = contrib[static_cast<size_t>(o)];
-    for (size_t i = 0; i < out.size(); ++i) out.data()[i] += co.data()[i];
-  }
-  return out;
-}
-
-// Γ-point agreement vote: this rank's sources (already in real space) and
-// targets are tested with the operator's shared realness criterion, then
-// the per-rank verdicts are combined — real payloads circulate only when
-// EVERY rank's fields pass (an allreduced sum of 1.0 flags must equal p).
-template <typename CS>
-bool gamma_vote(ptmpi::Comm& c, const ham::ExchangeOperator& xop,
-                const la::Matrix<CS>& src_grid, const la::MatC& tgt_local) {
-  const size_t ng = xop.map().grid().size();
-  bool real = true;
-  for (size_t b = 0; b < src_grid.cols() && real; ++b)
-    real = ham::ExchangeOperator::field_is_real(src_grid.col(b), ng);
-  if (real && tgt_local.cols() > 0) {
-    la::Matrix<CS> tgt_grid;
-    xop.map().to_real_batch(tgt_local, tgt_grid);
-    for (size_t j = 0; j < tgt_grid.cols() && real; ++j)
-      real = ham::ExchangeOperator::field_is_real(tgt_grid.col(j), ng);
-  }
-  real_t vote = real ? 1.0 : 0.0;
-  c.allreduce_sum(&vote, 1);
-  return vote == static_cast<real_t>(c.size());
+// Precision dispatch of circulate, with the argument checks.
+la::MatC circulate_any(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
+                       const ham::PairSeam& seam, const la::MatC& src_local,
+                       const std::vector<real_t>& d_all,
+                       const la::MatC* theta_local, const la::MatC& tgt_local,
+                       const BlockLayout& src_bands, ExchangePattern pat,
+                       bool vote_gamma) {
+  PTIM_CHECK(src_bands.parts() == band.size());
+  PTIM_CHECK(src_local.cols() == src_bands.count(band.rank()));
+  PTIM_CHECK(theta_local ? theta_local->cols() == src_local.cols()
+                         : d_all.size() == src_bands.total());
+  if (xop.options().precision != Precision::kDouble)
+    return circulate<cplxf>(band, xop, seam, src_local, d_all, theta_local,
+                            tgt_local, src_bands, pat, vote_gamma);
+  return circulate<cplx>(band, xop, seam, src_local, d_all, theta_local,
+                         tgt_local, src_bands, pat, vote_gamma);
 }
 
 }  // namespace
@@ -167,15 +168,8 @@ la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          const std::vector<real_t>& d_all,
                          const la::MatC* theta_local, const la::MatC& tgt_local,
                          const BlockLayout& src_bands, ExchangePattern pat) {
-  PTIM_CHECK(src_bands.parts() == band.size());
-  PTIM_CHECK(src_local.cols() == src_bands.count(band.rank()));
-  PTIM_CHECK(theta_local ? theta_local->cols() == src_local.cols()
-                         : d_all.size() == src_bands.total());
-  if (xop.options().precision != Precision::kDouble)
-    return circulate<cplxf>(band, xop, seam, src_local, d_all, theta_local,
-                            tgt_local, src_bands, pat);
-  return circulate<cplx>(band, xop, seam, src_local, d_all, theta_local,
-                         tgt_local, src_bands, pat);
+  return circulate_any(band, xop, seam, src_local, d_all, theta_local,
+                       tgt_local, src_bands, pat, /*vote_gamma=*/false);
 }
 
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
@@ -199,30 +193,11 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
     return exchange_apply_isdf_local(c, xop, src_local, d, tgt_local,
                                      src_bands);
 
-  if (xop.gamma_real()) {
-    // Γ-point fast path: if every rank's sources and targets are real,
-    // circulate REAL slabs (half the ring bytes) through the packed
-    // real-pair pipeline; otherwise fall through to the complex
-    // circulation, which runs no per-round gate and so is bitwise-identical
-    // to gamma_real off on every rank.
-    if (xop.options().precision != Precision::kDouble) {
-      la::MatCf mine_m;
-      xop.map().to_real_batch(src_local, mine_m);
-      if (gamma_vote(c, xop, mine_m, tgt_local))
-        return diag_circulation_gamma<realf_t, cplxf>(c, xop, mine_m, d,
-                                                      tgt_local, src_bands,
-                                                      pat);
-    } else {
-      la::MatC mine_m;
-      xop.map().to_real_batch(src_local, mine_m);
-      if (gamma_vote(c, xop, mine_m, tgt_local))
-        return diag_circulation_gamma<real_t, cplx>(c, xop, mine_m, d,
-                                                    tgt_local, src_bands, pat);
-    }
-  }
-
-  return circulate_pairs(c, xop, ham::FullGridSeam(xop), src_local, d, nullptr,
-                         tgt_local, src_bands, pat);
+  // The Γ-point vote binds only this communicator, so only this entry
+  // takes it: a 2-D band ring could not carry it into the grid
+  // communicator's slab-FFT collectives.
+  return circulate_any(c, xop, ham::FullGridSeam(xop), src_local, d, nullptr,
+                       tgt_local, src_bands, pat, xop.gamma_real());
 }
 
 la::MatC exchange_apply_distributed_mixed_local(

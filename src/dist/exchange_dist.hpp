@@ -11,13 +11,19 @@
 // legacy full-replication signature is kept as a thin wrapper that slices
 // the global matrices before delegating.
 //
-// Every dense complex entry point, here and in dist/slab_exchange, is one
-// call into circulate_pairs: the 1-D ones pass the full-grid seam and the
-// world communicator, the 2-D ones the z-slab seam of a GridContext and its
-// band communicator. Each circulation round is a one-job
-// ExchangeOperator::run_pairs pack over the origin rank's slab, the same
-// engine as the serial apply. ISDF and the Γ-point real circulation are
-// dispatched by the 1-D diag entry before it.
+// Every dense entry point, here and in dist/slab_exchange, runs the one
+// band circulation: the 1-D ones with the full-grid seam and the world
+// communicator, the 2-D ones (circulate_pairs) with the z-slab seam of a
+// GridContext and its band communicator. Each circulation round is a
+// one-job ExchangeOperator::run_pairs pack over the origin rank's slab,
+// the same engine as the serial apply. ISDF is dispatched by the 1-D diag
+// entry before it. Under gamma_real the 1-D diag entry alone holds a rank
+// vote on the serial gate's realness check; when every rank's fields pass,
+// the same round loop circulates REAL slabs (half the bytes) as real jobs
+// of run_pairs, staged per origin so that the result is bitwise the same
+// for every pattern. 2-D and theta-weighted applies never vote: a vote
+// over the band communicator cannot bind the grid communicator's slab-FFT
+// collectives.
 
 #include <vector>
 
@@ -34,13 +40,14 @@ std::vector<real_t> allgather_occupations(ptmpi::Comm& band,
                                           const std::vector<real_t>& d_local,
                                           const BlockLayout& src_bands);
 
-// The one dense band circulation. Transforms this rank's band block of
-// sources once through the seam (packed as [phi_b | theta_b] pairs when
-// theta_local is given) and its targets once, then circulates the source
-// slabs around `band` (circulate_slabs) and runs every round as a one-job
-// run_pairs pack over the origin rank's slab. d_all: the occupations of
-// every band (diag kind; allgather_occupations), ignored when theta_local
-// carries the sigma contraction. Returns alpha*Vx*tgt_local.
+// The dense band circulation with complex payloads (no Γ-point vote).
+// Transforms this rank's band block of sources once through the seam
+// (packed as [phi_b | theta_b] pairs when theta_local is given) and its
+// targets once, then circulates the source slabs around `band`
+// (circulate_slabs) and runs every round as a one-job run_pairs pack over
+// the origin rank's slab. d_all: the occupations of every band (diag kind;
+// allgather_occupations), ignored when theta_local carries the sigma
+// contraction. Returns alpha*Vx*tgt_local.
 la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          const ham::PairSeam& seam, const la::MatC& src_local,
                          const std::vector<real_t>& d_all,
@@ -51,8 +58,9 @@ la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
 // src_local = src[:, src_bands-of-rank] with occupations d_local (same
 // slice) and an arbitrary-width local target block. Occupation slices are
 // shared once with Allgatherv; real-space source slabs then circulate in
-// the requested pattern. Returns alpha*Vx[src,d]*tgt_local
-// (npw x tgt_local.cols()).
+// the requested pattern (real slabs when the gamma_real vote passes; see
+// above). Each field goes to real space once per apply. Returns
+// alpha*Vx[src,d]*tgt_local (npw x tgt_local.cols()).
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
                                           const ham::ExchangeOperator& xop,
                                           const la::MatC& src_local,

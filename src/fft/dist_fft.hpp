@@ -25,6 +25,7 @@
 // distributed analogue of Fft3T::forward_batch. Templated over the scalar
 // like the serial engine: DistFft3 (FP64) carries the exact-exchange pair
 // transforms, DistFft3f the FP32 policy (half the transpose bytes).
+// Complex-to-complex only, like the serial engine (see fft/fft.hpp).
 
 #include <array>
 #include <complex>
@@ -88,24 +89,6 @@ class DistFft3T {
   // Exact inverse, scaled by 1/size() like the serial engine.
   void inverse(const C* pencil, C* slab, size_t nbatch = 1) const;
 
-  // Γ-point packed real transforms: `nfields` REAL nreal()-element slabs
-  // ride ceil(nfields/2) complex transforms (lane q packs fields 2q and
-  // 2q+1 as z = a + i b; an odd trailing field gets a zero imaginary
-  // lane), so the Alltoallv transpose moves HALF the bytes per field.
-  // forward_batch_real leaves the pencil spectra PACKED — unlike the
-  // serial Fft3T::forward_batch_real there is no unscramble, because the
-  // negated-index partner (n-k) % n of a pencil row lives on another rank.
-  // Contract: pointwise multiplication by a REAL, EVEN spectral filter
-  // (K(-G) == K(G), e.g. the exchange kernel) acts on both packed
-  // residents exactly by linearity, so filter-then-inverse round trips
-  // need no unscramble; any other spectral use needs the serial engine.
-  // inverse_batch_real mirrors back to nfields real slabs (scaled
-  // 1/size()). Lane contents depend only on field pairing (2q, 2q+1),
-  // never on nfields, so per-field results are invariant to batch
-  // composition.
-  void forward_batch_real(const R* slab, C* pencil, size_t nfields) const;
-  void inverse_batch_real(const C* pencil, R* slab, size_t nfields) const;
-
   ptmpi::Comm& comm() const { return comm_; }
   int rank() const { return rank_; }
   int parts() const { return zslabs_.parts(); }
@@ -133,9 +116,6 @@ class DistFft3T {
   // calls so the exchange hot loop performs no per-call allocations once
   // the high-water batch size has been seen.
   mutable std::vector<C> work_, sendbuf_, recvbuf_;
-  // Packed-lane staging of the Γ-point real transforms (same persistence
-  // contract as the buffers above).
-  mutable std::vector<C> realpack_;
 };
 
 using DistFft3 = DistFft3T<real_t>;

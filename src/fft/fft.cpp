@@ -263,41 +263,6 @@ void Plan1DT<R>::bluestein(const C* in, C* out, bool fwd) const {
   }
 }
 
-// --- Γ-point real-pair transforms ----------------------------------------
-// Two real signals a, b share one complex transform: Z = F(a + i b) splits
-// as A[k] = (Z[k] + conj(Z[-k]))/2, B[k] = (Z[k] - conj(Z[-k]))/(2i)
-// because the spectra of real signals are conjugate-symmetric.
-
-template <typename R>
-void Plan1DT<R>::forward_real_pair(const R* a, const R* b, C* fa,
-                                   C* fb) const {
-  std::vector<C> z(n_), zf(n_);
-  for (size_t i = 0; i < n_; ++i) z[i] = C(a[i], b != nullptr ? b[i] : R(0));
-  forward(z.data(), zf.data());
-  for (size_t k = 0; k < n_; ++k) {
-    const size_t nk = (n_ - k) % n_;
-    const C zk = zf[k];
-    const C znc = std::conj(zf[nk]);
-    fa[k] = (zk + znc) * R(0.5);
-    if (fb != nullptr) fb[k] = (zk - znc) * C(R(0), R(-0.5));
-  }
-}
-
-template <typename R>
-void Plan1DT<R>::inverse_real_pair(const C* fa, const C* fb, R* a,
-                                   R* b) const {
-  std::vector<C> z(n_), zi(n_);
-  for (size_t k = 0; k < n_; ++k) {
-    const C bk = fb != nullptr ? fb[k] : C(0);
-    z[k] = C(fa[k].real() - bk.imag(), fa[k].imag() + bk.real());
-  }
-  inverse(z.data(), zi.data());
-  for (size_t i = 0; i < n_; ++i) {
-    a[i] = zi[i].real();
-    if (b != nullptr) b[i] = zi[i].imag();
-  }
-}
-
 template <typename R>
 Fft3T<R>::Fft3T(size_t n0, size_t n1, size_t n2)
     : n0_(n0), n1_(n1), n2_(n2), p0_(n0), p1_(n1), p2_(n2) {}
@@ -346,79 +311,6 @@ void Fft3T<R>::transform_batch(C* data, size_t nbatch, Dir dir) const {
     detail::axis_pass(p2_, ax.a2, data, false);
     detail::axis_pass(p1_, ax.a1, data, false);
     detail::axis_pass(p0_, ax.a0, data, false);
-  }
-}
-
-// --- Γ-point real-batch transforms ---------------------------------------
-// Packing: lane t carries fields 2t (real part) and 2t+1 (imaginary part);
-// an odd trailing field rides a zero imaginary lane. The unscramble uses
-// the 3-D negated-index conjugate symmetry of real-input spectra, with
-// -k = ((n0-k0)%n0, (n1-k1)%n1, (n2-k2)%n2) in the engine's column-major
-// index convention.
-
-template <typename R>
-void Fft3T<R>::forward_batch_real(const R* data, C* spec, size_t nreal) const {
-  if (nreal == 0) return;
-  const size_t ng = size();
-  const size_t nlanes = (nreal + 1) / 2;
-  std::vector<C> z(nlanes * ng);
-#pragma omp parallel for schedule(static)
-  for (size_t t = 0; t < nlanes; ++t) {
-    const R* a = data + 2 * t * ng;
-    const R* b = 2 * t + 1 < nreal ? data + (2 * t + 1) * ng : nullptr;
-    C* zt = z.data() + t * ng;
-    for (size_t i = 0; i < ng; ++i)
-      zt[i] = C(a[i], b != nullptr ? b[i] : R(0));
-  }
-  forward_batch(z.data(), nlanes);
-#pragma omp parallel for schedule(static)
-  for (size_t t = 0; t < nlanes; ++t) {
-    const C* zt = z.data() + t * ng;
-    C* fa = spec + 2 * t * ng;
-    C* fb = 2 * t + 1 < nreal ? spec + (2 * t + 1) * ng : nullptr;
-    size_t i = 0;
-    for (size_t i2 = 0; i2 < n2_; ++i2) {
-      const size_t m2 = ((n2_ - i2) % n2_) * n1_;
-      for (size_t i1 = 0; i1 < n1_; ++i1) {
-        const size_t m1 = (m2 + (n1_ - i1) % n1_) * n0_;
-        for (size_t i0 = 0; i0 < n0_; ++i0, ++i) {
-          const size_t ni = m1 + (n0_ - i0) % n0_;
-          const C zk = zt[i];
-          const C znc = std::conj(zt[ni]);
-          fa[i] = (zk + znc) * R(0.5);
-          if (fb != nullptr) fb[i] = (zk - znc) * C(R(0), R(-0.5));
-        }
-      }
-    }
-  }
-}
-
-template <typename R>
-void Fft3T<R>::inverse_batch_real(const C* spec, R* data, size_t nreal) const {
-  if (nreal == 0) return;
-  const size_t ng = size();
-  const size_t nlanes = (nreal + 1) / 2;
-  std::vector<C> z(nlanes * ng);
-#pragma omp parallel for schedule(static)
-  for (size_t t = 0; t < nlanes; ++t) {
-    const C* fa = spec + 2 * t * ng;
-    const C* fb = 2 * t + 1 < nreal ? spec + (2 * t + 1) * ng : nullptr;
-    C* zt = z.data() + t * ng;
-    for (size_t i = 0; i < ng; ++i) {
-      const C bk = fb != nullptr ? fb[i] : C(0);
-      zt[i] = C(fa[i].real() - bk.imag(), fa[i].imag() + bk.real());
-    }
-  }
-  inverse_batch(z.data(), nlanes);
-#pragma omp parallel for schedule(static)
-  for (size_t t = 0; t < nlanes; ++t) {
-    const C* zt = z.data() + t * ng;
-    R* a = data + 2 * t * ng;
-    R* b = 2 * t + 1 < nreal ? data + (2 * t + 1) * ng : nullptr;
-    for (size_t i = 0; i < ng; ++i) {
-      a[i] = zt[i].real();
-      if (b != nullptr) b[i] = zt[i].imag();
-    }
   }
 }
 

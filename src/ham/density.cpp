@@ -1,6 +1,7 @@
 #include "ham/density.hpp"
 
 #include "common/error.hpp"
+#include "common/fixed_sum.hpp"
 #include "common/timer.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
@@ -82,10 +83,7 @@ std::vector<real_t> density_sigma_naive(const la::MatC& phi_coeffs,
 
 real_t integrate(const std::vector<real_t>& rho, const grid::FftGrid& g) {
   PTIM_CHECK(rho.size() == g.size());
-  real_t acc = 0.0;
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (size_t i = 0; i < rho.size(); ++i) acc += rho[i];
-  return acc * g.dvol();
+  return fixed_sum(rho.size(), [&](size_t i) { return rho[i]; }) * g.dvol();
 }
 
 }  // namespace ptim::ham

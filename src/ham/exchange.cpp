@@ -24,21 +24,15 @@ inline void kahan_add(cplx& acc, cplx& comp, const cplx& term) {
   acc = t;
 }
 
-// Real twin for the Γ-point pipeline's real accumulators.
-inline void kahan_add(real_t& acc, real_t& comp, const real_t term) {
-  const real_t y = term - comp;
-  const real_t t = acc + y;
-  comp = (t - acc) - y;
-  acc = t;
-}
-
 // Γ-point realness test: a field counts as real when its largest imaginary
 // component is negligible against its largest real one (complex-to-real FFT
 // round trips leave ~1e-16 relative imaginary dust in FP64, ~1e-7 in FP32;
 // the thresholds sit orders of magnitude above the dust and below any
-// genuine complex phase). An all-zero field is real.
-template <typename C>
-bool field_is_real_tol(const C* v, size_t n, double tol) {
+// genuine complex phase). An all-zero field is real. max is exact, so the
+// reduction order does not matter.
+template <typename CS>
+bool field_is_real(const CS* v, size_t n) {
+  const double tol = std::is_same_v<CS, cplxf> ? 1e-5 : 1e-12;
   double mre = 0.0, mim = 0.0;
 #pragma omp parallel for schedule(static) reduction(max : mre, mim)
   for (size_t r = 0; r < n; ++r) {
@@ -47,10 +41,6 @@ bool field_is_real_tol(const C* v, size_t n, double tol) {
   }
   return mim <= tol * mre;
 }
-
-// Detection thresholds by pipeline scalar (see field_is_real_tol).
-constexpr double kRealTolF64 = 1e-12;
-constexpr double kRealTolF32 = 1e-5;
 
 // Column-by-column to_real (the single-column scale convention).
 template <typename CS>
@@ -63,11 +53,24 @@ void to_real_columns(const pw::SphereGridMap& map, const la::MatC& coeffs,
 
 }  // namespace
 
-bool ExchangeOperator::field_is_real(const cplx* v, size_t n) {
-  return field_is_real_tol(v, n, kRealTolF64);
+template <typename CS>
+bool ExchangeOperator::fields_are_real(const la::Matrix<CS>& src,
+                                       const std::vector<size_t>& idx,
+                                       const la::Matrix<CS>& tgt) {
+  for (const size_t i : idx)
+    if (!field_is_real(src.col(i), src.rows())) return false;
+  for (size_t j = 0; j < tgt.cols(); ++j)
+    if (!field_is_real(tgt.col(j), tgt.rows())) return false;
+  return true;
 }
-bool ExchangeOperator::field_is_real(const cplxf* v, size_t n) {
-  return field_is_real_tol(v, n, kRealTolF32);
+
+template <typename CS>
+std::vector<typename CS::value_type> ExchangeOperator::real_parts(
+    const la::Matrix<CS>& m) {
+  std::vector<typename CS::value_type> re(m.size());
+#pragma omp parallel for schedule(static)
+  for (size_t i = 0; i < m.size(); ++i) re[i] = m.data()[i].real();
+  return re;
 }
 
 ExchangeOperator::ExchangeOperator(const pw::SphereGridMap& wfc_map,
@@ -141,10 +144,10 @@ void ExchangeOperator::kernel_filter_block(cplxf* block, size_t nb) const {
 }
 
 // --- stage primitives ------------------------------------------------------
-// The pointwise hot-path stages, each the exact loop the engines below are
+// The pointwise hot-path stages, each the exact loop the engine below is
 // assembled from, so a stage-by-stage composition is bit-identical to the
 // applies by construction. Explicitly instantiated at the end of this file
-// for the FP64 and FP32 scalars.
+// for the FP64 and FP32 scalars, complex and real.
 
 template <typename CS>
 void ExchangeOperator::pair_form_block(const CS* src_real, const size_t* idx,
@@ -219,17 +222,17 @@ void ExchangeOperator::gather_accumulate(const cplx* acc, cplx* scratch,
   for (size_t p = 0; p < npw; ++p) out_col[p] += a * scratch[p];
 }
 
-// --- Γ-point real-pair stages ---------------------------------------------
-// Two real pair densities per complex FFT lane (see exchange.hpp). The
-// packed lane goes through the UNCHANGED kernel_filter_block: K(G) is real
-// and even, so by linearity the filter acts on the Re and Im residents
-// independently and exactly — no spectrum unscramble anywhere.
+// --- Γ-point real fields ---------------------------------------------------
+// Two real pair densities per complex FFT lane (see run_pairs). The packed
+// lane goes through the UNCHANGED seam filter: K(G) is real and even, so by
+// linearity the filter acts on the Re and Im residents independently and
+// exactly — no spectrum unscramble anywhere.
 
-template <typename RS, typename CS>
-void ExchangeOperator::pair_pack_block_real(const RS* src_real,
-                                            const size_t* idx, size_t nb,
-                                            const RS* tgt_real, CS* block,
-                                            size_t nloc) const {
+template <typename RS>
+void ExchangeOperator::pair_form_block(const RS* src_real, const size_t* idx,
+                                       size_t nb, const RS* tgt_real,
+                                       std::complex<RS>* block,
+                                       size_t nloc) const {
   OBS_SPAN("xchg.pair_form", obs::Cat::kCompute);
   if (nloc == kFullGrid) nloc = map_->grid().size();
   const size_t nlanes = (nb + 1) / 2;
@@ -240,16 +243,16 @@ void ExchangeOperator::pair_pack_block_real(const RS* src_real,
       const RS b = (2 * q + 1 < nb)
                        ? src_real[idx[2 * q + 1] * nloc + r] * tgt_real[r]
                        : RS(0);
-      block[q * nloc + r] = CS(a, b);
+      block[q * nloc + r] = std::complex<RS>(a, b);
     }
 }
 
-template <typename RS, typename CS>
-void ExchangeOperator::accumulate_block_real(const RS* src_real,
-                                             const size_t* idx, const real_t* d,
-                                             size_t nb, const CS* block,
-                                             real_t* acc, real_t* comp,
-                                             size_t nloc) const {
+template <typename RS>
+void ExchangeOperator::accumulate_block(const RS* src_real, const size_t* idx,
+                                        const real_t* d, size_t nb,
+                                        const std::complex<RS>* block,
+                                        cplx* acc, cplx* comp,
+                                        size_t nloc) const {
   OBS_SPAN("xchg.accumulate", obs::Cat::kCompute);
   const size_t ng = map_->grid().size();
   if (nloc == kFullGrid) nloc = ng;
@@ -257,12 +260,13 @@ void ExchangeOperator::accumulate_block_real(const RS* src_real,
   for (size_t r = 0; r < nloc; ++r) {
     for (size_t i = 0; i < nb; ++i) {
       const size_t s = idx[i];
-      const CS z = block[(i / 2) * nloc + r];
-      const real_t u = (i % 2 == 0) ? static_cast<real_t>(z.real())
-                                    : static_cast<real_t>(z.imag());
-      // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted).
-      const real_t term = (d[s] * static_cast<real_t>(ng)) *
-                          static_cast<real_t>(src_real[s * nloc + r]) * u;
+      const std::complex<RS> z = block[(i / 2) * nloc + r];
+      const real_t u = static_cast<real_t>(i % 2 == 0 ? z.real() : z.imag());
+      // Undo the inverse-FFT 1/Ng scaling (unscaled synthesis wanted). A
+      // zero imaginary part keeps acc and comp real, bit for bit.
+      const cplx term((d[s] * static_cast<real_t>(ng)) *
+                          static_cast<real_t>(src_real[s * nloc + r]) * u,
+                      0.0);
       if (comp)
         kahan_add(acc[r], comp[r], term);
       else
@@ -271,168 +275,60 @@ void ExchangeOperator::accumulate_block_real(const RS* src_real,
   }
 }
 
-// Γ-point block engine: blocks of 2*batch_size real densities ride
-// batch_size packed FFT lanes, so the transform workspace matches the
-// complex engine's while the transform COUNT halves. Block boundaries sit
-// at even density offsets — lane pairing, every transformed value, and the
-// in-order FP64 accumulation are all independent of batch_size (pinned
-// bitwise in tests/test_exchange.cpp).
-template <typename RS, typename CS>
-void ExchangeOperator::pair_accumulate_real_blocks(
-    const RS* src_real, const real_t* d, const std::vector<size_t>& active,
-    const RS* tgt_real, size_t ntgt, la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  const size_t bs2 = 2 * std::max<size_t>(1, opt_.batch_size);
-  const bool compensated = std::is_same_v<CS, cplxf> &&
-                           opt_.precision == Precision::kSingleCompensated;
-
-  std::vector<CS> block((bs2 / 2) * ng);
-  std::vector<real_t> acc(ng), comp(compensated ? ng : 0);
-  std::vector<cplx> acc_c(ng), gathered(out.rows());
-  for (size_t j = 0; j < ntgt; ++j) {
-    const RS* tj = tgt_real + j * ng;
-    std::fill(acc.begin(), acc.end(), real_t(0));
-    std::fill(comp.begin(), comp.end(), real_t(0));
-    for (size_t i0 = 0; i0 < active.size(); i0 += bs2) {
-      const size_t nb = std::min(bs2, active.size() - i0);
-      pair_pack_block_real(src_real, active.data() + i0, nb, tj,
-                           block.data());
-      kernel_filter_block(block.data(), (nb + 1) / 2);
-      accumulate_block_real(src_real, active.data() + i0, d, nb, block.data(),
-                            acc.data(), compensated ? comp.data() : nullptr);
-    }
-#pragma omp parallel for schedule(static)
-    for (size_t r = 0; r < ng; ++r) acc_c[r] = cplx(acc[r], 0.0);
-    gather_accumulate(acc_c.data(), gathered.data(), out.col(j));
-  }
-}
-
-// Realness gate of the dense diag paths: transform the targets, test every
-// active source and every target, and only then commit to the real engine.
-// Any complex field anywhere means a `false` return with `out` untouched —
-// the caller's complex pipeline then runs exactly as with gamma_real off.
-template <typename RS, typename CS>
-bool ExchangeOperator::try_gamma_real(const CS* src_real, size_t nsrc,
-                                      const real_t* d,
-                                      const std::vector<size_t>& active,
-                                      const la::MatC& tgt,
-                                      la::MatC& out) const {
-  const size_t ng = map_->grid().size();
-  for (const size_t i : active)
-    if (!field_is_real(src_real + i * ng, ng)) return false;
-  la::Matrix<CS> tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  for (size_t j = 0; j < ntgt; ++j)
-    if (!field_is_real(tgt_grid.col(j), ng)) return false;
-
-  std::vector<RS> src_r(nsrc * ng), tgt_r(ntgt * ng);
-  const size_t na = active.size();
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t a = 0; a < na; ++a)
-    for (size_t r = 0; r < ng; ++r) {
-      const size_t i = active[a];
-      src_r[i * ng + r] = src_real[i * ng + r].real();
-    }
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-
-  pair_accumulate_real_blocks<RS, CS>(src_r.data(), d, active, tgt_r.data(),
-                                      ntgt, out);
-  return true;
-}
-
-void ExchangeOperator::apply_diag_realspace_real(const real_t* src_real,
-                                                 size_t nsrc, const real_t* d,
-                                                 const la::MatC& tgt,
-                                                 la::MatC& out,
-                                                 bool accumulate) const {
-  const size_t ng = map_->grid().size();
-  if (opt_.precision != Precision::kDouble) {
-    std::vector<realf_t> srcf(nsrc * ng);
-#pragma omp parallel for schedule(static)
-    for (size_t i = 0; i < nsrc * ng; ++i)
-      srcf[i] = static_cast<realf_t>(src_real[i]);
-    apply_diag_realspace_real(srcf.data(), nsrc, d, tgt, out, accumulate);
-    return;
-  }
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  la::MatC tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  std::vector<real_t> tgt_r(ntgt * ng);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-  pair_accumulate_real_blocks<real_t, cplx>(src_real, d, active, tgt_r.data(),
-                                            ntgt, out);
-}
-
-void ExchangeOperator::apply_diag_realspace_real(const realf_t* src_real,
-                                                 size_t nsrc, const real_t* d,
-                                                 const la::MatC& tgt,
-                                                 la::MatC& out,
-                                                 bool accumulate) const {
-  if (!accumulate) out.fill(cplx(0.0));
-  PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  std::vector<size_t> active;
-  active.reserve(nsrc);
-  for (size_t i = 0; i < nsrc; ++i)
-    if (d[i] != 0.0) active.push_back(i);
-  if (active.empty()) return;
-
-  const size_t ng = map_->grid().size();
-  la::MatCf tgt_grid;
-  map_->to_real_batch(tgt, tgt_grid);
-  const size_t ntgt = tgt.cols();
-  std::vector<realf_t> tgt_r(ntgt * ng);
-#pragma omp parallel for schedule(static) collapse(2)
-  for (size_t j = 0; j < ntgt; ++j)
-    for (size_t r = 0; r < ng; ++r)
-      tgt_r[j * ng + r] = tgt_grid.col(j)[r].real();
-  pair_accumulate_real_blocks<realf_t, cplxf>(src_real, d, active,
-                                              tgt_r.data(), ntgt, out);
-}
-
 // --- the dense pair engine -------------------------------------------------
-// Every dense complex apply apart from Alg. 2's baseline. Per job the loop
-// nest is targets outer, batch_size blocks of idx inner, in order, whatever
-// else shares the round: pair forming, the kernel filter and the FP64
-// accumulation are per-lane and per-job, so packing jobs (or cutting
-// blocks to width 1) regroups transforms without moving a bit. Every float
-// product is promoted to FP64 exactly once inside the accumulation, plain
-// or Kahan-compensated depending on the policy.
-template <typename CS>
+// Every dense apply apart from Alg. 2's baseline. Per job the loop nest is
+// targets outer, blocks of idx inner, in order, whatever else shares the
+// round: pair forming, the kernel filter and the FP64 accumulation are
+// per-lane and per-job, so packing jobs (or cutting blocks to width 1)
+// regroups transforms without moving a bit. Every float product is
+// promoted to FP64 exactly once inside the accumulation, plain or
+// Kahan-compensated depending on the policy.
+
+namespace {
+
+// The FFT lane scalar of a job's field scalar FS: a complex density fills
+// one lane, two real (Γ-point) densities share one.
+template <typename FS>
+struct Lanes {
+  using type = FS;
+  static constexpr size_t per_lane = 1;
+};
+template <>
+struct Lanes<real_t> {
+  using type = cplx;
+  static constexpr size_t per_lane = 2;
+};
+template <>
+struct Lanes<realf_t> {
+  using type = cplxf;
+  static constexpr size_t per_lane = 2;
+};
+
+}  // namespace
+
+template <typename FS>
 void ExchangeOperator::run_pairs(const PairSeam& seam,
-                                 const std::vector<PairJob<CS>>& jobs) const {
+                                 const std::vector<PairJob<FS>>& jobs) const {
+  using CS = typename Lanes<FS>::type;
+  constexpr size_t per_lane = Lanes<FS>::per_lane;
   const size_t nloc = seam.nloc();
-  const size_t bs = std::max<size_t>(1, opt_.batch_size);
+  const size_t bs = std::max<size_t>(1, opt_.batch_size);  // lanes per block
   const bool compensated = std::is_same_v<CS, cplxf> &&
                            opt_.precision == Precision::kSingleCompensated;
 
   // Progress of one unfinished job. Its accumulator holds gw target
   // columns (the seam's gather width); column j lives in slot j % gw.
   struct Cursor {
-    const PairJob<CS>* job = nullptr;
+    const PairJob<FS>* job = nullptr;
     size_t gw = 1;
     std::vector<cplx> acc, comp;
     size_t j = 0;    // current target column
     size_t i0 = 0;   // next block start within job->idx
-    size_t nb = 0;   // this round's block width
+    size_t nb = 0;   // this round's block width, in densities
     size_t off = 0;  // its first lane in the shared block
   };
   std::vector<Cursor> live;
-  for (const PairJob<CS>& job : jobs) {
+  for (const PairJob<FS>& job : jobs) {
     if (job.idx.empty() || job.ntgt == 0) continue;
     Cursor c;
     c.job = &job;
@@ -445,16 +341,16 @@ void ExchangeOperator::run_pairs(const PairSeam& seam,
   while (!live.empty()) {
     size_t width = 0;
     for (Cursor& c : live) {
-      c.nb = std::min(bs, c.job->idx.size() - c.i0);
+      c.nb = std::min(per_lane * bs, c.job->idx.size() - c.i0);
       c.off = width;
       pair_form_block(c.job->src, c.job->idx.data() + c.i0, c.nb,
                       c.job->tgt + c.j * nloc, block.data() + width * nloc,
                       nloc);
-      width += c.nb;
+      width += (c.nb + per_lane - 1) / per_lane;
     }
     seam.filter(block.data(), width);
     for (Cursor& c : live) {
-      const PairJob<CS>& job = *c.job;
+      const PairJob<FS>& job = *c.job;
       const size_t slot = c.j % c.gw;
       cplx* acc = c.acc.data() + slot * nloc;
       cplx* comp = compensated ? c.comp.data() + slot * nloc : nullptr;
@@ -464,7 +360,9 @@ void ExchangeOperator::run_pairs(const PairSeam& seam,
       }
       const size_t* idx = job.idx.data() + c.i0;
       const CS* lanes = block.data() + c.off * nloc;
-      if (job.weight)
+      if constexpr (per_lane == 2)
+        accumulate_block(job.src, idx, job.d, c.nb, lanes, acc, comp, nloc);
+      else if (job.weight)
         accumulate_weighted_block(job.weight, idx, c.nb, lanes, acc, comp,
                                   nloc);
       else
@@ -611,33 +509,38 @@ template <typename CS>
 void ExchangeOperator::diag_pack(const std::vector<DiagApplyJob>& jobs) const {
   using RS = typename CS::value_type;
   const FullGridSeam seam(*this);
-  // Sources and targets stay in real space for the whole pack (sources
-  // down-converted once at the edge under the FP32 policy).
-  std::vector<la::Matrix<CS>> src_r(jobs.size()), tgt_r(jobs.size());
+  // Sources and targets go to real space once and stay there for the
+  // whole pack (down-converted at the edge under the FP32 policy). A job
+  // whose fields pass the Γ-point gate keeps only their real parts and
+  // joins the pack of real jobs; any complex field leaves it in the complex
+  // pack, exactly as with gamma_real off.
+  std::vector<la::Matrix<CS>> src_c(jobs.size()), tgt_c(jobs.size());
+  std::vector<std::vector<RS>> src_r(jobs.size()), tgt_r(jobs.size());
   std::vector<PairJob<CS>> pack;
+  std::vector<PairJob<RS>> real_pack;
   for (size_t k = 0; k < jobs.size(); ++k) {
     const DiagApplyJob& job = jobs[k];
     const std::vector<real_t>& d = *job.d;
     std::vector<size_t> active;
     for (size_t i = 0; i < d.size(); ++i)
       if (d[i] != 0.0) active.push_back(i);
-    if (active.empty() || job.tgt->cols() == 0) continue;
-    seam.sources(*job.src, src_r[k]);
-    if (opt_.gamma_real &&
-        try_gamma_real<RS, CS>(src_r[k].data(), d.size(), d.data(), active,
-                               *job.tgt, *job.out))
-      continue;
-    seam.targets(*job.tgt, tgt_r[k]);
-    PairJob<CS> pj;
-    pj.src = src_r[k].data();
-    pj.d = d.data();
-    pj.idx = std::move(active);
-    pj.tgt = tgt_r[k].data();
-    pj.ntgt = job.tgt->cols();
-    pj.out = job.out;
-    pack.push_back(std::move(pj));
+    const size_t ntgt = job.tgt->cols();
+    if (active.empty() || ntgt == 0) continue;
+    seam.sources(*job.src, src_c[k]);
+    seam.targets(*job.tgt, tgt_c[k]);
+    if (opt_.gamma_real && fields_are_real(src_c[k], active, tgt_c[k])) {
+      src_r[k] = real_parts(src_c[k]);
+      tgt_r[k] = real_parts(tgt_c[k]);
+      real_pack.push_back({src_r[k].data(), d.data(), nullptr,
+                           std::move(active), tgt_r[k].data(), ntgt,
+                           job.out});
+    } else {
+      pack.push_back({src_c[k].data(), d.data(), nullptr, std::move(active),
+                      tgt_c[k].data(), ntgt, job.out});
+    }
   }
   run_pairs(seam, pack);
+  run_pairs(seam, real_pack);
 }
 
 void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
@@ -721,7 +624,7 @@ real_t ExchangeOperator::energy_mixed(const la::MatC& src,
   return energy_diag(rotated, eig.w);
 }
 
-// The stage primitives exist for exactly these scalar pairs.
+// The stage primitives and the engine exist for exactly these scalars.
 template void ExchangeOperator::pair_form_block(const cplx*, const size_t*,
                                                 size_t, const cplx*, cplx*,
                                                 size_t) const;
@@ -742,27 +645,35 @@ template void ExchangeOperator::accumulate_weighted_block(
 template void ExchangeOperator::accumulate_weighted_block(
     const cplxf*, const size_t*, size_t, const cplxf*, cplx*, cplx*,
     size_t) const;
+template void ExchangeOperator::pair_form_block(const real_t*, const size_t*,
+                                                size_t, const real_t*, cplx*,
+                                                size_t) const;
+template void ExchangeOperator::pair_form_block(const realf_t*, const size_t*,
+                                                size_t, const realf_t*, cplxf*,
+                                                size_t) const;
+template void ExchangeOperator::accumulate_block(const real_t*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplx*, cplx*, cplx*,
+                                                 size_t) const;
+template void ExchangeOperator::accumulate_block(const realf_t*, const size_t*,
+                                                 const real_t*, size_t,
+                                                 const cplxf*, cplx*, cplx*,
+                                                 size_t) const;
 template void ExchangeOperator::run_pairs(
     const PairSeam&, const std::vector<PairJob<cplx>>&) const;
 template void ExchangeOperator::run_pairs(
     const PairSeam&, const std::vector<PairJob<cplxf>>&) const;
-template void ExchangeOperator::pair_pack_block_real(const real_t*,
-                                                     const size_t*, size_t,
-                                                     const real_t*, cplx*,
-                                                     size_t) const;
-template void ExchangeOperator::pair_pack_block_real(const realf_t*,
-                                                     const size_t*, size_t,
-                                                     const realf_t*, cplxf*,
-                                                     size_t) const;
-template void ExchangeOperator::accumulate_block_real(const real_t*,
-                                                      const size_t*,
-                                                      const real_t*, size_t,
-                                                      const cplx*, real_t*,
-                                                      real_t*, size_t) const;
-template void ExchangeOperator::accumulate_block_real(const realf_t*,
-                                                      const size_t*,
-                                                      const real_t*, size_t,
-                                                      const cplxf*, real_t*,
-                                                      real_t*, size_t) const;
+template void ExchangeOperator::run_pairs(
+    const PairSeam&, const std::vector<PairJob<real_t>>&) const;
+template void ExchangeOperator::run_pairs(
+    const PairSeam&, const std::vector<PairJob<realf_t>>&) const;
+template bool ExchangeOperator::fields_are_real(const la::MatC&,
+                                                const std::vector<size_t>&,
+                                                const la::MatC&);
+template bool ExchangeOperator::fields_are_real(const la::MatCf&,
+                                                const std::vector<size_t>&,
+                                                const la::MatCf&);
+template std::vector<real_t> ExchangeOperator::real_parts(const la::MatC&);
+template std::vector<realf_t> ExchangeOperator::real_parts(const la::MatCf&);
 
 }  // namespace ptim::ham

@@ -16,13 +16,14 @@
 //                        phi' = Phi Q, then apply_diag (Sec. IV-A1).
 // All produce identical results (tests enforce agreement to 1e-12).
 //
-// Every dense complex apply apart from Alg. 2's baseline runs ONE block
-// engine, run_pairs: serial apply_diag is a one-job pack, apply_diag_packed
-// an N-job pack, and each round of the band-parallel exchange (1-D and 2-D,
+// Every dense apply apart from Alg. 2's baseline runs ONE block engine,
+// run_pairs: serial apply_diag is a one-job pack, apply_diag_packed an
+// N-job pack, and each round of the band-parallel exchange (1-D and 2-D,
 // occupation- and theta-weighted; dist/exchange_dist) a one-job pack over
 // the origin rank's slab. Where the fields live sits behind PairSeam: the
 // whole wavefunction grid (FullGridSeam) or one rank's z slab
-// (dist::GridContext). The Γ-point real-pair engine keeps its own loop.
+// (dist::GridContext). Γ-point real fields (gamma_real) are a kind of job
+// of the same engine: two real pair densities per FFT lane.
 //
 // Precision policy (ExchangeOptions::precision): with Precision::kSingle*
 // the pair densities, their FFTs and the kernel multiply run in FP32 —
@@ -108,18 +109,21 @@ struct ExchangeOptions {
   real_t isdf_rank_factor = 8.0;
   // Γ-point real-wavefunction fast path. At the Γ point orbitals can be
   // chosen real, so every pair density conj(phi_i) psi_j is a REAL field
-  // and two of them ride one complex FFT lane (z = rho_a + i rho_b). The
-  // screened kernel K(G) is real and even, so filtering the packed lane
-  // filters both densities exactly — no spectrum unscramble is needed and
-  // the pair-FFT count HALVES (2*ceil(nb/2) per target instead of 2*nb).
-  // Enabling this is a detection gate, not a promise: every dense diag
-  // apply checks at runtime that its sources and targets are real in real
-  // space and falls back BITWISE to the complex pipeline when they are not
+  // and two of them ride one complex FFT lane (z = rho_a + i rho_b) of the
+  // pair engine (run_pairs, real jobs). The screened kernel K(G) is real
+  // and even, so filtering the packed lane filters both densities exactly
+  // — no spectrum unscramble is needed and the pair-FFT count HALVES
+  // (2*ceil(nb/2) per target instead of 2*nb). Enabling this is a
+  // detection gate, not a promise: every dense diag apply (serial, packed
+  // and 1-D band-parallel) checks at runtime that its sources with nonzero
+  // occupation and its targets are real in real space (fields_are_real)
+  // and falls back BITWISE to the complex pipeline when they are not
   // (propagated RT-TDDFT orbitals are complex, so golden trajectories are
-  // unaffected). Within the real path, results are bitwise-invariant
-  // across batch sizes and distributed circulation patterns (pinned in
-  // tests); agreement with the complex pipeline on real orbitals is ~1e-13
-  // relative (the packed path drops the complex path's imaginary dust).
+  // unaffected). 2-D and theta-weighted applies never take this path.
+  // Within the real path, results are bitwise-invariant across batch sizes
+  // and distributed circulation patterns (pinned in tests); agreement with
+  // the complex pipeline on real orbitals is ~1e-13 relative (the packed
+  // path drops the complex path's imaginary dust).
   bool gamma_real = false;
 };
 
@@ -194,9 +198,10 @@ class ExchangeOperator {
   // a standalone apply_diag call: every job keeps its own column order,
   // block partitioning and FP64 accumulation order, and each lane of the
   // batched FFT transforms independently of its neighbors (see fft/fft.hpp).
-  // A job whose fields pass the Γ-point gate (gamma_real) runs the real
-  // engine standalone, and under kIsdf every job is a standalone apply on
-  // THIS operator, fitted on its held point set.
+  // Jobs whose fields pass the Γ-point gate (gamma_real) run as one more
+  // pack of real jobs, sharing FFT rounds with each other; under kIsdf
+  // every job is a standalone apply on THIS operator, fitted on its held
+  // point set.
   void apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
                          bool accumulate = false) const;
 
@@ -211,60 +216,72 @@ class ExchangeOperator {
                         bool accumulate = false) const;
 
   // --- the dense pair engine ---------------------------------------------
-  // One job of run_pairs (CS = cplx for the FP64 pipeline, cplxf for FP32).
-  // Fields are seam.nloc() points each; field s of the job starts at
-  // src + s * nloc. idx lists, in order, the fields that take part, each
-  // weighted either by its occupation d[s] (weight == nullptr; idx holds
-  // the nonzero ones) or by the real-space field weight + s * nloc (the
-  // sigma-contracted theta of the mixed-state path; d is unused). An
-  // interleaved [phi_b | theta_b] payload lists phi_b as field 2b with
-  // weight = src + nloc. For each of the ntgt target fields t_j,
+  // One job of run_pairs. FS is the field scalar: cplx / cplxf for complex
+  // fields (the FP64 / FP32 pipelines), real_t / realf_t for Γ-point fields
+  // that passed the realness gate (fields_are_real; the job holds their
+  // real parts). Fields are seam.nloc() points each; field s of the job
+  // starts at src + s * nloc. idx lists, in order, the fields that take
+  // part, each weighted either by its occupation d[s] (weight == nullptr;
+  // idx holds the nonzero ones) or, in complex jobs only, by the
+  // real-space field weight + s * nloc (the sigma-contracted theta of the
+  // mixed-state path; d is unused). An interleaved [phi_b | theta_b]
+  // payload lists phi_b as field 2b with weight = src + nloc. For each of
+  // the ntgt target fields t_j,
   //   out_j += -alpha * sphere( sum_s w_s(r) IFFT[K FFT[conj(f_s) t_j]](r) ).
-  template <typename CS>
+  template <typename FS>
   struct PairJob {
-    const CS* src = nullptr;
+    const FS* src = nullptr;
     const real_t* d = nullptr;
-    const CS* weight = nullptr;
+    const FS* weight = nullptr;
     std::vector<size_t> idx;
-    const CS* tgt = nullptr;  // ntgt fields, nloc points each
+    const FS* tgt = nullptr;  // ntgt fields, nloc points each
     size_t ntgt = 0;
     la::MatC* out = nullptr;  // npw x ntgt, accumulated into
   };
-  // Run a pack of jobs: each round takes the next <= batch_size block of
-  // every unfinished job, forms the pairs into one shared buffer, filters
-  // it with one seam.filter call and accumulates each job's slice (FP64,
-  // Kahan-compensated under kSingleCompensated); finished target columns
-  // go through seam.gather. Defined for CS = cplx and cplxf.
-  template <typename CS>
+  // Run a pack of jobs: each round takes the next block of every
+  // unfinished job, forms its pair densities into one shared buffer of
+  // FFT lanes, filters it with one seam.filter call and accumulates each
+  // job's slice (FP64, Kahan-compensated under kSingleCompensated);
+  // finished target columns go through seam.gather. A complex block is up
+  // to batch_size densities, one per lane. A real block is up to
+  // 2 * batch_size densities, two per lane (K(G) is real and even, so
+  // filtering the lane filters both exactly); its boundaries sit at even
+  // offsets, so which two densities share a lane — and with it every bit
+  // of the result — never depends on batch_size. Defined for FS = cplx,
+  // cplxf, real_t and realf_t.
+  template <typename FS>
   void run_pairs(const PairSeam& seam,
-                 const std::vector<PairJob<CS>>& jobs) const;
+                 const std::vector<PairJob<FS>>& jobs) const;
 
-  // Γ-point variants for REAL circulating slabs (dist layer, gamma_real
-  // mode): nsrc purely real real-space orbitals stored contiguously. The
-  // caller must have verified that the TARGETS are real too (the dist
-  // layer agrees on this across ranks before switching to real payloads);
-  // their imaginary parts are dropped here. Ring bytes halve versus
-  // complex slabs (quarter, for the float variant versus cplx).
-  void apply_diag_realspace_real(const real_t* src_real, size_t nsrc,
-                                 const real_t* d, const la::MatC& tgt,
-                                 la::MatC& out, bool accumulate) const;
-  void apply_diag_realspace_real(const realf_t* src_real, size_t nsrc,
-                                 const real_t* d, const la::MatC& tgt,
-                                 la::MatC& out, bool accumulate) const;
+  // Γ-point realness gate shared by the serial applies and the 1-D band
+  // vote (dist/exchange_dist; every rank must apply the SAME test before
+  // agreeing on real payloads): true when the source columns listed in idx
+  // and every target column (real-space fields from a seam) have max |Im|
+  // <= tol * max |Re|, with tol far above the precision's FFT imaginary
+  // dust and far below any genuine complex phase. An all-zero field counts
+  // as real. Defined for CS = cplx and cplxf.
+  template <typename CS>
+  static bool fields_are_real(const la::Matrix<CS>& src,
+                              const std::vector<size_t>& idx,
+                              const la::Matrix<CS>& tgt);
+  // The real parts of m, column-major (the fields a real job holds).
+  template <typename CS>
+  static std::vector<typename CS::value_type> real_parts(
+      const la::Matrix<CS>& m);
 
   // --- stage primitives --------------------------------------------------
-  // The hot-path stages of the pair engines. run_pairs and the Γ-point
-  // engine are built from exactly these calls, so a stage-by-stage
-  // composition is bit-identical to the fused apply. idx selects source
-  // columns: source i of the block is column idx[i] of src_real (the
-  // compressed active-occupation list).
+  // The hot-path stages of the pair engine. run_pairs is built from
+  // exactly these calls, so a stage-by-stage composition is bit-identical
+  // to the fused apply. idx selects source columns: source i of the block
+  // is column idx[i] of src_real (the compressed active-occupation list).
   //
-  // The pointwise stages are member templates over the slab scalar (CS =
-  // cplx for the FP64 pipeline, cplxf for FP32; RS = real_t / realf_t the
-  // matching real scalar), explicitly instantiated in exchange.cpp for those
-  // pairs only. nloc is the per-orbital element count (column stride and
-  // loop bound): the full grid by default, the z-slab size for the 2-D
-  // band x grid decomposition (dist/slab_exchange). The body is shared, so
+  // The pointwise stages are member templates over the field scalar (CS =
+  // cplx for the FP64 pipeline, cplxf for FP32; RS = real_t / realf_t for
+  // the real fields of Γ-point jobs, whose lanes are std::complex<RS>),
+  // explicitly instantiated in exchange.cpp for those scalars only. nloc
+  // is the per-orbital element count (column stride and loop bound): the
+  // full grid by default, the z-slab size for the 2-D band x grid
+  // decomposition (dist/slab_exchange). The body is shared, so
   // the slab composition stays bit-identical to the full-grid one on the
   // points each rank owns. The unscaled-synthesis weight always uses the
   // GLOBAL grid size (it undoes the inverse-FFT 1/Ng normalization, a
@@ -275,6 +292,13 @@ class ExchangeOperator {
   template <typename CS>
   void pair_form_block(const CS* src_real, const size_t* idx, size_t nb,
                        const CS* tgt_real, CS* block,
+                       size_t nloc = kFullGrid) const;
+  // Real fields: nb densities into ceil(nb/2) lanes,
+  //   block[q] = src[idx[2q]] ⊙ tgt  +  i * src[idx[2q+1]] ⊙ tgt
+  // (an odd trailing density rides a zero imaginary part).
+  template <typename RS>
+  void pair_form_block(const RS* src_real, const size_t* idx, size_t nb,
+                       const RS* tgt_real, std::complex<RS>* block,
                        size_t nloc = kFullGrid) const;
   // kernel_filter_block: forward batch FFT, K(G)/Ng multiply, inverse batch
   // FFT on nb pair densities (with FFT-count bookkeeping).
@@ -287,6 +311,13 @@ class ExchangeOperator {
   void accumulate_block(const CS* src_real, const size_t* idx, const real_t* d,
                         size_t nb, const CS* block, cplx* acc, cplx* comp,
                         size_t nloc = kFullGrid) const;
+  // Real fields: block[i](r) above becomes Re (even i) or Im (odd i) of
+  // lane i/2. Only the real parts of acc and comp move; their imaginary
+  // parts stay exactly zero.
+  template <typename RS>
+  void accumulate_block(const RS* src_real, const size_t* idx, const real_t* d,
+                        size_t nb, const std::complex<RS>* block, cplx* acc,
+                        cplx* comp, size_t nloc = kFullGrid) const;
   // Weighted variant (mixed-state path): the scalar occupation is replaced
   // by the real-space weight field w, acc[r] += sum_i Ng * w[idx[i]](r) *
   // block[i](r). Records the same xchg.accumulate span.
@@ -294,40 +325,10 @@ class ExchangeOperator {
   void accumulate_weighted_block(const CS* weight_real, const size_t* idx,
                                  size_t nb, const CS* block, cplx* acc,
                                  cplx* comp, size_t nloc = kFullGrid) const;
-  // Γ-point real-pair stages (gamma_real fast path). Two real pair
-  // densities ride each complex FFT lane, so a block of nb densities packs
-  // into ceil(nb/2) lanes and goes through the SAME kernel_filter_block as
-  // the complex pipeline (K(G) is real-even, so filtering the packed lane
-  // filters both residents exactly — no unscramble).
-  //
-  // pair_pack_block_real: lane q gets
-  //   block[q] = src[idx[2q]] ⊙ tgt  +  i * src[idx[2q+1]] ⊙ tgt
-  // (an odd trailing density rides a zero imaginary part).
-  template <typename RS, typename CS>
-  void pair_pack_block_real(const RS* src_real, const size_t* idx, size_t nb,
-                            const RS* tgt_real, CS* block,
-                            size_t nloc = kFullGrid) const;
-  // accumulate_block_real: acc[r] += d[idx[i]]*Ng * src[idx[i]](r) *
-  // lane_part_i(r), where lane_part_i is Re (even i) or Im (odd i) of lane
-  // i/2. FP64 accumulation regardless of the block scalar; comp != nullptr
-  // selects the Kahan-compensated sum, exactly as accumulate_block.
-  template <typename RS, typename CS>
-  void accumulate_block_real(const RS* src_real, const size_t* idx,
-                             const real_t* d, size_t nb, const CS* block,
-                             real_t* acc, real_t* comp,
-                             size_t nloc = kFullGrid) const;
 
   // gather_accumulate: out_col[p] += -alpha * to_sphere(acc)[p]. scratch
   // must hold npw elements; always FP64 (the paper keeps the gather exact).
   void gather_accumulate(const cplx* acc, cplx* scratch, cplx* out_col) const;
-
-  // Γ-point realness criterion shared by the gate above and the dist layer
-  // (every rank must apply the SAME test before agreeing on real ring
-  // payloads): max |Im| <= tol * max |Re| over the field, with tol far
-  // above the precision's FFT imaginary dust and far below any genuine
-  // complex phase. An all-zero field counts as real.
-  static bool field_is_real(const cplx* v, size_t n);
-  static bool field_is_real(const cplxf* v, size_t n);
 
   // Real-space transform helper for the distributed paths.
   const pw::SphereGridMap& map() const { return *map_; }
@@ -343,31 +344,11 @@ class ExchangeOperator {
 
  private:
   // The dense diag applies (apply_diag, apply_diag_packed) after their
-  // checks: sources to real space, the Γ-point gate per job, then one
-  // run_pairs pack on the full grid over the jobs that stay complex.
+  // checks: sources and targets to real space through the full-grid seam,
+  // the Γ-point gate per job, then one run_pairs pack over the complex
+  // jobs and one over the real jobs.
   template <typename CS>
   void diag_pack(const std::vector<DiagApplyJob>& jobs) const;
-  // Γ-point real engine (RS = real_t/realf_t with CS = cplx/cplxf the
-  // matching packed-lane scalar): blocks of 2*batch_size REAL pair
-  // densities ride batch_size complex FFT lanes. Block boundaries sit at
-  // EVEN density offsets, so which two densities share a lane — and hence
-  // every transformed value and the in-order FP64 accumulation — is
-  // independent of batch_size: bitwise-invariant across widths. Targets
-  // arrive pre-transformed (ntgt real fields, extracted by the callers'
-  // realness gate).
-  template <typename RS, typename CS>
-  void pair_accumulate_real_blocks(const RS* src_real, const real_t* d,
-                                   const std::vector<size_t>& active,
-                                   const RS* tgt_real, size_t ntgt,
-                                   la::MatC& out) const;
-  // Realness gate of diag_pack: if every active source and every target
-  // is real in real space, runs the real engine and returns true;
-  // otherwise returns false and the job stays in the complex pack
-  // (bitwise-identical to gamma_real == false).
-  template <typename RS, typename CS>
-  bool try_gamma_real(const CS* src_real, size_t nsrc, const real_t* d,
-                      const std::vector<size_t>& active, const la::MatC& tgt,
-                      la::MatC& out) const;
   template <typename CS>
   void mixed_naive_blocks(const la::Matrix<CS>& src_real,
                           const la::MatC& sigma, const la::MatC& tgt,

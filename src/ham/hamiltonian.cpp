@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/fixed_sum.hpp"
 #include "common/timer.hpp"
 #include "ham/density.hpp"
 #include "ham/hartree.hpp"
@@ -182,13 +183,11 @@ EnergyTerms Hamiltonian::energy(const la::MatC& phi, const la::MatC& sigma,
 
   // Local terms: integrals against rho.
   const real_t dvol = den_grid_->dvol();
-  real_t eloc = 0.0;
-#pragma omp parallel for reduction(+ : eloc) schedule(static)
-  for (size_t i = 0; i < rho.size(); ++i) {
+  const real_t eloc = fixed_sum(rho.size(), [&](size_t i) {
     real_t v = vloc_ion_[i];
     if (!vext_.empty()) v += vext_[i];
-    eloc += rho[i] * v;
-  }
+    return rho[i] * v;
+  });
   e.local = eloc * dvol;
   e.hartree = ehartree_;
   e.xc = exc_;

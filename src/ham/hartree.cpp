@@ -1,6 +1,7 @@
 #include "ham/hartree.hpp"
 
 #include "common/error.hpp"
+#include "common/fixed_sum.hpp"
 
 namespace ptim::ham {
 
@@ -22,13 +23,11 @@ HartreeResult hartree_potential(const std::vector<real_t>& rho,
 
   HartreeResult out;
   out.v.resize(ng);
-  real_t e = 0.0;
   const auto scale = static_cast<real_t>(ng);  // undo the 1/Ng of inverse()
-#pragma omp parallel for reduction(+ : e) schedule(static)
-  for (size_t i = 0; i < ng; ++i) {
+  const real_t e = fixed_sum(ng, [&](size_t i) {
     out.v[i] = std::real(work[i]) * scale;
-    e += rho[i] * out.v[i];
-  }
+    return rho[i] * out.v[i];
+  });
   out.energy = 0.5 * e * g.dvol();
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/fixed_sum.hpp"
+
 namespace ptim::ham {
 
 XcResult lda_pz81(real_t rho) {
@@ -39,13 +41,11 @@ XcResult lda_pz81(real_t rho) {
 real_t lda_pz81_eval(const std::vector<real_t>& rho, real_t dvol,
                      std::vector<real_t>& vxc) {
   vxc.resize(rho.size());
-  real_t exc = 0.0;
-#pragma omp parallel for reduction(+ : exc) schedule(static)
-  for (size_t i = 0; i < rho.size(); ++i) {
+  const real_t exc = fixed_sum(rho.size(), [&](size_t i) {
     const XcResult r = lda_pz81(rho[i]);
     vxc[i] = r.vxc;
-    exc += r.exc_density;
-  }
+    return r.exc_density;
+  });
   return exc * dvol;
 }
 

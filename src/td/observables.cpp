@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/fixed_sum.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"
 
@@ -13,24 +14,17 @@ real_t dipole(const std::vector<real_t>& rho, const grid::FftGrid& g,
   PTIM_CHECK(rho.size() == g.size());
   const auto& dims = g.dims();
   const grid::Vec3 center = g.lattice().center();
-  // One partial sum per x line, added in line order afterwards. An OpenMP
-  // reduction adds the per-thread sums in the order the threads finish, so
-  // the same density could give a different last bit from call to call;
-  // this sum depends on neither the timing nor the thread count.
-  const size_t nlines = dims[1] * dims[2];
-  std::vector<real_t> line_sum(nlines);
-#pragma omp parallel for schedule(static)
-  for (size_t q = 0; q < nlines; ++q) {
-    const size_t i1 = q % dims[1], i2 = q / dims[1];
-    real_t s = 0.0;
-    for (size_t i0 = 0; i0 < dims[0]; ++i0) {
-      const grid::Vec3 r = g.rvec(i0, i1, i2) - center;
-      s += grid::dot(r, dir) * rho[g.linear(i0, i1, i2)];
-    }
-    line_sum[q] = s;
-  }
-  real_t acc = 0.0;
-  for (const real_t s : line_sum) acc += s;
+  // One partial per x line (linear index i = i0 + n0 * line), added in
+  // line order: the bits depend on neither the timing nor the threads.
+  const real_t acc = fixed_sum(
+      g.size(),
+      [&](size_t i) {
+        const size_t q = i / dims[0];
+        const grid::Vec3 r =
+            g.rvec(i % dims[0], q % dims[1], q / dims[1]) - center;
+        return grid::dot(r, dir) * rho[i];
+      },
+      dims[0]);
   return acc * g.dvol();
 }
 

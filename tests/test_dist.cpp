@@ -290,52 +290,68 @@ TEST(ExchangeDist, GammaRealMatchesSerialAndIsPatternInvariant) {
   // slabs circulate and the per-origin staged reduction makes the result
   // bitwise-IDENTICAL across the three circulation patterns (the complex
   // path only promises per-pattern determinism — its accumulation order
-  // follows slab arrival). Also pinned against the serial gamma apply.
+  // follows slab arrival). Also pinned against the serial gamma apply: at
+  // 1e-10 in FP64 and, for the FP32 policies (realf_t slabs), at the FP32
+  // tolerance of ExchangeGamma.ComposesWithFp32Precision.
   XEnv e;
-  ham::ExchangeOptions opt;
-  opt.gamma_real = true;
-  ham::ExchangeOperator xg{e.map, opt};
   const size_t npw = e.sys.sphere->npw();
   const size_t nb = 5;  // odd band count, non-divisible on 4 ranks
   const la::MatC src = test::random_real_orbitals(e.map, nb, 430);
   const la::MatC tgt = test::random_real_orbitals(e.map, nb, 431);
   const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.0};
 
+  ham::ExchangeOptions opt;
+  opt.gamma_real = true;
+  ham::ExchangeOperator xg{e.map, opt};
   la::MatC ref(npw, nb);
   xg.apply_diag(src, d, tgt, ref);
+  const real_t ref_norm = la::frob_norm(ref);
 
   const int p = 4;
   const dist::BlockLayout sb(nb, p), tb(nb, p);
-  std::vector<std::vector<la::MatC>> by_pattern;
-  for (const auto pat :
-       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
-        dist::ExchangePattern::kAsyncRing}) {
-    std::vector<la::MatC> blocks(static_cast<size_t>(p));
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      const int me = c.rank();
-      const std::vector<real_t> d_local(
-          d.begin() + static_cast<long>(sb.offset(me)),
-          d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
-      blocks[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-          c, xg, dist::scatter_bands(src, sb, me), d_local,
-          dist::scatter_bands(tgt, tb, me), sb, pat);
-    });
-    for (int r = 0; r < p; ++r) {
-      const auto& blk = blocks[static_cast<size_t>(r)];
-      for (size_t b = 0; b < tb.count(r); ++b)
-        for (size_t i = 0; i < npw; ++i)
-          EXPECT_NEAR(std::abs(blk(i, b) - ref(i, tb.offset(r) + b)), 0.0,
-                      1e-10)
+  for (const Precision prec :
+       {Precision::kDouble, Precision::kSingle,
+        Precision::kSingleCompensated}) {
+    xg.set_precision(prec);
+    std::vector<std::vector<la::MatC>> by_pattern;
+    for (const auto pat :
+         {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+          dist::ExchangePattern::kAsyncRing}) {
+      std::vector<la::MatC> blocks(static_cast<size_t>(p));
+      ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+        const int me = c.rank();
+        const std::vector<real_t> d_local(
+            d.begin() + static_cast<long>(sb.offset(me)),
+            d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
+        blocks[static_cast<size_t>(me)] =
+            dist::exchange_apply_distributed_local(
+                c, xg, dist::scatter_bands(src, sb, me), d_local,
+                dist::scatter_bands(tgt, tb, me), sb, pat);
+      });
+      la::MatC full(npw, nb);
+      for (int r = 0; r < p; ++r) {
+        const auto& blk = blocks[static_cast<size_t>(r)];
+        for (size_t b = 0; b < tb.count(r); ++b)
+          std::copy(blk.col(b), blk.col(b) + npw, full.col(tb.offset(r) + b));
+      }
+      if (prec == Precision::kDouble) {
+        for (size_t i = 0; i < full.size(); ++i)
+          EXPECT_NEAR(std::abs(full.data()[i] - ref.data()[i]), 0.0, 1e-10)
               << dist::pattern_name(pat);
+      } else {
+        EXPECT_LT(la::frob_diff(full, ref), 1e-5 * ref_norm)
+            << dist::pattern_name(pat) << " " << precision_name(prec);
+      }
+      by_pattern.push_back(std::move(blocks));
     }
-    by_pattern.push_back(std::move(blocks));
+    for (size_t k = 1; k < by_pattern.size(); ++k)
+      for (int r = 0; r < p; ++r)
+        EXPECT_EQ(la::frob_diff(by_pattern[k][static_cast<size_t>(r)],
+                                by_pattern[0][static_cast<size_t>(r)]),
+                  0.0)
+            << "pattern " << k << " rank " << r << " "
+            << precision_name(prec);
   }
-  for (size_t k = 1; k < by_pattern.size(); ++k)
-    for (int r = 0; r < p; ++r)
-      EXPECT_EQ(la::frob_diff(by_pattern[k][static_cast<size_t>(r)],
-                              by_pattern[0][static_cast<size_t>(r)]),
-                0.0)
-          << "pattern " << k << " rank " << r;
 }
 
 TEST(ExchangeDist, GammaRealHalvesRingBytes) {

@@ -270,8 +270,9 @@ TEST(ExchangePacked, JobsMatchStandaloneBitwise) {
   // per job the result must equal a standalone apply_diag bit for bit and
   // the pack must spend exactly the standalone transforms. The pack mixes
   // source and target counts, an all-zero-occupation job and a job with no
-  // targets; under gamma_real a real-orbital job joins it and must take
-  // the real engine exactly as its standalone apply does.
+  // targets; under gamma_real two real-orbital jobs (one with an odd
+  // source count) join it and must share the rounds of the pack of real
+  // jobs, each bitwise as its standalone apply.
   test::TinySystem sys = test::TinySystem::make(3.0);
   pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
   const size_t npw = sys.sphere->npw();
@@ -301,6 +302,10 @@ TEST(ExchangePacked, JobsMatchStandaloneBitwise) {
       p.src = test::random_real_orbitals(map, p.nsrc, 660);
       p.tgt = test::random_real_orbitals(map, p.ntgt, 661);
       probs.push_back(std::move(p));
+      Problem q{9, 2, {1.0, 0.9, 0.0, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2}, {}, {}};
+      q.src = test::random_real_orbitals(map, q.nsrc, 662);
+      q.tgt = test::random_real_orbitals(map, q.ntgt, 663);
+      probs.push_back(std::move(q));
     }
     for (const Precision prec :
          {Precision::kDouble, Precision::kSingle,

@@ -1,14 +1,10 @@
 // Cross-variant FFT conformance suite: one randomized property set
-// (linearity, Parseval, impulse, round-trip, conjugate symmetry of
-// real-input spectra, Bluestein odd-prime dims, width-1 tiles) replayed
-// against EVERY engine variant — scalar/AVX2/AVX-512/NEON kernels x
-// FP64/FP32 x serial/distributed x c2c/packed-r2c — plus the bitwise pins
+// (linearity, Parseval, impulse, round-trip, Bluestein odd-prime dims,
+// width-1 tiles) replayed against EVERY engine variant —
+// scalar/AVX2/AVX-512/NEON kernels x FP64/FP32 — plus the bitwise pins
 // that make engine selection a pure performance knob:
 //   * every vector ISA produces bit-identical transforms to the scalar
 //     kernels (no FMA, -ffp-contract=off; see fft/simd.hpp),
-//   * real-input spectra satisfy spec[-k] == conj(spec[k]) exactly,
-//   * the distributed packed-real path filters real-even kernels like the
-//     serial engine and moves HALF the Alltoallv bytes per field,
 //   * concurrent callers (distinct plans or a shared plan) never race —
 //     all tile scratch is per-thread and function-local (the TSan CI job
 //     runs this suite via the dist label).
@@ -26,10 +22,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "fft/dist_fft.hpp"
 #include "fft/fft.hpp"
 #include "fft/simd.hpp"
-#include "ptmpi/comm.hpp"
 
 using namespace ptim;
 using fft::simd::Isa;
@@ -43,14 +37,6 @@ std::vector<std::complex<R>> random_box(size_t n, unsigned seed) {
   for (auto& x : v)
     x = std::complex<R>(static_cast<R>(rng.uniform() - 0.5),
                         static_cast<R>(rng.uniform() - 0.5));
-  return v;
-}
-
-template <typename R>
-std::vector<R> random_real_box(size_t n, unsigned seed) {
-  Rng rng(seed);
-  std::vector<R> v(n);
-  for (auto& x : v) x = static_cast<R>(rng.uniform() - 0.5);
   return v;
 }
 
@@ -68,24 +54,6 @@ struct IsaGuard {
 
 constexpr std::array<Isa, 4> kAllIsas{Isa::kScalar, Isa::kAvx2, Isa::kAvx512,
                                       Isa::kNeon};
-
-// A real, EVEN spectral filter on the dims box (K(-G) == K(G) under the
-// modular index negation) — the shape class the exchange kernel belongs
-// to, and the only class the PACKED distributed real spectra support.
-template <typename R>
-std::vector<R> real_even_kernel(std::array<size_t, 3> d) {
-  std::vector<R> k(d[0] * d[1] * d[2]);
-  size_t i = 0;
-  for (size_t i2 = 0; i2 < d[2]; ++i2)
-    for (size_t i1 = 0; i1 < d[1]; ++i1)
-      for (size_t i0 = 0; i0 < d[0]; ++i0, ++i) {
-        const size_t m0 = std::min(i0, d[0] - i0);
-        const size_t m1 = std::min(i1, d[1] - i1);
-        const size_t m2 = std::min(i2, d[2] - i2);
-        k[i] = R(1) / static_cast<R>(1 + m0 * m0 + m1 * m1 + m2 * m2);
-      }
-  return k;
-}
 
 // ---------------------------------------------- per-variant property set --
 // Every checker below drives the BATCHED engines (forward_batch and
@@ -148,85 +116,6 @@ void check_impulse(std::array<size_t, 3> d) {
     ASSERT_NEAR(std::abs(x[i] - C(1)), 0.0, prop_tol<R>()) << "i=" << i;
 }
 
-// Packed r2c: conjugate symmetry is BITWISE (the unscramble computes
-// spec[k] and spec[-k] from the same mirrored sums), the spectra match the
-// complex engine on real inputs at tolerance, and the r2c/c2r pair round
-// trips — including an ODD field count (zero-padded trailing lane).
-template <typename R>
-void check_real_batch(std::array<size_t, 3> d, size_t nreal, unsigned seed) {
-  using C = std::complex<R>;
-  fft::Fft3T<R> f(d[0], d[1], d[2]);
-  const size_t ng = f.size();
-  const auto x = random_real_box<R>(nreal * ng, seed);
-  std::vector<C> spec(nreal * ng);
-  f.forward_batch_real(x.data(), spec.data(), nreal);
-
-  for (size_t b = 0; b < nreal; ++b) {
-    const C* s = spec.data() + b * ng;
-    // Bitwise conjugate symmetry over the 3-D negated index.
-    size_t i = 0;
-    for (size_t i2 = 0; i2 < d[2]; ++i2)
-      for (size_t i1 = 0; i1 < d[1]; ++i1)
-        for (size_t i0 = 0; i0 < d[0]; ++i0, ++i) {
-          const size_t ni = ((d[0] - i0) % d[0]) +
-                            d[0] * (((d[1] - i1) % d[1]) +
-                                    d[1] * ((d[2] - i2) % d[2]));
-          ASSERT_EQ(s[ni], std::conj(s[i])) << "b=" << b << " i=" << i;
-        }
-    // Against the complex engine on the same (real) field.
-    std::vector<C> z(ng);
-    for (size_t j = 0; j < ng; ++j) z[j] = C(x[b * ng + j], R(0));
-    f.forward_batch(z.data(), 1);
-    for (size_t j = 0; j < ng; ++j)
-      ASSERT_NEAR(std::abs(s[j] - z[j]), 0.0,
-                  prop_tol<R>() * static_cast<double>(ng))
-          << "b=" << b << " j=" << j;
-  }
-
-  std::vector<R> back(nreal * ng);
-  f.inverse_batch_real(spec.data(), back.data(), nreal);
-  for (size_t i = 0; i < back.size(); ++i)
-    ASSERT_NEAR(static_cast<double>(std::abs(back[i] - x[i])), 0.0,
-                prop_tol<R>())
-        << "i=" << i;
-}
-
-// 1-D Γ-point pair: two real signals through one complex transform match
-// two complex transforms, unpaired (null b) included, and round trip.
-template <typename R>
-void check_real_pair_1d(size_t n, unsigned seed) {
-  using C = std::complex<R>;
-  fft::Plan1DT<R> plan(n);
-  const auto a = random_real_box<R>(n, seed);
-  const auto b = random_real_box<R>(n, seed + 1);
-  std::vector<C> fa(n), fb(n), ref(n);
-  plan.forward_real_pair(a.data(), b.data(), fa.data(), fb.data());
-  for (const auto* s : {&a, &b}) {
-    std::vector<C> z(n);
-    for (size_t j = 0; j < n; ++j) z[j] = C((*s)[j], R(0));
-    plan.forward(z.data(), ref.data());
-    const C* got = (s == &a) ? fa.data() : fb.data();
-    for (size_t j = 0; j < n; ++j)
-      ASSERT_NEAR(std::abs(got[j] - ref[j]), 0.0,
-                  prop_tol<R>() * static_cast<double>(n))
-          << "n=" << n << " j=" << j;
-  }
-  std::vector<R> ra(n), rb(n);
-  plan.inverse_real_pair(fa.data(), fb.data(), ra.data(), rb.data());
-  for (size_t j = 0; j < n; ++j) {
-    ASSERT_NEAR(static_cast<double>(std::abs(ra[j] - a[j])), 0.0,
-                prop_tol<R>());
-    ASSERT_NEAR(static_cast<double>(std::abs(rb[j] - b[j])), 0.0,
-                prop_tol<R>());
-  }
-  // Unpaired trailing signal: fb may be null.
-  std::vector<C> fa2(n);
-  plan.forward_real_pair(a.data(), nullptr, fa2.data(), nullptr);
-  for (size_t j = 0; j < n; ++j)
-    ASSERT_NEAR(std::abs(fa2[j] - fa[j]), 0.0,
-                prop_tol<R>() * static_cast<double>(n));
-}
-
 }  // namespace
 
 // ------------------------------------------------- ISA-parameterized run --
@@ -258,9 +147,6 @@ TEST_P(FftConformance, BluesteinOddPrimeDims) {
   // Every axis of {11, 13, 9} except the last runs the chirp-z fallback.
   check_roundtrip_c2c<double>({11, 13, 9}, 2, 1010);
   check_roundtrip_c2c<float>({11, 13, 9}, 2, 1011);
-  check_real_batch<double>({11, 13, 9}, 3, 1012);
-  check_real_pair_1d<double>(31, 1013);
-  check_real_pair_1d<float>(13, 1014);
 }
 
 TEST_P(FftConformance, Linearity) {
@@ -276,18 +162,6 @@ TEST_P(FftConformance, Parseval) {
 TEST_P(FftConformance, Impulse) {
   check_impulse<double>({6, 6, 3});
   check_impulse<float>({6, 6, 3});
-}
-
-TEST_P(FftConformance, RealBatchConjugateSymmetryAndRoundTrip) {
-  // Odd field counts exercise the zero-padded trailing lane.
-  check_real_batch<double>({6, 5, 4}, 5, 1040);
-  check_real_batch<float>({6, 5, 4}, 5, 1041);
-  check_real_batch<double>({4, 4, 4}, 1, 1042);
-}
-
-TEST_P(FftConformance, RealPair1D) {
-  check_real_pair_1d<double>(24, 1050);
-  check_real_pair_1d<float>(30, 1051);
 }
 
 TEST_P(FftConformance, Width1Tiles) {
@@ -308,7 +182,7 @@ TEST_P(FftConformance, Width1Tiles) {
 namespace {
 
 // Forward + inverse of every available vector ISA must be bit-identical to
-// the scalar kernels — c2c and packed r2c, FP64 and FP32 alike.
+// the scalar kernels, FP64 and FP32 alike.
 template <typename R>
 void check_bitwise_vs_scalar(std::array<size_t, 3> d, size_t nbatch,
                              unsigned seed) {
@@ -316,20 +190,14 @@ void check_bitwise_vs_scalar(std::array<size_t, 3> d, size_t nbatch,
   fft::Fft3T<R> f(d[0], d[1], d[2]);
   const size_t ng = f.size();
   const auto input = random_box<R>(nbatch * ng, seed);
-  const auto rinput = random_real_box<R>(nbatch * ng, seed + 1);
 
-  std::vector<C> ref_fwd, ref_inv, ref_spec;
-  std::vector<R> ref_real;
+  std::vector<C> ref_fwd, ref_inv;
   {
     IsaGuard g(Isa::kScalar);
     ref_fwd = input;
     f.forward_batch(ref_fwd.data(), nbatch);
     ref_inv = ref_fwd;
     f.inverse_batch(ref_inv.data(), nbatch);
-    ref_spec.resize(nbatch * ng);
-    f.forward_batch_real(rinput.data(), ref_spec.data(), nbatch);
-    ref_real.resize(nbatch * ng);
-    f.inverse_batch_real(ref_spec.data(), ref_real.data(), nbatch);
   }
 
   for (const Isa isa : kAllIsas) {
@@ -339,19 +207,11 @@ void check_bitwise_vs_scalar(std::array<size_t, 3> d, size_t nbatch,
     f.forward_batch(fwd.data(), nbatch);
     auto inv = fwd;
     f.inverse_batch(inv.data(), nbatch);
-    std::vector<C> spec(nbatch * ng);
-    f.forward_batch_real(rinput.data(), spec.data(), nbatch);
-    std::vector<R> real_back(nbatch * ng);
-    f.inverse_batch_real(spec.data(), real_back.data(), nbatch);
     for (size_t i = 0; i < fwd.size(); ++i) {
       ASSERT_EQ(fwd[i], ref_fwd[i])
           << fft::simd::isa_name(isa) << " fwd i=" << i;
       ASSERT_EQ(inv[i], ref_inv[i])
           << fft::simd::isa_name(isa) << " inv i=" << i;
-      ASSERT_EQ(spec[i], ref_spec[i])
-          << fft::simd::isa_name(isa) << " spec i=" << i;
-      ASSERT_EQ(real_back[i], ref_real[i])
-          << fft::simd::isa_name(isa) << " real i=" << i;
     }
   }
 }
@@ -391,108 +251,6 @@ TEST(FftSimdDispatch, SelectionAndForcing) {
       EXPECT_THROW(fft::simd::force_isa(isa), Error);
     }
   }
-}
-
-// -------------------------------------------------- distributed variants --
-
-namespace {
-
-// This rank's z slab of `nfields` full boxes (real or complex elements).
-template <typename T>
-std::vector<T> slice_real_slab(const std::vector<T>& full,
-                               const std::array<size_t, 3>& d,
-                               const dist::BlockLayout& z, int r,
-                               size_t nfields) {
-  const size_t plane = d[0] * d[1];
-  const size_t ng = plane * d[2];
-  std::vector<T> out(nfields * plane * z.count(r));
-  size_t w = 0;
-  for (size_t b = 0; b < nfields; ++b)
-    for (size_t zz = z.offset(r); zz < z.offset(r) + z.count(r); ++zz)
-      for (size_t i = 0; i < plane; ++i)
-        out[w++] = full[b * ng + zz * plane + i];
-  return out;
-}
-
-// Distributed packed-real filter pipeline vs the serial engine: the packed
-// pencil spectra carry TWO real fields per lane, so a REAL EVEN kernel
-// multiply filters both exactly (the documented contract) — the full
-// forward -> filter -> inverse chain must agree with the serial
-// r2c -> filter -> c2r chain on every rank.
-template <typename R>
-void check_dist_real_filter(std::array<size_t, 3> d, int pg, size_t nfields,
-                            unsigned seed) {
-  using C = std::complex<R>;
-  const size_t ng = d[0] * d[1] * d[2];
-  const auto input = random_real_box<R>(nfields * ng, seed);
-  const auto kernel = real_even_kernel<R>(d);
-
-  fft::Fft3T<R> serial(d[0], d[1], d[2]);
-  std::vector<C> spec(nfields * ng);
-  serial.forward_batch_real(input.data(), spec.data(), nfields);
-  for (size_t b = 0; b < nfields; ++b)
-    for (size_t i = 0; i < ng; ++i) spec[b * ng + i] *= kernel[i];
-  std::vector<R> ref(nfields * ng);
-  serial.inverse_batch_real(spec.data(), ref.data(), nfields);
-
-  ptmpi::run_ranks(pg, 2, [&](ptmpi::Comm& c) {
-    fft::DistFft3T<R> f(d, c);
-    const auto slab =
-        slice_real_slab(input, d, f.zslabs(), c.rank(), nfields);
-    const size_t nlanes = (nfields + 1) / 2;
-    std::vector<C> pencil(nlanes * f.npencil());
-    f.forward_batch_real(slab.data(), pencil.data(), nfields);
-    for (size_t q = 0; q < nlanes; ++q)
-      for (size_t i = 0; i < f.npencil(); ++i)
-        pencil[q * f.npencil() + i] *= kernel[f.pencil_to_global(i)];
-    std::vector<R> back(nfields * f.nreal());
-    f.inverse_batch_real(pencil.data(), back.data(), nfields);
-    const auto ref_slab =
-        slice_real_slab(ref, d, f.zslabs(), c.rank(), nfields);
-    ASSERT_EQ(back.size(), ref_slab.size());
-    for (size_t i = 0; i < back.size(); ++i)
-      ASSERT_NEAR(static_cast<double>(std::abs(back[i] - ref_slab[i])), 0.0,
-                  prop_tol<R>())
-          << "rank " << c.rank() << " i=" << i;
-  });
-}
-
-}  // namespace
-
-TEST(DistFftConformance, PackedRealFilterMatchesSerialFp64) {
-  check_dist_real_filter<double>({6, 5, 4}, 3, 5, 3000);  // odd field count
-  check_dist_real_filter<double>({4, 2, 3}, 5, 2, 3001);  // zero-row ranks
-}
-
-TEST(DistFftConformance, PackedRealFilterMatchesSerialFp32) {
-  check_dist_real_filter<float>({6, 5, 4}, 3, 4, 3010);
-}
-
-TEST(DistFftConformance, PackedRealHalvesAlltoallvBytes) {
-  // nfields real slabs ride ceil(nfields/2) complex lanes, so the pencil
-  // transpose moves exactly HALF the bytes of the complex batch.
-  const std::array<size_t, 3> d{6, 5, 4};
-  const size_t nfields = 4;
-  const size_t ng = d[0] * d[1] * d[2];
-  const auto rin = random_real_box<double>(nfields * ng, 3020);
-  const auto cin = random_box<double>(nfields * ng, 3021);
-  ptmpi::run_ranks(3, 2, [&](ptmpi::Comm& c) {
-    fft::DistFft3 f(d, c);
-    const auto cslab = slice_real_slab(cin, d, f.zslabs(), c.rank(), nfields);
-    std::vector<cplx> pencil(nfields * f.npencil());
-    const auto b0 = c.stats().ops["Alltoallv"].bytes;
-    f.forward(cslab.data(), pencil.data(), nfields);
-    const auto cplx_bytes = c.stats().ops["Alltoallv"].bytes - b0;
-
-    const auto rslab = slice_real_slab(rin, d, f.zslabs(), c.rank(), nfields);
-    std::vector<cplx> rpencil((nfields / 2) * f.npencil());
-    const auto b1 = c.stats().ops["Alltoallv"].bytes;
-    f.forward_batch_real(rslab.data(), rpencil.data(), nfields);
-    const auto real_bytes = c.stats().ops["Alltoallv"].bytes - b1;
-
-    EXPECT_GT(real_bytes, 0u);
-    EXPECT_EQ(2 * real_bytes, cplx_bytes) << "rank " << c.rank();
-  });
 }
 
 // ------------------------------------------------------ concurrent plans --

@@ -349,9 +349,11 @@ std::vector<la::MatC> run_slab_diag(const XEnv& e, dist::ProcessGrid pgrid,
                                     Precision prec, dist::ExchangePattern pat,
                                     const la::MatC& src,
                                     const std::vector<real_t>& d,
-                                    const la::MatC& tgt) {
+                                    const la::MatC& tgt,
+                                    bool gamma_real = false) {
   ham::ExchangeOptions opt;
   opt.precision = prec;
+  opt.gamma_real = gamma_real;
   ham::ExchangeOperator xop(e.map, opt);
   const int nranks = pgrid.resolve_pb(pgrid.pb * pgrid.pg) * pgrid.pg;
   const dist::BlockLayout bands(src.cols(), pgrid.pb);
@@ -386,9 +388,11 @@ std::vector<la::MatC> run_slab_mixed(const XEnv& e, dist::ProcessGrid pgrid,
                                      Precision prec, dist::ExchangePattern pat,
                                      const la::MatC& src,
                                      const la::MatC& theta,
-                                     const la::MatC& tgt) {
+                                     const la::MatC& tgt,
+                                     bool gamma_real = false) {
   ham::ExchangeOptions opt;
   opt.precision = prec;
+  opt.gamma_real = gamma_real;
   ham::ExchangeOperator xop(e.map, opt);
   const int nranks = pgrid.pb * pgrid.pg;
   const dist::BlockLayout bands(src.cols(), pgrid.pb);
@@ -555,6 +559,48 @@ TEST(SlabExchange, MixedWeightedPathMatchesBandParallel) {
                   0.0)
             << dist::pattern_name(pat) << " prec=" << precision_name(prec)
             << " row=" << br;
+    }
+  }
+}
+
+TEST(SlabExchange, GammaRealFlagLeavesTwoDBitwise) {
+  // 2-D applies never take the Γ-point path: a vote over the band
+  // communicator could not bind the grid communicator's slab-FFT
+  // collectives. With REAL orbitals (and a real theta) on a 2x2 layout,
+  // gamma_real on and off give the same bits, for the occupation- and the
+  // theta-weighted kinds.
+  XEnv e;
+  const size_t nb = 5;
+  const la::MatC src = test::random_real_orbitals(e.map, nb, 550);
+  const la::MatC tgt = test::random_real_orbitals(e.map, 4, 551);
+  const std::vector<real_t> d{1.0, 0.8, 0.5, 0.3, 0.1};
+  const la::MatC occ = test::random_occupation_matrix(nb, 552);
+  la::MatC sigma(nb, nb);  // real symmetric, so theta stays real
+  for (size_t i = 0; i < sigma.size(); ++i)
+    sigma.data()[i] = std::real(occ.data()[i]);
+  la::MatC theta(src.rows(), nb);
+  la::gemm_nn(src, sigma, theta);
+
+  const dist::ProcessGrid pgrid{2, 2};
+  for (const auto pat :
+       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
+        dist::ExchangePattern::kAsyncRing}) {
+    for (const Precision prec : {Precision::kDouble, Precision::kSingle}) {
+      const auto diag_off = run_slab_diag(e, pgrid, prec, pat, src, d, tgt);
+      const auto diag_on =
+          run_slab_diag(e, pgrid, prec, pat, src, d, tgt, /*gamma=*/true);
+      const auto mixed_off =
+          run_slab_mixed(e, pgrid, prec, pat, src, theta, tgt);
+      const auto mixed_on = run_slab_mixed(e, pgrid, prec, pat, src, theta,
+                                           tgt, /*gamma=*/true);
+      for (size_t br = 0; br < 2; ++br) {
+        EXPECT_EQ(la::frob_diff(diag_on[br], diag_off[br]), 0.0)
+            << dist::pattern_name(pat) << " prec=" << precision_name(prec)
+            << " row=" << br;
+        EXPECT_EQ(la::frob_diff(mixed_on[br], mixed_off[br]), 0.0)
+            << dist::pattern_name(pat) << " prec=" << precision_name(prec)
+            << " row=" << br;
+      }
     }
   }
 }

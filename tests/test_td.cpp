@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
+#include "ham/hartree.hpp"
+#include "ham/xc_lda.hpp"
 #include "la/blas.hpp"
+#include "pseudo/ewald.hpp"
 #include "pw/wavefunction.hpp"
 #include "td/laser.hpp"
 #include "td/observables.hpp"
@@ -319,4 +323,44 @@ TEST(Observables, DipoleIsBitwiseIndependentOfThreads) {
   omp_set_num_threads(3);
   EXPECT_EQ(td::dipole(rho, g, dir), one);
   omp_set_num_threads(saved);
+}
+
+TEST(Observables, EnergySumsAreBitwiseIndependentOfThreads) {
+  // The reported energy terms and the electron count are grid (or lattice)
+  // sums too, so they take the dipole's fixed-order sum: the Hartree,
+  // local, xc and Ewald energies and integrate() give the same bits at 1,
+  // 3 and 4 threads, call after call.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const grid::FftGrid& g = *sys.den_grid;
+  Rng rng(12);
+  std::vector<real_t> rho(g.size());
+  for (real_t& r : rho) r = 0.01 + rng.uniform();
+  const size_t npw = sys.sphere->npw();
+  const la::MatC phi = test::random_orbitals(npw, 4, 13);
+  const la::MatC sigma = test::random_occupation_matrix(4, 14);
+
+  const char* names[] = {"hartree", "local", "xc", "ewald", "integrate"};
+  auto sums = [&] {
+    std::vector<real_t> vxc;
+    return std::array<real_t, 5>{
+        ham::hartree_potential(rho, g).energy,
+        sys.ham->energy(phi, sigma, rho).local,
+        ham::lda_pz81_eval(rho, g.dvol(), vxc),
+        pseudo::ewald_energy(sys.atoms, *sys.lattice), ham::integrate(rho, g)};
+  };
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const auto one = sums();
+  std::array<int, 5> mismatches{};
+  for (const int threads : {4, 3}) {
+    omp_set_num_threads(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      const auto got = sums();
+      for (size_t k = 0; k < got.size(); ++k)
+        if (got[k] != one[k]) ++mismatches[k];
+    }
+  }
+  omp_set_num_threads(saved);
+  for (size_t k = 0; k < mismatches.size(); ++k)
+    EXPECT_EQ(mismatches[k], 0) << names[k] << " differs from 1 thread";
 }
