@@ -6,9 +6,10 @@
 // comparisons below always build — per-pair vs batched exchange, FP64 vs
 // FP32, dense vs ISDF, the per-SIMD-ISA c2c vs Γ-point r2c engine
 // head-to-head, the engine at the production grids (14^3, 7^3) with its
-// FP32 error, and the complex vs gamma_real exchange pipeline — and the
-// latter three record gated rows (FFT counts, the FP32 error) to
-// BENCH_kernels.json.
+// FP32 error, the complex vs gamma_real exchange pipeline, and the
+// Rayleigh–Ritz eigensolver at the Davidson subspace sizes — and the
+// latter four record gated rows (FFT counts, the FP32 error, the
+// eigensolver residual) to BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -32,6 +33,8 @@
 #include "ham/density.hpp"
 #include "ham/exchange.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
+#include "la/util.hpp"
 #include "pw/transforms.hpp"
 #include "pw/wavefunction.hpp"
 
@@ -677,10 +680,56 @@ void exchange_gamma_comparison() {
   }
 }
 
+// The Rayleigh–Ritz eigensolver at the Davidson subspace sizes of the
+// perfbench ground state (nb = 20 bands): n = 60, the 3*nb basis cap, and
+// n = 120, a 6*nb basis; the nb wanted eigenvectors vs all of them.
+// eig_herm is serial, so this is one thread. The relative residual
+// max_j |A v_j - w_j v_j| / |A|_F is gated; the time is not.
+struct EigRow {
+  size_t n, nvec;
+  double seconds, max_rel_residual;
+};
+std::vector<EigRow> eig_rows;
+
+void eig_rayleigh_ritz() {
+  const size_t nb = 20;
+  const int reps = 20;
+  std::printf(
+      "\nRayleigh–Ritz eig_herm(A, nvec): n x n Hermitian, min of %d\n",
+      reps);
+  std::printf("%6s %6s %12s %14s\n", "n", "nvec", "seconds", "max rel resid");
+  for (const size_t n : {3 * nb, 6 * nb}) {
+    la::MatC a = random_mat(n, n, 29);
+    la::hermitize(a);
+    for (const size_t nvec : {nb, n}) {
+      la::EigResult r = la::eig_herm(a, nvec);  // warm-up
+      double best = 1e300;
+      for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        r = la::eig_herm(a, nvec);
+        const auto t1 = std::chrono::steady_clock::now();
+        best =
+            std::min(best, std::chrono::duration<double>(t1 - t0).count());
+      }
+      la::MatC av(n, nvec);
+      la::gemm_nn(a, r.V, av);
+      double resid = 0.0;
+      for (size_t j = 0; j < nvec; ++j) {
+        la::axpy(n, -r.w[j], r.V.col(j), av.col(j));
+        resid = std::max(resid, la::nrm2(n, av.col(j)));
+      }
+      resid /= la::frob_norm(a);
+      std::printf("%6zu %6zu %12.6f %14.3e\n", n, nvec, best, resid);
+      eig_rows.push_back({n, nvec, best, resid});
+    }
+  }
+}
+
 void write_kernels_json() {
   const char* path = "BENCH_kernels.json";
   if (std::FILE* f = std::fopen(path, "w")) {
     std::fprintf(f, "{\n  \"kernels\": [\n");
+    const size_t nrows = kernel_rows.size() + eig_rows.size();
     for (size_t i = 0; i < kernel_rows.size(); ++i) {
       const KernelRow& r = kernel_rows[i];
       std::fprintf(f,
@@ -692,11 +741,22 @@ void write_kernels_json() {
                    r.fields, r.seconds, r.ffts);
       if (r.rel_rms >= 0.0)
         std::fprintf(f, ", \"rel_rms_error\": %.6e", r.rel_rms);
-      std::fprintf(f, "}%s\n", i + 1 < kernel_rows.size() ? "," : "");
+      std::fprintf(f, "}%s\n", i + 1 < nrows ? "," : "");
+    }
+    for (size_t i = 0; i < eig_rows.size(); ++i) {
+      const EigRow& r = eig_rows[i];
+      const std::string variant =
+          r.nvec == r.n ? std::string("all") : "nvec=" + std::to_string(r.nvec);
+      std::fprintf(f,
+                   "    {\"name\": \"eig_herm\", \"isa\": \"-\", "
+                   "\"variant\": \"%s\", \"size\": \"n=%zu\", "
+                   "\"seconds\": %.6e, \"max_rel_residual\": %.6e}%s\n",
+                   variant.c_str(), r.n, r.seconds, r.max_rel_residual,
+                   kernel_rows.size() + i + 1 < nrows ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("(engine/gamma rows written to %s)\n", path);
+    std::printf("(engine/gamma/eig rows written to %s)\n", path);
   }
 }
 
@@ -718,6 +778,7 @@ int main(int argc, char** argv) {
   fft_engine_comparison();
   fft_production_grids();
   exchange_gamma_comparison();
+  eig_rayleigh_ritz();
   write_kernels_json();
   return 0;
 }

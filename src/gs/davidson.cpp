@@ -22,39 +22,79 @@ real_t teter(real_t kin, real_t eref) {
   return num / (num + 16.0 * x * x * x * x);
 }
 
-// Orthonormalize the columns of t against v (twice, for stability) and
-// among themselves; drops columns that lose norm. Returns kept count.
+// t <- t - v (v^H t): one block classical Gram–Schmidt pass.
+void project_out(const la::MatC& v, la::MatC& t) {
+  la::MatC s(v.cols(), t.cols());
+  la::gemm_cn(v, t, s);
+  la::gemm_nn(v, s, t, -1.0, 1.0);
+}
+
+// Orthonormalize the columns of t against the orthonormal columns of v and
+// among themselves; drops columns that lose norm. Returns the kept count.
+// Each column is normalized first, so the keep/drop test is relative. The
+// projection against v is a block pass before and after the per-column
+// pass inside t, whose vectors are then orthogonal to v at rounding level.
 size_t ortho_against(const la::MatC& v, la::MatC& t) {
   const size_t npw = t.rows();
+  for (size_t j = 0; j < t.cols(); ++j) {
+    const real_t nrm0 = la::nrm2(npw, t.col(j));
+    la::scal(npw, nrm0 < 1e-300 ? 0.0 : 1.0 / nrm0, t.col(j));
+  }
+  project_out(v, t);
+
   size_t kept = 0;
-  la::MatC out(npw, t.cols());
   for (size_t j = 0; j < t.cols(); ++j) {
     cplx* col = t.col(j);
-    // Normalize first so the keep/drop decision below is relative.
-    const real_t nrm0 = la::nrm2(npw, col);
-    if (nrm0 < 1e-300) continue;
-    la::scal(npw, 1.0 / nrm0, col);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t i = 0; i < v.cols(); ++i) {
-        const cplx p = la::dotc(npw, v.col(i), col);
-        la::axpy(npw, -p, v.col(i), col);
-      }
+    for (int pass = 0; pass < 2; ++pass)
       for (size_t i = 0; i < kept; ++i) {
-        const cplx p = la::dotc(npw, out.col(i), col);
-        la::axpy(npw, -p, out.col(i), col);
+        const cplx p = la::dotc(npw, t.col(i), col);
+        la::axpy(npw, -p, t.col(i), col);
       }
-    }
     const real_t nrm = la::nrm2(npw, col);
     if (nrm > 1e-8) {
-      for (size_t r = 0; r < npw; ++r) out(r, kept) = col[r] / nrm;
-      ++kept;
+      cplx* dst = t.col(kept++);
+      for (size_t r = 0; r < npw; ++r) dst[r] = col[r] / nrm;
     }
   }
   la::MatC keptm(npw, kept);
-  for (size_t j = 0; j < kept; ++j)
-    for (size_t r = 0; r < npw; ++r) keptm(r, j) = out(r, j);
+  std::copy(t.data(), t.data() + keptm.size(), keptm.data());
+  project_out(v, keptm);
   t = std::move(keptm);
   return kept;
+}
+
+// [a b]: the columns of b appended to those of a.
+la::MatC hcat(const la::MatC& a, const la::MatC& b) {
+  la::MatC out(a.rows(), a.cols() + b.cols());
+  std::copy(a.data(), a.data() + a.size(), out.data());
+  std::copy(b.data(), b.data() + b.size(), out.col(a.cols()));
+  return out;
+}
+
+// The projected matrix V^H HV after V grew by the last m columns: w holds
+// V^H (HT) for the grown V, so it is the new last block column; the new
+// last block row is its conjugate transpose and the new diagonal block is
+// Hermitized.
+void grow_projected(la::MatC& a, const la::MatC& w) {
+  const size_t k = a.rows(), m = w.cols(), n = k + m;
+  la::MatC out(n, n);
+  for (size_t j = 0; j < k; ++j)
+    std::copy(a.col(j), a.col(j) + k, out.col(j));
+  for (size_t j = 0; j < m; ++j)
+    for (size_t i = 0; i < k; ++i) {
+      out(i, k + j) = w(i, j);
+      out(k + j, i) = std::conj(w(i, j));
+    }
+  for (size_t j = 0; j < m; ++j)
+    for (size_t i = 0; i < m; ++i)
+      out(k + i, k + j) = 0.5 * (w(k + i, j) + std::conj(w(k + j, i)));
+  a = std::move(out);
+}
+
+la::MatC projected(const la::MatC& v, const la::MatC& hv) {
+  la::MatC a = pw::overlap(v, hv);
+  la::hermitize(a);
+  return a;
 }
 
 }  // namespace
@@ -67,26 +107,21 @@ DavidsonResult davidson(
   const size_t npw = x0.rows();
   const size_t nb = x0.cols();
   PTIM_CHECK(precond_diag.size() == npw);
-  if (opt.max_subspace == 0) opt.max_subspace = 6 * nb;
+  if (opt.max_subspace == 0) opt.max_subspace = 3 * nb;
 
   DavidsonResult res;
   la::MatC v = x0;
   pw::orthonormalize_lowdin(v);
   la::MatC hv(npw, v.cols());
   apply_h(v, hv);
+  la::MatC a = projected(v, hv);  // V^H HV, kept across iterations
 
   la::MatC x(npw, nb), hx(npw, nb);
-  for (res.iterations = 1; res.iterations <= opt.max_iter; ++res.iterations) {
-    // Rayleigh–Ritz on the current subspace.
-    la::MatC a = pw::overlap(v, hv);
-    la::hermitize(a);
-    const auto eig = la::eig_herm(a);
-
-    la::MatC c(v.cols(), nb);
-    for (size_t j = 0; j < nb; ++j)
-      for (size_t i = 0; i < v.cols(); ++i) c(i, j) = eig.V(i, j);
-    la::gemm_nn(v, c, x);
-    la::gemm_nn(hv, c, hx);
+  for (res.iterations = 1;; ++res.iterations) {
+    // Rayleigh–Ritz on the current subspace: only the nb wanted pairs.
+    const auto eig = la::eig_herm(a, nb);
+    la::gemm_nn(v, eig.V, x);
+    la::gemm_nn(hv, eig.V, hx);
     res.eps.assign(eig.w.begin(), eig.w.begin() + static_cast<long>(nb));
 
     // Residuals r_j = H x_j - eps_j x_j.
@@ -105,44 +140,40 @@ DavidsonResult davidson(
       res.converged = true;
       break;
     }
+    if (res.iterations >= opt.max_iter) break;
 
     // Precondition the unconverged residuals into one contiguous block so
-    // the subsequent apply_h(tkeep) runs the batched Hamiltonian path.
+    // the subsequent apply_h(t) runs the batched Hamiltonian path.
     std::vector<size_t> unconverged;
     for (size_t j = 0; j < nb; ++j)
       if (res.resnorm[j] >= 0.3 * opt.tol) unconverged.push_back(j);
     const size_t nt = unconverged.size();
-    la::MatC tkeep(npw, nt);
+    la::MatC t(npw, nt);
 #pragma omp parallel for schedule(static)
     for (size_t jj = 0; jj < nt; ++jj) {
       const size_t j = unconverged[jj];
       const real_t eref = std::max(std::abs(res.eps[j]), real_t(0.1));
       for (size_t g = 0; g < npw; ++g)
-        tkeep(g, jj) = teter(precond_diag[g], eref) * r(g, j);
+        t(g, jj) = teter(precond_diag[g], eref) * r(g, j);
     }
 
-    // Restart when the subspace is full.
+    // Restart from the Ritz pairs when the subspace is full.
     if (v.cols() + nt > opt.max_subspace) {
       v = x;
       hv = hx;
+      a = projected(v, hv);
     }
 
-    const size_t kept = ortho_against(v, tkeep);
-    if (kept == 0) {
-      res.converged = rmax < 10.0 * opt.tol;
-      break;
-    }
-    la::MatC ht(npw, kept);
-    apply_h(tkeep, ht);
+    if (ortho_against(v, t) == 0) break;
+    la::MatC ht(npw, t.cols());
+    apply_h(t, ht);
 
-    la::MatC vnew(npw, v.cols() + kept), hvnew(npw, v.cols() + kept);
-    std::copy(v.data(), v.data() + v.size(), vnew.data());
-    std::copy(hv.data(), hv.data() + hv.size(), hvnew.data());
-    std::copy(tkeep.data(), tkeep.data() + tkeep.size(),
-              vnew.col(v.cols()));
-    std::copy(ht.data(), ht.data() + ht.size(), hvnew.col(v.cols()));
-    v = std::move(vnew);
-    hv = std::move(hvnew);
+    // Expand: only the new block column V^H (HT) of the projected matrix.
+    v = hcat(v, t);
+    hv = hcat(hv, ht);
+    la::MatC w(v.cols(), t.cols());
+    la::gemm_cn(v, ht, w);
+    grow_projected(a, w);
   }
 
   res.x = std::move(x);

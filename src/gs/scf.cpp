@@ -39,7 +39,8 @@ real_t rho_distance(const std::vector<real_t>& a, const std::vector<real_t>& b,
 }
 
 // One density-convergence loop with the current exchange configuration.
-// Returns the SCF iteration count used.
+// Returns the SCF iteration count used. converged: the density met tol_rho
+// and the last eigensolve met davidson_tol.
 int density_loop(ham::Hamiltonian& h, const ScfOptions& opt, la::MatC& phi,
                  std::vector<real_t>& eps, std::vector<real_t>& occ,
                  std::vector<real_t>& rho, real_t& mu, bool& converged) {
@@ -51,8 +52,9 @@ int density_loop(ham::Hamiltonian& h, const ScfOptions& opt, la::MatC& phi,
   const std::vector<real_t> kin = h.kinetic_diag();
 
   converged = false;
-  int it = 1;
-  for (; it <= opt.max_scf; ++it) {
+  int it = 0;
+  while (it < opt.max_scf) {
+    ++it;
     h.set_density(rho);
 
     DavidsonOptions dopt;
@@ -75,7 +77,7 @@ int density_loop(ham::Hamiltonian& h, const ScfOptions& opt, la::MatC& phi,
                    drho, eps[0], mu);
     if (drho < opt.tol_rho) {
       rho = std::move(rho_out);
-      converged = true;
+      converged = dr.converged;
       break;
     }
     std::vector<real_t> f(rho.size());

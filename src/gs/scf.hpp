@@ -36,8 +36,10 @@ struct ScfResult {
   std::vector<real_t> rho;     // converged density (dense grid)
   real_t mu = 0.0;             // chemical potential
   ham::EnergyTerms energy;
-  int scf_iterations = 0;
+  int scf_iterations = 0;      // density-loop iterations run, all stages
   int outer_iterations = 0;
+  // The final density loop met tol_rho and its last eigensolve met
+  // davidson_tol.
   bool converged = false;
 };
 

@@ -1,14 +1,16 @@
 // Householder reduction of a complex Hermitian matrix to real symmetric
-// tridiagonal form, followed by the implicit-shift QL algorithm with
-// eigenvector accumulation (classic EISPACK htridi/tql2 lineage, re-derived
-// for complex arithmetic on the accumulated transformation matrix).
+// tridiagonal form, followed by the implicit-shift QL algorithm (classic
+// EISPACK htridi/tql2 lineage). The QL rotations are real, so they are
+// accumulated in a real matrix Z and the complex Householder basis Q is
+// applied once at the end, to the wanted columns of Z only.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
-#include "la/blas.hpp"
 #include "la/eig.hpp"
+#include "la/kernels.hpp"
 
 namespace ptim::la {
 
@@ -54,20 +56,31 @@ void householder_tridiag(MatC& A, std::vector<real_t>& d, std::vector<cplx>& e,
 
     // Hermitian rank-2 update of the trailing block A22 <- H A22 H with
     // H = I - beta v v^H:  p = beta*A22*v, K = beta/2 * v^H p, q = p - K v,
-    // A22 -= v q^H + q v^H.
-    for (size_t i = 0; i < m; ++i) {
-      cplx acc = 0.0;
-      for (size_t l = 0; l < m; ++l) acc += A(k + 1 + i, k + 1 + l) * v[l];
-      p[i] = beta * acc;
-    }
+    // A22 -= v q^H + q v^H. The loops run down columns in explicit real
+    // arithmetic (the la/kernels.hpp formulas, so every row sums in the
+    // same order and d, e keep their bits).
+    std::fill(p.begin(), p.begin() + static_cast<long>(m), cplx(0.0));
+    for (size_t l = 0; l < m; ++l)
+      cx_axpy(m, v[l], &A(k + 1, k + 1 + l), p.data());
+    for (size_t i = 0; i < m; ++i) p[i] *= beta;
     cplx vhp = 0.0;
     for (size_t i = 0; i < m; ++i) vhp += std::conj(v[i]) * p[i];
     const cplx K = 0.5 * beta * vhp;
     for (size_t i = 0; i < m; ++i) q[i] = p[i] - K * v[i];
-    for (size_t jj = 0; jj < m; ++jj)
-      for (size_t ii = 0; ii < m; ++ii)
-        A(k + 1 + ii, k + 1 + jj) -=
-            v[ii] * std::conj(q[jj]) + q[ii] * std::conj(v[jj]);
+    const real_t* vs = reinterpret_cast<const real_t*>(v.data());
+    const real_t* qs = reinterpret_cast<const real_t*>(q.data());
+    for (size_t jj = 0; jj < m; ++jj) {
+      const cplx qc = std::conj(q[jj]), vc = std::conj(v[jj]);
+      real_t* a = reinterpret_cast<real_t*>(&A(k + 1, k + 1 + jj));
+      for (size_t ii = 0; ii < m; ++ii) {
+        const real_t vr = vs[2 * ii], vi = vs[2 * ii + 1];
+        const real_t qr = qs[2 * ii], qi = qs[2 * ii + 1];
+        a[2 * ii] -= (vr * qc.real() - vi * qc.imag()) +
+                     (qr * vc.real() - qi * vc.imag());
+        a[2 * ii + 1] -= (vr * qc.imag() + vi * qc.real()) +
+                         (qr * vc.imag() + qi * vc.real());
+      }
+    }
 
     // Column k of A becomes (0,...,alpha,0,...)^T.
     A(k + 1, k) = alpha;
@@ -79,15 +92,12 @@ void householder_tridiag(MatC& A, std::vector<real_t>& d, std::vector<cplx>& e,
 
     // Q <- Q * H  (right-multiplication accumulates H_0 H_1 ...):
     // Q(:, k+1:n) -= beta * (Q(:, k+1:n) v) v^H.
-    for (size_t r = 0; r < n; ++r) {
-      cplx acc = 0.0;
-      for (size_t l = 0; l < m; ++l) acc += Q(r, k + 1 + l) * v[l];
-      qv[r] = beta * acc;
-    }
-    for (size_t l = 0; l < m; ++l) {
-      const cplx vc = std::conj(v[l]);
-      for (size_t r = 0; r < n; ++r) Q(r, k + 1 + l) -= qv[r] * vc;
-    }
+    std::fill(qv.begin(), qv.end(), cplx(0.0));
+    for (size_t l = 0; l < m; ++l)
+      cx_axpy(n, v[l], Q.col(k + 1 + l), qv.data());
+    for (size_t r = 0; r < n; ++r) qv[r] *= beta;
+    for (size_t l = 0; l < m; ++l)
+      cx_axpy(n, -std::conj(v[l]), qv.data(), Q.col(k + 1 + l));
   }
 
   for (size_t i = 0; i < n; ++i) d[i] = std::real(A(i, i));
@@ -95,10 +105,11 @@ void householder_tridiag(MatC& A, std::vector<real_t>& d, std::vector<cplx>& e,
 }
 
 // Implicit-shift QL on a real symmetric tridiagonal (d, e); rotations are
-// accumulated into the complex columns of Z. (Numerical Recipes tql2 port.)
-void tql2(std::vector<real_t>& d, std::vector<real_t>& e, MatC& Z) {
+// accumulated into the real columns of Z. (Numerical Recipes tql2 port.)
+void tql2(std::vector<real_t>& d, std::vector<real_t>& e, MatR& Z) {
   const size_t n = d.size();
   if (n == 0) return;
+  const size_t nz = Z.rows();
   e.push_back(0.0);  // sentinel e[n-1]
 
   for (size_t l = 0; l < n; ++l) {
@@ -134,11 +145,13 @@ void tql2(std::vector<real_t>& d, std::vector<real_t>& e, MatC& Z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          // Apply the rotation to eigenvector columns i and i+1.
-          for (size_t k = 0; k < Z.rows(); ++k) {
-            const cplx f2 = Z(k, i + 1);
-            Z(k, i + 1) = s * Z(k, i) + c * f2;
-            Z(k, i) = c * Z(k, i) - s * f2;
+          // Apply the rotation to columns i and i+1 of Z.
+          real_t* zi = Z.col(i);
+          real_t* zi1 = Z.col(i + 1);
+          for (size_t k = 0; k < nz; ++k) {
+            const real_t f2 = zi1[k];
+            zi1[k] = s * zi[k] + c * f2;
+            zi[k] = c * zi[k] - s * f2;
           }
         }
         if (r == 0.0 && m - l > 1) continue;
@@ -153,9 +166,10 @@ void tql2(std::vector<real_t>& d, std::vector<real_t>& e, MatC& Z) {
 
 }  // namespace
 
-EigResult eig_herm(const MatC& A) {
+EigResult eig_herm(const MatC& A, size_t nvec) {
   PTIM_CHECK_MSG(A.rows() == A.cols(), "eig_herm: matrix must be square");
   const size_t n = A.rows();
+  nvec = std::min(nvec, n);
   EigResult res;
   if (n == 0) return res;
 
@@ -178,7 +192,8 @@ EigResult eig_herm(const MatC& A) {
     u = unext;
   }
 
-  tql2(d, e, Q);
+  MatR Z = MatR::identity(n);
+  tql2(d, e, Z);
 
   // Sort ascending.
   std::vector<size_t> idx(n);
@@ -186,10 +201,19 @@ EigResult eig_herm(const MatC& A) {
   std::sort(idx.begin(), idx.end(),
             [&](size_t a, size_t b) { return d[a] < d[b]; });
   res.w.resize(n);
-  res.V.resize(n, n);
-  for (size_t j = 0; j < n; ++j) {
-    res.w[j] = d[idx[j]];
-    for (size_t i = 0; i < n; ++i) res.V(i, j) = Q(i, idx[j]);
+  for (size_t j = 0; j < n; ++j) res.w[j] = d[idx[j]];
+
+  // Back-transform the wanted columns: V(:, j) = Q Z(:, idx[j]). A complex
+  // column times a real scalar is a real axpy over the interleaved parts.
+  res.V.resize(n, nvec);
+  for (size_t j = 0; j < nvec; ++j) {
+    const real_t* zj = Z.col(idx[j]);
+    real_t* vj = reinterpret_cast<real_t*>(res.V.col(j));
+    for (size_t l = 0; l < n; ++l) {
+      const real_t z = zj[l];
+      const real_t* ql = reinterpret_cast<const real_t*>(Q.col(l));
+      for (size_t r = 0; r < 2 * n; ++r) vj[r] += ql[r] * z;
+    }
   }
   return res;
 }

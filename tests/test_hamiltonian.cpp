@@ -9,6 +9,7 @@
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
 #include "la/util.hpp"
 #include "test_helpers.hpp"
 
@@ -159,6 +160,60 @@ TEST(Davidson, ConvergesOnRealHamiltonian) {
   EXPECT_LT(pw::orthonormality_defect(res.x), 1e-6);
 }
 
+TEST(Davidson, MatchesDenseReference) {
+  // H built column by column on the sphere basis and diagonalized densely:
+  // the nb lowest Davidson eigenvalues must match, with the default 3*nb
+  // basis and with a basis of nb + 1 columns that restarts every iteration.
+  auto sys = make_sys(false);
+  sys.ham->set_density(uniform_density(sys, 8.0));
+  const size_t npw = sys.sphere->npw();
+  auto apply = [&](const la::MatC& in, la::MatC& out) {
+    sys.ham->apply(in, out);
+  };
+  la::MatC h(npw, npw);
+  apply(la::MatC::identity(npw), h);
+  la::hermitize(h);
+  const std::vector<real_t> ref = la::eig_herm(h, 0).w;
+
+  const size_t nb = 6;
+  for (const size_t max_subspace : {size_t{0}, nb + 1}) {
+    gs::DavidsonOptions opt;
+    opt.tol = 1e-8;
+    opt.max_iter = 400;
+    opt.max_subspace = max_subspace;
+    const auto res = gs::davidson(apply, test::random_orbitals(npw, nb, 109),
+                                  sys.ham->kinetic_diag(), opt);
+    EXPECT_TRUE(res.converged) << "max_subspace=" << max_subspace;
+    ASSERT_EQ(res.eps.size(), nb);
+    for (size_t j = 0; j < nb; ++j)
+      EXPECT_NEAR(res.eps[j], ref[j], 1e-7)
+          << "max_subspace=" << max_subspace << " band " << j;
+    EXPECT_LT(pw::orthonormality_defect(res.x), 1e-10);
+  }
+}
+
+TEST(Davidson, CountsRayleighRitzStepsAtItsCap) {
+  // An unreachable tolerance runs to max_iter Rayleigh–Ritz steps: one
+  // apply_h for the initial block and one per expansion between steps,
+  // none after the last step.
+  auto sys = make_sys(false);
+  sys.ham->set_density(uniform_density(sys, 8.0));
+  const size_t npw = sys.sphere->npw();
+  int applies = 0;
+  auto apply = [&](const la::MatC& in, la::MatC& out) {
+    ++applies;
+    sys.ham->apply(in, out);
+  };
+  gs::DavidsonOptions opt;
+  opt.tol = 1e-30;
+  opt.max_iter = 3;
+  const auto res = gs::davidson(apply, test::random_orbitals(npw, 4, 110),
+                                sys.ham->kinetic_diag(), opt);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 3);
+  EXPECT_EQ(applies, 3);
+}
+
 TEST(GroundState, SemilocalScfConverges) {
   auto sys = make_sys(false);
   gs::ScfOptions opt;
@@ -177,6 +232,35 @@ TEST(GroundState, SemilocalScfConverges) {
   // Total energy is negative and finite.
   EXPECT_LT(res.energy.total(), 0.0);
   EXPECT_TRUE(std::isfinite(res.energy.total()));
+}
+
+TEST(GroundState, CountsScfIterationsAtItsCap) {
+  auto sys = make_sys(false);
+  gs::ScfOptions opt;
+  opt.nbands = 6;
+  opt.nelec = 8.0;
+  opt.temperature_k = 300.0;
+  opt.tol_rho = 1e-30;
+  opt.max_scf = 2;
+  const auto res = gs::ground_state(*sys.ham, opt);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.scf_iterations, 2);
+}
+
+TEST(GroundState, ReportsMissedEigensolverTolerance) {
+  // The density converges, but no eigensolve can reach davidson_tol: the
+  // result must not claim convergence.
+  auto sys = make_sys(false);
+  gs::ScfOptions opt;
+  opt.nbands = 6;
+  opt.nelec = 8.0;
+  opt.temperature_k = 300.0;
+  opt.tol_rho = 1e-6;
+  opt.davidson_tol = 1e-30;
+  opt.davidson_iter = 10;
+  const auto res = gs::ground_state(*sys.ham, opt);
+  EXPECT_LT(res.scf_iterations, opt.max_scf);  // stopped on tol_rho
+  EXPECT_FALSE(res.converged);
 }
 
 TEST(GroundState, HybridLowersExchangeEnergy) {

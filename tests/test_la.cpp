@@ -1,10 +1,14 @@
 // Linear algebra: gemm variants vs a reference triple loop, the two
-// independent Hermitian eigensolvers cross-validated, Cholesky solves,
+// independent Hermitian eigensolvers cross-validated, partial eigenvector
+// solves (including splits inside a degenerate cluster), Cholesky solves,
 // least squares and the Anderson mixer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
@@ -12,6 +16,7 @@
 #include "la/matrix.hpp"
 #include "la/mixer.hpp"
 #include "la/util.hpp"
+#include "pw/wavefunction.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -90,31 +95,72 @@ TEST(Gemm, AlphaBetaAccumulate) {
                   1e-12);
 }
 
-class EigSize : public ::testing::TestWithParam<size_t> {};
+namespace {
 
-TEST_P(EigSize, ReconstructionAndOrthonormality) {
-  const size_t n = GetParam();
-  const la::MatC a = random_hermitian(n, 100 + static_cast<unsigned>(n));
-  const auto [w, v] = la::eig_herm(a);
+// Hermitian matrix with the given spectrum: Q diag(lam) Q^H with Q a
+// Löwdin-orthonormalized random matrix.
+la::MatC hermitian_with_spectrum(const std::vector<real_t>& lam,
+                                 unsigned seed) {
+  const size_t n = lam.size();
+  la::MatC q = random_matrix(n, n, seed);
+  pw::orthonormalize_lowdin(q);
+  la::MatC ql = q;
+  for (size_t j = 0; j < n; ++j)
+    for (size_t i = 0; i < n; ++i) ql(i, j) *= lam[j];
+  la::MatC a(n, n);
+  la::gemm_nc(ql, q, a);
+  la::hermitize(a);
+  return a;
+}
+
+// The nvec wanted columns of eig_herm(a, nvec): eigenvalues bitwise equal
+// to the all-vector solve, and the existing residual and orthonormality
+// bounds on the columns it returns.
+void check_partial(const la::MatC& a, size_t nvec) {
+  const size_t n = a.rows();
+  const auto full = la::eig_herm(a);
+  const auto [w, v] = la::eig_herm(a, nvec);
+  ASSERT_EQ(w.size(), n);
+  ASSERT_EQ(v.rows(), n);
+  ASSERT_EQ(v.cols(), nvec);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(w[i], full.w[i]) << "i=" << i;
 
   // Ascending eigenvalues.
   for (size_t i = 1; i < n; ++i) EXPECT_LE(w[i - 1], w[i] + 1e-12);
 
   // V^H V = I.
-  la::MatC vhv(n, n);
+  la::MatC vhv(nvec, nvec);
   la::gemm_cn(v, v, vhv);
-  EXPECT_LT(la::frob_diff(vhv, la::MatC::identity(n)), 1e-10 * n);
+  EXPECT_LT(la::frob_diff(vhv, la::MatC::identity(nvec)), 1e-10 * n);
 
   // A V = V diag(w).
-  la::MatC av(n, n);
+  la::MatC av(n, nvec);
   la::gemm_nn(a, v, av);
-  for (size_t j = 0; j < n; ++j)
+  for (size_t j = 0; j < nvec; ++j)
     for (size_t i = 0; i < n; ++i) av(i, j) -= w[j] * v(i, j);
   EXPECT_LT(la::frob_norm(av), 1e-10 * n);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, EigSize,
-                         ::testing::Values(1, 2, 3, 5, 8, 16, 33, 64));
+}  // namespace
+
+// (n, nvec): the matrix size and the number of wanted eigenvectors.
+class EigSize
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(EigSize, ReconstructionAndOrthonormality) {
+  const auto [n, nvec] = GetParam();
+  check_partial(random_hermitian(n, 100 + static_cast<unsigned>(n)), nvec);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, EigSize,
+    ::testing::Values(std::make_tuple(1, 1), std::make_tuple(2, 2),
+                      std::make_tuple(2, 1), std::make_tuple(3, 3),
+                      std::make_tuple(5, 5), std::make_tuple(5, 2),
+                      std::make_tuple(8, 8), std::make_tuple(16, 16),
+                      std::make_tuple(16, 5), std::make_tuple(33, 33),
+                      std::make_tuple(33, 11), std::make_tuple(64, 64),
+                      std::make_tuple(64, 20), std::make_tuple(64, 0)));
 
 TEST(Eig, TridiagAgreesWithJacobi) {
   for (unsigned seed : {1u, 2u, 3u}) {
@@ -128,32 +174,24 @@ TEST(Eig, TridiagAgreesWithJacobi) {
 
 TEST(Eig, DegenerateSpectrum) {
   // diag(1,1,1,2) in a rotated basis.
-  const size_t n = 4;
-  la::MatC q = random_matrix(n, n, 9);
-  la::MatC qq = q;
-  // Orthonormalize columns by Gram-Schmidt via overlap eig (Loewdin-like).
-  la::MatC s(n, n);
-  la::gemm_cn(qq, qq, s);
-  const auto es = la::eig_herm(s);
-  la::MatC d(n, n);
-  for (size_t j = 0; j < n; ++j)
-    for (size_t i = 0; i < n; ++i)
-      d(i, j) = es.V(i, j) / std::sqrt(es.w[j]);
-  la::MatC qn(n, n);
-  la::gemm_nn(qq, d, qn);
-
-  la::MatC lam(n, n);
-  lam(0, 0) = 1.0; lam(1, 1) = 1.0; lam(2, 2) = 1.0; lam(3, 3) = 2.0;
-  la::MatC tmp(n, n), a(n, n);
-  la::gemm_nn(qn, lam, tmp);
-  la::gemm_nc(tmp, qn, a);
-  la::hermitize(a);
-
+  const la::MatC a = hermitian_with_spectrum({1.0, 1.0, 1.0, 2.0}, 9);
   const auto r = la::eig_herm(a);
   EXPECT_NEAR(r.w[0], 1.0, 1e-10);
   EXPECT_NEAR(r.w[1], 1.0, 1e-10);
   EXPECT_NEAR(r.w[2], 1.0, 1e-10);
   EXPECT_NEAR(r.w[3], 2.0, 1e-10);
+
+  // Every wanted count, including the ones that cut a 3-fold or a 4-fold
+  // cluster: any orthonormal basis of a cluster is a set of eigenvectors,
+  // so the split columns must still meet the residual bound.
+  const la::MatC b = hermitian_with_spectrum(
+      {-1.0, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0}, 10);
+  for (const la::MatC* m : {&a, &b})
+    for (size_t nvec = 0; nvec <= m->rows(); ++nvec) {
+      SCOPED_TRACE("n=" + std::to_string(m->rows()) +
+                   " nvec=" + std::to_string(nvec));
+      check_partial(*m, nvec);
+    }
 }
 
 TEST(Eig, GeneralizedProblem) {
