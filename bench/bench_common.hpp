@@ -235,23 +235,20 @@ inline GridSweepRow run_grid_exchange(const MiniSystem& sys,
   ptmpi::run_ranks(nranks, 2, [&](ptmpi::Comm& c) {
     const dist::ProcessGrid pgrid{pb, pg};
     const int br = pgrid.band_rank_of(c.rank());
-    std::vector<real_t> d_local(
-        d.begin() + static_cast<long>(bands.offset(br)),
-        d.begin() + static_cast<long>(bands.offset(br) + bands.count(br)));
     const la::MatC src_local = dist::scatter_bands(src, bands, br);
     if (pg <= 1) {
       c.barrier();  // setup done everywhere before the clock starts
       Timer t;
-      (void)dist::exchange_apply_distributed_local(
-          c, xop, src_local, d_local, src_local, bands, pat);
+      (void)dist::exchange_apply_distributed_local(c, xop, src_local, d,
+                                                   src_local, bands, pat);
       if (c.rank() == 0) apply_secs = t.seconds();
       return;
     }
     dist::GridContext gc(c, pgrid, map);
     c.barrier();
     Timer t;
-    (void)dist::exchange_apply_slab_local(gc, xop, src_local, d_local,
-                                          src_local, bands, pat);
+    (void)dist::exchange_apply_slab_local(gc, xop, src_local, d, src_local,
+                                          bands, pat);
     if (c.rank() == 0) apply_secs = t.seconds();
     fft_secs[static_cast<size_t>(c.rank())] =
         gc.fft64().seconds() + gc.fft32().seconds();

@@ -21,7 +21,9 @@
 // idiom), the group leader broadcasts the claim, and the group propagates
 // the job: serially for cfg.nranks == 1, else through the same
 // td::PtImPropagator over a dist::BandDistributedHamiltonian that
-// Simulation::run uses, over the group's split subcommunicator.
+// Simulation::run uses, over the group's split subcommunicator. The
+// worker owns that band space for the job and the propagator refers to
+// it, so the space is built first and outlives the propagator.
 //
 // Durability: every job writes ckpt_0 at submit and an io::Checkpoint
 // (format v2) every cfg.checkpoint_every steps plus the final step, into

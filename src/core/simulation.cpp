@@ -94,10 +94,6 @@ std::unique_ptr<td::PtImPropagator> Simulation::make_ptim(
   return std::make_unique<td::PtImPropagator>(*h_, cfg.ptim(), laser_.get());
 }
 
-std::unique_ptr<td::Rk4Propagator> Simulation::make_rk4(td::Rk4Options opt) {
-  return std::make_unique<td::Rk4Propagator>(*h_, opt, laser_.get());
-}
-
 std::unique_ptr<ham::Hamiltonian> Simulation::make_rank_hamiltonian() const {
   return std::make_unique<ham::Hamiltonian>(*lattice_, atoms_, *sphere_,
                                             *wfc_grid_, *den_grid_, spec_.ham);

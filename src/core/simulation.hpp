@@ -30,7 +30,6 @@
 #include "ptmpi/comm.hpp"
 #include "td/laser.hpp"
 #include "td/ptim.hpp"
-#include "td/rk4.hpp"
 #include "td/state.hpp"
 
 namespace ptim::obs {
@@ -87,7 +86,6 @@ class Simulation {
   // knobs (precision / batch / compression) before constructing the
   // propagator on this simulation's Hamiltonian.
   std::unique_ptr<td::PtImPropagator> make_ptim(const RunConfig& cfg);
-  std::unique_ptr<td::Rk4Propagator> make_rk4(td::Rk4Options opt);
 
   // --- unified run driver -----------------------------------------------
   // One entry point for serial (nranks == 1) and band/grid-distributed

@@ -2,6 +2,7 @@
 
 #include "common/timer.hpp"
 #include "dist/exchange_dist.hpp"
+#include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
 #include "ham/density.hpp"
@@ -30,13 +31,14 @@ BandDistributedHamiltonian::BandDistributedHamiltonian(ptmpi::Comm& c,
   h_->set_exchange_mode(ham::ExchangeMode::kNone);
 }
 
-la::MatC BandDistributedHamiltonian::exchange_diag(
+la::AndersonMixer::Reduction BandDistributedHamiltonian::reduction() {
+  ptmpi::Comm* c = c_;
+  return [c](real_t* v, size_t n) { c->allreduce_sum(v, n); };
+}
+
+la::MatC BandDistributedHamiltonian::diag_exchange(
     const la::MatC& src_local, const std::vector<real_t>& occ,
     const la::MatC& tgt_local) {
-  const size_t off = bands_.offset(c_->rank());
-  const std::vector<real_t> d_local(
-      occ.begin() + static_cast<long>(off),
-      occ.begin() + static_cast<long>(off + bands_.count(c_->rank())));
   if (gridctx_) {
     PTIM_CHECK_MSG(
         h_->exchange_op().options().compression !=
@@ -45,14 +47,13 @@ la::MatC BandDistributedHamiltonian::exchange_diag(
         "(process_grid.pg == 1); the slab-distributed grid path (pg > 1) "
         "does not support kIsdf yet");
     return exchange_apply_slab_local(*gridctx_, h_->exchange_op(), src_local,
-                                     d_local, tgt_local, bands_, opt_.pattern);
+                                     occ, tgt_local, bands_, opt_.pattern);
   }
   return exchange_apply_distributed_local(*c_, h_->exchange_op(), src_local,
-                                          d_local, tgt_local, bands_,
-                                          opt_.pattern);
+                                          occ, tgt_local, bands_, opt_.pattern);
 }
 
-la::MatC BandDistributedHamiltonian::exchange_mixed(
+la::MatC BandDistributedHamiltonian::mixed_exchange(
     const la::MatC& src_local, const la::MatC& theta_local,
     const la::MatC& tgt_local) {
   if (gridctx_)
@@ -90,12 +91,12 @@ la::MatC BandDistributedHamiltonian::rotate(const la::MatC& a_local,
   return rotate_bands(*c_, a_local, r, bands_, opt_.pattern);
 }
 
-la::MatC BandDistributedHamiltonian::solve_upper_right(
-    const la::MatC& l, const la::MatC& a_local) {
-  return solve_upper_right_distributed(*c_, l, a_local, bands_, rows_);
+void BandDistributedHamiltonian::solve_upper_right(const la::MatC& l,
+                                                   la::MatC& a_local) {
+  a_local = solve_upper_right_distributed(*c_, l, a_local, bands_, rows_);
 }
 
-std::vector<real_t> BandDistributedHamiltonian::density(
+std::vector<real_t> BandDistributedHamiltonian::band_density(
     const la::MatC& phi_local, const la::MatC& sigma, la::MatC* theta_out) {
   ScopedTimer t("density.sigma");
   la::MatC theta_local = rotate(phi_local, sigma);
@@ -106,27 +107,52 @@ std::vector<real_t> BandDistributedHamiltonian::density(
   return rho;
 }
 
-void BandDistributedHamiltonian::set_exchange_source_mixed_naive(
-    const la::MatC& phi_local, la::MatC theta_local) {
-  PTIM_CHECK(theta_local.same_shape(phi_local));
+void BandDistributedHamiltonian::set_density(const la::MatC& phi_local,
+                                             const la::MatC& sigma, bool) {
+  h_->set_density(band_density(phi_local, sigma, &theta_local_));
+}
+
+void BandDistributedHamiltonian::set_exchange_mixed(const la::MatC& phi_local,
+                                                    const la::MatC&) {
+  // Reuses the theta = Phi sigma block the density pass circulated.
+  PTIM_CHECK(theta_local_.same_shape(phi_local));
   xsrc_local_ = phi_local;
-  xtheta_local_ = std::move(theta_local);
   xmode_ = BandExchangeMode::kMixedNaive;
 }
 
-void BandDistributedHamiltonian::set_exchange_source_diag(
-    la::MatC rotated_local, std::vector<real_t> occ) {
+void BandDistributedHamiltonian::set_exchange_diag(la::MatC rotated_local,
+                                                   std::vector<real_t> occ) {
   PTIM_CHECK(occ.size() == bands_.total());
   xsrc_local_ = std::move(rotated_local);
   xocc_ = std::move(occ);
   xmode_ = BandExchangeMode::kMixedDiag;
 }
 
+void BandDistributedHamiltonian::exchange_diag(const la::MatC& src_local,
+                                               const std::vector<real_t>& occ,
+                                               la::MatC& w_local) {
+  w_local = diag_exchange(src_local, occ, src_local);
+}
+
 void BandDistributedHamiltonian::set_ace(const la::MatC& src_local,
                                          const la::MatC& w_local) {
   const la::MatC l = ham::AceOperator::factor(overlap(src_local, w_local));
-  xi_local_ = solve_upper_right(l, w_local);
+  xi_local_ = solve_upper_right_distributed(*c_, l, w_local, bands_, rows_);
   xmode_ = BandExchangeMode::kAce;
+}
+
+ham::IsdfPointHold BandDistributedHamiltonian::hold_isdf_points(
+    const la::MatC& src_local, const std::vector<real_t>& occ) {
+  return h_->hold_isdf_points(isdf_select_distributed(
+      *c_, h_->exchange_op(), src_local, occ, src_local, bands_));
+}
+
+std::vector<real_t> BandDistributedHamiltonian::density(const td::TdState& s) {
+  return band_density(s.phi, s.sigma, nullptr);
+}
+
+td::TdState BandDistributedHamiltonian::gather(const td::TdState& s) {
+  return td::gather_state(*c_, s, bands_);
 }
 
 void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
@@ -136,13 +162,13 @@ void BandDistributedHamiltonian::apply(const la::MatC& phi_local,
     case BandExchangeMode::kNone:
       break;
     case BandExchangeMode::kMixedNaive: {
-      const la::MatC vx = exchange_mixed(xsrc_local_, xtheta_local_, phi_local);
+      const la::MatC vx = mixed_exchange(xsrc_local_, theta_local_, phi_local);
       for (size_t i = 0; i < hphi_local.size(); ++i)
         hphi_local.data()[i] += vx.data()[i];
       break;
     }
     case BandExchangeMode::kMixedDiag: {
-      const la::MatC vx = exchange_diag(xsrc_local_, xocc_, phi_local);
+      const la::MatC vx = diag_exchange(xsrc_local_, xocc_, phi_local);
       for (size_t i = 0; i < hphi_local.size(); ++i)
         hphi_local.data()[i] += vx.data()[i];
       break;

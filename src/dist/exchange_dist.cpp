@@ -152,17 +152,6 @@ la::MatC circulate_any(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
 
 }  // namespace
 
-std::vector<real_t> allgather_occupations(ptmpi::Comm& band,
-                                          const std::vector<real_t>& d_local,
-                                          const BlockLayout& src_bands) {
-  std::vector<size_t> counts(static_cast<size_t>(band.size()));
-  for (int r = 0; r < band.size(); ++r)
-    counts[static_cast<size_t>(r)] = src_bands.count(r);
-  std::vector<real_t> d(src_bands.total());
-  band.allgatherv(d_local.data(), d_local.size(), d.data(), counts);
-  return d;
-}
-
 la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          const ham::PairSeam& seam, const la::MatC& src_local,
                          const std::vector<real_t>& d_all,
@@ -175,29 +164,25 @@ la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
                                           const ham::ExchangeOperator& xop,
                                           const la::MatC& src_local,
-                                          const std::vector<real_t>& d_local,
+                                          const std::vector<real_t>& d_all,
                                           const la::MatC& tgt_local,
                                           const BlockLayout& src_bands,
                                           ExchangePattern pat) {
   PTIM_CHECK(src_bands.parts() == c.size());
-  PTIM_CHECK(d_local.size() == src_local.cols());
+  PTIM_CHECK(d_all.size() == src_bands.total());
   PTIM_CHECK(src_local.cols() == src_bands.count(c.rank()));
-
-  // Occupation slices are tiny; share them once so any origin's slab can be
-  // weighted locally. They stay FP64 in every precision mode.
-  const std::vector<real_t> d = allgather_occupations(c, d_local, src_bands);
 
   // ISDF replaces the slab circulation wholesale: band-parallel fit from
   // Allreduced Gram partials, then a local GEMM apply (dist/isdf_dist).
   if (xop.options().compression == ham::ExchangeCompression::kIsdf)
-    return exchange_apply_isdf_local(c, xop, src_local, d, tgt_local,
+    return exchange_apply_isdf_local(c, xop, src_local, d_all, tgt_local,
                                      src_bands);
 
   // The Γ-point vote binds only this communicator, so only this entry
   // takes it: a 2-D band ring could not carry it into the grid
   // communicator's slab-FFT collectives.
-  return circulate_any(c, xop, ham::FullGridSeam(xop), src_local, d, nullptr,
-                       tgt_local, src_bands, pat, xop.gamma_real());
+  return circulate_any(c, xop, ham::FullGridSeam(xop), src_local, d_all,
+                       nullptr, tgt_local, src_bands, pat, xop.gamma_real());
 }
 
 la::MatC exchange_apply_distributed_mixed_local(
@@ -219,11 +204,8 @@ la::MatC exchange_apply_distributed(ptmpi::Comm& c,
   const BlockLayout sb(src.cols(), p), tb(tgt.cols(), p);
   const la::MatC src_local = scatter_bands(src, sb, me);
   const la::MatC tgt_local = scatter_bands(tgt, tb, me);
-  std::vector<real_t> d_local(d.begin() + static_cast<long>(sb.offset(me)),
-                              d.begin() + static_cast<long>(sb.offset(me) +
-                                                            sb.count(me)));
-  return exchange_apply_distributed_local(c, xop, src_local, d_local,
-                                          tgt_local, sb, pat);
+  return exchange_apply_distributed_local(c, xop, src_local, d, tgt_local, sb,
+                                          pat);
 }
 
 }  // namespace ptim::dist

@@ -7,9 +7,11 @@
 // operator.
 //
 // The rank-local entry points are the production API: each rank passes only
-// the band blocks it owns (the layout of the PT-IM propagator state). The
-// legacy full-replication signature is kept as a thin wrapper that slices
-// the global matrices before delegating.
+// the band blocks it owns (the layout of the PT-IM propagator state) and
+// the occupations of every band, which the propagator keeps replicated, so
+// an apply shares nothing but the circulating slabs. The legacy
+// full-replication signature is kept as a thin wrapper that slices the
+// global matrices before delegating.
 //
 // Every dense entry point, here and in dist/slab_exchange, runs the one
 // band circulation: the 1-D ones with the full-grid seam and the world
@@ -34,20 +36,14 @@
 
 namespace ptim::dist {
 
-// Occupation slices of every band, shared once over the band communicator
-// with Allgatherv (FP64 in every precision mode).
-std::vector<real_t> allgather_occupations(ptmpi::Comm& band,
-                                          const std::vector<real_t>& d_local,
-                                          const BlockLayout& src_bands);
-
 // The dense band circulation with complex payloads (no Γ-point vote).
 // Transforms this rank's band block of sources once through the seam
 // (packed as [phi_b | theta_b] pairs when theta_local is given) and its
 // targets once, then circulates the source slabs around `band`
 // (circulate_slabs) and runs every round as a one-job run_pairs pack over
-// the origin rank's slab. d_all: the occupations of every band (diag kind;
-// allgather_occupations), ignored when theta_local carries the sigma
-// contraction. Returns alpha*Vx*tgt_local.
+// the origin rank's slab. d_all: the replicated occupations of every band
+// (diag kind), ignored when theta_local carries the sigma contraction.
+// Returns alpha*Vx*tgt_local.
 la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          const ham::PairSeam& seam, const la::MatC& src_local,
                          const std::vector<real_t>& d_all,
@@ -55,16 +51,17 @@ la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          const BlockLayout& src_bands, ExchangePattern pat);
 
 // Diagonal-occupation exchange on rank-local blocks: this rank holds
-// src_local = src[:, src_bands-of-rank] with occupations d_local (same
-// slice) and an arbitrary-width local target block. Occupation slices are
-// shared once with Allgatherv; real-space source slabs then circulate in
-// the requested pattern (real slabs when the gamma_real vote passes; see
-// above). Each field goes to real space once per apply. Returns
-// alpha*Vx[src,d]*tgt_local (npw x tgt_local.cols()).
+// src_local = src[:, src_bands-of-rank] and an arbitrary-width local target
+// block; d_all holds the occupations of all src_bands.total() bands,
+// replicated on every rank (FP64 in every precision mode), so any origin's
+// slab is weighted locally and no collective shares them. Real-space
+// source slabs circulate in the requested pattern (real slabs when the
+// gamma_real vote passes; see above). Each field goes to real space once
+// per apply. Returns alpha*Vx[src,d]*tgt_local (npw x tgt_local.cols()).
 la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
                                           const ham::ExchangeOperator& xop,
                                           const la::MatC& src_local,
-                                          const std::vector<real_t>& d_local,
+                                          const std::vector<real_t>& d_all,
                                           const la::MatC& tgt_local,
                                           const BlockLayout& src_bands,
                                           ExchangePattern p);
@@ -80,8 +77,8 @@ la::MatC exchange_apply_distributed_mixed_local(
     const BlockLayout& src_bands, ExchangePattern p);
 
 // Legacy wrapper: every rank passes the FULL src/tgt matrices
-// (npw x nsrc / npw x ntgt) and occupations d; the function slices both
-// over c.size() ranks with BlockLayout and returns this rank's
+// (npw x nsrc / npw x ntgt) and occupations d; the function slices the
+// matrices over c.size() ranks with BlockLayout and returns this rank's
 // npw x BlockLayout(ntgt).count(me) block of alpha*Vx[src,d]*tgt.
 la::MatC exchange_apply_distributed(ptmpi::Comm& c,
                                     const ham::ExchangeOperator& xop,

@@ -47,9 +47,9 @@ std::vector<size_t> isdf_select_distributed(ptmpi::Comm& c,
                                             const BlockLayout& src_bands);
 
 // Build the band-parallel ISDF fit: src_local holds this rank's band slice
-// (sphere coefficients), d_all the FULL occupation vector (already
-// Allgathered by the exchange entry point), tgt_local the rank's target
-// block. Collective over c; returns the same Fit on every rank (bitwise).
+// (sphere coefficients), d_all the FULL occupation vector (replicated on
+// every rank), tgt_local the rank's target block. Collective over c;
+// returns the same Fit on every rank (bitwise).
 ham::isdf::Fit isdf_fit_distributed(ptmpi::Comm& c,
                                     const ham::ExchangeOperator& xop,
                                     const la::MatC& src_local,

@@ -216,17 +216,12 @@ class SlabSeam final : public ham::PairSeam {
 la::MatC exchange_apply_slab_local(GridContext& gc,
                                    const ham::ExchangeOperator& xop,
                                    const la::MatC& src_local,
-                                   const std::vector<real_t>& d_local,
+                                   const std::vector<real_t>& d_all,
                                    const la::MatC& tgt_local,
                                    const BlockLayout& src_bands,
                                    ExchangePattern pat) {
   PTIM_CHECK(src_bands.parts() == gc.band().size());
-  PTIM_CHECK(d_local.size() == src_local.cols());
-  // Allgathered over the band communicator exactly as in the 1-D path, so
-  // the occupation vector matches it bitwise.
-  const std::vector<real_t> d =
-      allgather_occupations(gc.band(), d_local, src_bands);
-  return circulate_pairs(gc.band(), xop, SlabSeam(gc, xop), src_local, d,
+  return circulate_pairs(gc.band(), xop, SlabSeam(gc, xop), src_local, d_all,
                          nullptr, tgt_local, src_bands, pat);
 }
 

@@ -83,14 +83,15 @@ class GridContext {
 
 // Diagonal-occupation exchange on the 2-D layout: this rank holds the band
 // block src_local (npw x src_bands.count(band_rank), sphere coefficients —
-// replicated within a band row) with occupations d_local, and a local
-// target block. Collective over the whole pb x pg world. Returns
+// replicated within a band row) and a local target block; d_all holds the
+// replicated occupations of all src_bands.total() bands, as in the 1-D
+// path. Collective over the whole pb x pg world. Returns
 // alpha*Vx[src,d]*tgt_local (npw x tgt_local.cols()), identical on every
 // rank of a band row.
 la::MatC exchange_apply_slab_local(GridContext& gc,
                                    const ham::ExchangeOperator& xop,
                                    const la::MatC& src_local,
-                                   const std::vector<real_t>& d_local,
+                                   const std::vector<real_t>& d_all,
                                    const la::MatC& tgt_local,
                                    const BlockLayout& src_bands,
                                    ExchangePattern pat);

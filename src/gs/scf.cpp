@@ -128,7 +128,6 @@ ScfResult ground_state(ham::Hamiltonian& h, ScfOptions opt) {
     for (int outer = 1; outer <= opt.max_outer_ace; ++outer) {
       ++res.outer_iterations;
       // Build W = alpha*Vx*Phi (batched exchange path) and compress.
-      h.set_exchange_source_diag(res.phi, res.occ);
       h.set_ace(ham::AceOperator::build_diag(h.exchange_op(), res.phi,
                                              res.occ));
 

@@ -1,7 +1,5 @@
 #include "td/band_space.hpp"
 
-#include "dist/band_ham.hpp"
-#include "dist/isdf_dist.hpp"
 #include "dist/rotate.hpp"
 #include "ham/density.hpp"
 #include "ham/isdf.hpp"
@@ -111,81 +109,10 @@ class SerialBandSpace final : public BandSpace {
   ham::Hamiltonian* h_;
 };
 
-class DistBandSpace final : public BandSpace {
- public:
-  explicit DistBandSpace(dist::BandDistributedHamiltonian& h) : h_(&h) {}
-
-  ham::Hamiltonian& local() override { return h_->local(); }
-  la::AndersonMixer::Reduction reduction() override {
-    ptmpi::Comm* c = &h_->comm();
-    return [c](real_t* v, size_t n) { c->allreduce_sum(v, n); };
-  }
-  size_t band_offset() override {
-    return h_->bands().offset(h_->comm().rank());
-  }
-
-  void set_density(const la::MatC& phi, const la::MatC& sigma, bool) override {
-    h_->set_density(h_->density(phi, sigma, &theta_));
-  }
-  void set_exchange_none() override { h_->set_exchange_none(); }
-  void set_exchange_mixed(const la::MatC& phi, const la::MatC&) override {
-    // Reuses the theta = Phi sigma block the density pass circulated.
-    h_->set_exchange_source_mixed_naive(phi, std::move(theta_));
-  }
-  void set_exchange_diag(la::MatC rotated, std::vector<real_t> occ) override {
-    h_->set_exchange_source_diag(std::move(rotated), std::move(occ));
-  }
-
-  void apply(const la::MatC& phi, la::MatC& hphi) override {
-    h_->apply(phi, hphi);
-  }
-  la::MatC overlap(const la::MatC& a, const la::MatC& b) override {
-    return h_->overlap(a, b);
-  }
-  void overlap_pair(const la::MatC& a, const la::MatC& b, la::MatC* aa,
-                    la::MatC* ab) override {
-    h_->overlap_pair(a, b, aa, ab);
-  }
-  la::MatC rotate(const la::MatC& a, const la::MatC& r) override {
-    return h_->rotate(a, r);
-  }
-  void solve_upper_right(const la::MatC& l, la::MatC& a) override {
-    a = h_->solve_upper_right(l, a);
-  }
-
-  void exchange_diag(const la::MatC& src, const std::vector<real_t>& occ,
-                     la::MatC& w) override {
-    w = h_->exchange_diag(src, occ, src);
-  }
-  void set_ace(const la::MatC& src, const la::MatC& w) override {
-    h_->set_ace(src, w);
-  }
-  ham::IsdfPointHold hold_isdf_points(
-      const la::MatC& src, const std::vector<real_t>& occ) override {
-    return local().hold_isdf_points(dist::isdf_select_distributed(
-        h_->comm(), local().exchange_op(), src, occ, src, h_->bands()));
-  }
-
-  std::vector<real_t> density(const TdState& s) override {
-    return h_->density(s.phi, s.sigma);
-  }
-  TdState gather(const TdState& s) override {
-    return gather_state(h_->comm(), s, h_->bands());
-  }
-
- private:
-  dist::BandDistributedHamiltonian* h_;
-  la::MatC theta_;  // the last density pass's theta block (baseline)
-};
-
 }  // namespace
 
 std::unique_ptr<BandSpace> serial_space(ham::Hamiltonian& h) {
   return std::make_unique<SerialBandSpace>(h);
-}
-
-std::unique_ptr<BandSpace> band_space(dist::BandDistributedHamiltonian& h) {
-  return std::make_unique<DistBandSpace>(h);
 }
 
 }  // namespace ptim::td

@@ -6,19 +6,22 @@
 // the layouts:
 //
 //   serial — all nb bands on one ham::Hamiltonian (gemm overlaps and
-//            rotations, AceOperator::apply, isdf::select_diag);
-//   band   — this rank's BlockLayout block of Phi on a
-//            dist::BandDistributedHamiltonian, for band-parallel and 2-D
-//            runs (band->grid transposes + Allreduce, ring rotations, ring
-//            or slab exchange, dist/isdf_dist selection).
+//            rotations, AceOperator::apply, isdf::select_diag); the
+//            propagator builds and owns it (serial_space);
+//   band   — dist::BandDistributedHamiltonian (dist/band_ham.hpp) itself:
+//            this rank's BlockLayout block of Phi, for band-parallel and
+//            2-D runs (band->grid transposes + Allreduce, ring rotations,
+//            ring or slab exchange, dist/isdf_dist selection). The caller
+//            owns it, and the propagator refers to it.
 //
 // Phi-shaped arguments hold the rank's band block (every band when
 // serial). nb x nb matrices and occupation vectors cover all nb bands and
 // are replicated: they are only ever formed from reduced data, so they are
-// bit-identical on every rank. Each implementation calls exactly its own
-// layer's kernels; a one-rank band space is a valid layout but does not
-// compute like the serial one (its ACE apply, baseline density and ISDF
-// selection differ), so serial runs use the serial space.
+// bit-identical on every rank and reach the exchange ring as they are.
+// Each implementation calls exactly its own layer's kernels; a one-rank
+// band space is a valid layout but does not compute like the serial one
+// (its ACE apply, baseline density and ISDF selection differ), so serial
+// runs use the serial space.
 
 #include <memory>
 #include <vector>
@@ -28,9 +31,8 @@
 #include "td/state.hpp"
 
 namespace ptim::dist {
-class BandDistributedHamiltonian;
 class BlockLayout;
-}  // namespace ptim::dist
+}
 namespace ptim::ptmpi {
 class Comm;
 }
@@ -99,7 +101,6 @@ class BandSpace {
 };
 
 std::unique_ptr<BandSpace> serial_space(ham::Hamiltonian& h);
-std::unique_ptr<BandSpace> band_space(dist::BandDistributedHamiltonian& h);
 
 // A band-parallel run's state is a TdState whose phi holds the rank's band
 // block (phi[:, bands of rank]) and whose sigma is replicated. Slice a full

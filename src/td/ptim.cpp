@@ -15,13 +15,15 @@ PtImPropagator::PtImPropagator(ham::Hamiltonian& h, PtImOptions opt,
                                const LaserPulse* laser)
     : PtImPropagator(serial_space(h), opt, laser) {}
 
-PtImPropagator::PtImPropagator(dist::BandDistributedHamiltonian& h,
+PtImPropagator::PtImPropagator(std::unique_ptr<BandSpace> serial,
                                PtImOptions opt, const LaserPulse* laser)
-    : PtImPropagator(band_space(h), opt, laser) {}
+    : PtImPropagator(*serial, opt, laser) {
+  serial_ = std::move(serial);
+}
 
-PtImPropagator::PtImPropagator(std::unique_ptr<BandSpace> space,
-                               PtImOptions opt, const LaserPulse* laser)
-    : space_(std::move(space)),
+PtImPropagator::PtImPropagator(BandSpace& space, PtImOptions opt,
+                               const LaserPulse* laser)
+    : space_(&space),
       reduce_(space_->reduction()),
       opt_(opt),
       exchange_(opt.hybrid && space_->local().hybrid()),

@@ -20,13 +20,15 @@
 //
 // One propagator serves serial and band-parallel runs (paper Secs.
 // IV-B/IV-C): the algorithm is written once against the band-space seam
-// (td/band_space.hpp), built over a ham::Hamiltonian or over a
-// dist::BandDistributedHamiltonian. In a band-parallel run every rank
-// runs one instance on its band block of Phi (scatter_state) while sigma
-// and every nb x nb matrix stay replicated; each call is then collective,
-// and the returned stats are identical on every rank. The band trajectory
-// matches the serial one to rounding for every variant (pinned at 1e-10
-// over 10 steps); under ISDF the two layouts select points differently.
+// (td/band_space.hpp). Built over a ham::Hamiltonian, it owns the serial
+// space; built over a band layout (a dist::BandDistributedHamiltonian,
+// which is a BandSpace), it refers to the caller's. In a band-parallel run
+// every rank runs one instance on its band block of Phi (scatter_state)
+// while sigma and every nb x nb matrix stay replicated; each call is then
+// collective, and the returned stats are identical on every rank. The band
+// trajectory matches the serial one to rounding for every variant (pinned
+// at 1e-10 over 10 steps); under ISDF the two layouts select points
+// differently.
 
 #include <memory>
 #include <optional>
@@ -92,9 +94,9 @@ class PtImPropagator {
  public:
   // Serial: every band of Phi on one Hamiltonian.
   PtImPropagator(ham::Hamiltonian& h, PtImOptions opt, const LaserPulse* laser);
-  // Band-parallel or 2-D: the stepped state holds this rank's band block.
-  PtImPropagator(dist::BandDistributedHamiltonian& h, PtImOptions opt,
-                 const LaserPulse* laser);
+  // Band-parallel or 2-D: a dist::BandDistributedHamiltonian, which must
+  // outlive the propagator; the stepped state holds this rank's band block.
+  PtImPropagator(BandSpace& space, PtImOptions opt, const LaserPulse* laser);
 
   PtImStepStats step(TdState& s);
   const PtImOptions& options() const { return opt_; }
@@ -161,7 +163,7 @@ class PtImPropagator {
   PtImStepStats step_finish(TdState& s, StepSession& sess);
 
  private:
-  PtImPropagator(std::unique_ptr<BandSpace> space, PtImOptions opt,
+  PtImPropagator(std::unique_ptr<BandSpace> serial, PtImOptions opt,
                  const LaserPulse* laser);
 
   // Inner fixed-point loop with the currently configured exchange; updates
@@ -178,7 +180,8 @@ class PtImPropagator {
     if (reduce_) reduce_(v, n);
   }
 
-  std::unique_ptr<BandSpace> space_;
+  std::unique_ptr<BandSpace> serial_;  // the owned space of a serial run
+  BandSpace* space_;
   la::AndersonMixer::Reduction reduce_;  // empty when serial
   PtImOptions opt_;
   bool exchange_;                   // opt.hybrid && the Hamiltonian's hybrid

@@ -225,11 +225,8 @@ TEST(ExchangeDist, LocalApiMatchesLegacyWrapper) {
       const int me = c.rank();
       const la::MatC src_local = dist::scatter_bands(src, sb, me);
       const la::MatC tgt_local = dist::scatter_bands(tgt, tb, me);
-      const std::vector<real_t> d_local(
-          d.begin() + static_cast<long>(sb.offset(me)),
-          d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
       local[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-          c, e.xop, src_local, d_local, tgt_local, sb, pat);
+          c, e.xop, src_local, d, tgt_local, sb, pat);
     });
     for (int r = 0; r < p; ++r) {
       EXPECT_EQ(la::frob_diff(legacy[static_cast<size_t>(r)],
@@ -320,12 +317,9 @@ TEST(ExchangeDist, GammaRealMatchesSerialAndIsPatternInvariant) {
       std::vector<la::MatC> blocks(static_cast<size_t>(p));
       ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
         const int me = c.rank();
-        const std::vector<real_t> d_local(
-            d.begin() + static_cast<long>(sb.offset(me)),
-            d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
         blocks[static_cast<size_t>(me)] =
             dist::exchange_apply_distributed_local(
-                c, xg, dist::scatter_bands(src, sb, me), d_local,
+                c, xg, dist::scatter_bands(src, sb, me), d,
                 dist::scatter_bands(tgt, tb, me), sb, pat);
       });
       la::MatC full(npw, nb);
@@ -443,11 +437,8 @@ TEST(ExchangeDist, GammaRealVoteFailureFallsBackOnEveryRank) {
     x.fft_count = 0;
     ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
       const int me = c.rank();
-      const std::vector<real_t> d_local(
-          d.begin() + static_cast<long>(sb.offset(me)),
-          d.begin() + static_cast<long>(sb.offset(me) + sb.count(me)));
       out[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-          c, x, dist::scatter_bands(src, sb, me), d_local,
+          c, x, dist::scatter_bands(src, sb, me), d,
           tgts[static_cast<size_t>(me)], sb, pat);
     });
     return out;

@@ -5,7 +5,8 @@
 // bit-identical to the serial operator at pb = 1 and to the 1-D
 // band-parallel operator at fixed pb, for all three circulation patterns
 // x {FP64, FP32} on non-divisible band and grid counts. Also pins the
-// pg-fold reduction of per-rank ring bytes.
+// pg-fold reduction of per-rank ring bytes, and that a 2-D PT-IM-ACE step
+// shares no occupations.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/rotate.hpp"
 #include "dist/slab_exchange.hpp"
@@ -25,6 +27,7 @@
 #include "la/util.hpp"
 #include "obs/obs.hpp"
 #include "ptmpi/comm.hpp"
+#include "td/ptim.hpp"
 #include "test_helpers.hpp"
 
 using namespace ptim;
@@ -362,11 +365,8 @@ std::vector<la::MatC> run_slab_diag(const XEnv& e, dist::ProcessGrid pgrid,
   ptmpi::run_ranks(nranks, 2, [&](ptmpi::Comm& c) {
     dist::GridContext gc(c, pgrid, e.map);
     const int br = pgrid.band_rank_of(c.rank());
-    std::vector<real_t> d_local(
-        d.begin() + static_cast<long>(bands.offset(br)),
-        d.begin() + static_cast<long>(bands.offset(br) + bands.count(br)));
     blocks[static_cast<size_t>(c.rank())] = dist::exchange_apply_slab_local(
-        gc, xop, dist::scatter_bands(src, bands, br), d_local,
+        gc, xop, dist::scatter_bands(src, bands, br), d,
         dist::scatter_bands(tgt, tb, br), bands, pat);
   });
   // Columns of one band row must agree bitwise; return column 0's blocks.
@@ -433,11 +433,8 @@ std::vector<la::MatC> run_band_diag(const XEnv& e, Precision prec,
   std::vector<la::MatC> blocks(static_cast<size_t>(pb));
   ptmpi::run_ranks(pb, 2, [&](ptmpi::Comm& c) {
     const int me = c.rank();
-    std::vector<real_t> d_local(
-        d.begin() + static_cast<long>(bands.offset(me)),
-        d.begin() + static_cast<long>(bands.offset(me) + bands.count(me)));
     blocks[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-        c, xop, dist::scatter_bands(src, bands, me), d_local,
+        c, xop, dist::scatter_bands(src, bands, me), d,
         dist::scatter_bands(tgt, bands, me), bands, pat);
   });
   return blocks;
@@ -684,6 +681,47 @@ TEST(SlabExchange, RecordsExchangePhaseSpansOnEveryRank) {
             << want << " missing on rank " << r << " weighted=" << weighted;
     }
   }
+}
+
+TEST(SlabExchange, AceStepSharesNoOccupations) {
+  // The 2-D layout hands the slab ring the replicated eigen-occupations of
+  // every ACE build, like the 1-D one: a 2x2 band PT-IM-ACE step records no
+  // Allgatherv on world rank 0 (band and grid traffic included).
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 6;
+  const dist::ProcessGrid pgrid{2, 2};
+  td::TdState init;
+  init.phi = test::random_orbitals(sys.sphere->npw(), nb, 560);
+  init.sigma = test::random_occupation_matrix(nb, 561);
+  const dist::BlockLayout bands(nb, pgrid.pb);
+  td::PtImOptions opt;
+  opt.dt = 0.5;
+  opt.tol = 1e-7;
+  opt.variant = td::PtImVariant::kAce;
+  long gathers = -1;
+  int applies = 0;
+  ptmpi::run_ranks(4, 2, [&](ptmpi::Comm& c) {
+    ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                       *sys.den_grid, ham::HamiltonianOptions{});
+    dist::BandHamOptions bopt;
+    bopt.grid = pgrid;
+    dist::BandDistributedHamiltonian bdh(c, h, nb, bopt);
+    td::TdState s =
+        td::scatter_state(init, bands, pgrid.band_rank_of(c.rank()));
+    td::PtImPropagator prop(bdh, opt, nullptr);
+    const ptmpi::CommStats before = c.stats().snapshot();
+    const td::PtImStepStats st = prop.step(s);
+    const ptmpi::CommStats after = c.stats().snapshot();
+    if (c.rank() != 0) return;
+    applies = st.exchange_applications;
+    const auto calls = [](const ptmpi::CommStats& cs) {
+      const auto it = cs.ops.find("Allgatherv");
+      return it == cs.ops.end() ? 0L : it->second.calls;
+    };
+    gathers = calls(after) - calls(before);
+  });
+  EXPECT_GT(applies, 1);
+  EXPECT_EQ(gathers, 0);
 }
 
 TEST(SlabExchange, SlabFftTimerAccumulates) {

@@ -284,11 +284,8 @@ TEST(IsdfDist, MatchesSerialOperator) {
       const int me = c.rank();
       const auto xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
       const la::MatC src_local = dist::scatter_bands(p.phi, bands, me);
-      std::vector<real_t> d_local(
-          p.d.begin() + static_cast<long>(bands.offset(me)),
-          p.d.begin() + static_cast<long>(bands.offset(me) + bands.count(me)));
       outs[static_cast<size_t>(me)] = dist::exchange_apply_distributed_local(
-          c, xop, src_local, d_local, src_local, bands,
+          c, xop, src_local, p.d, src_local, bands,
           dist::ExchangePattern::kAsyncRing);
     });
     for (int r = 0; r < nranks; ++r) {
@@ -322,7 +319,7 @@ TEST(IsdfDist, SlabGridLayoutIsRejected) {
     la::MatC w;
     try {
       // The band space's ACE W apply routes through the diag exchange.
-      td::band_space(bdh)->exchange_diag(src_local, occ, w);
+      bdh.exchange_diag(src_local, occ, w);
     } catch (const Error&) {
       threw[static_cast<size_t>(c.rank())] = 1;
     }
@@ -588,7 +585,7 @@ TEST(IsdfDist, TrajectoryMatchesSerialWithRankIdenticalHeldSets) {
       for (int k = 0; k < kSteps; ++k) {
         if (!prop.step(s).outer_converged) outer_ok[me] = 0;
         EXPECT_TRUE(h.exchange_op().isdf_points().empty());
-        const auto rho = bdh.density(s.phi, s.sigma);
+        const auto rho = bdh.density(s);
         if (me == 0)
           dipole[k] = td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
         la::MatC rotated;

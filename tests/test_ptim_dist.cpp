@@ -84,7 +84,7 @@ Trajectory distributed_trajectory(test::TinySystem& sys, size_t nb,
     td::PtImPropagator prop(bdh, ptim_options(variant), nullptr);
     for (int i = 0; i < steps; ++i) {
       prop.step(s);
-      const auto rho = bdh.density(s.phi, s.sigma);
+      const auto rho = bdh.density(s);
       if (c.rank() == 0)
         t.dipole[static_cast<size_t>(i)] =
             td::dipole(rho, *sys.den_grid, {1.0, 0.0, 0.0});
@@ -206,12 +206,45 @@ TEST(PtImDist, PropagatorCommStatsShowPatternShift) {
   EXPECT_EQ(s_async[0].ops.count("Sendrecv"), 0u);
   EXPECT_GT(s_async[0].ops.at("Wait").bytes, 0);
 
-  // Structural ops shared by every pattern.
+  // Structural ops shared by every pattern (the Allgatherv is the final
+  // full-state gather).
   for (const auto& stats : {s_ring, s_async}) {
     EXPECT_GT(stats[0].ops.at("Alltoallv").calls, 0);
     EXPECT_GT(stats[0].ops.at("Allreduce").calls, 0);
     EXPECT_GT(stats[0].ops.at("Allgatherv").calls, 0);
   }
+}
+
+TEST(PtImDist, AceStepSharesNoOccupations) {
+  // The eigen-occupations of every ACE build are replicated, so the
+  // exchange ring weights each origin's slab without a collective: a band
+  // PT-IM-ACE step on 3 ranks records no Allgatherv on rank 0.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 7;
+  const int p = 3;
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const dist::BlockLayout bands(nb, p);
+  long gathers = -1;
+  int applies = 0;
+  ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+    ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                       *sys.den_grid, ham::HamiltonianOptions{});
+    dist::BandDistributedHamiltonian bdh(c, h, nb);
+    td::TdState s = td::scatter_state(init, bands, c.rank());
+    td::PtImPropagator prop(bdh, ptim_options(td::PtImVariant::kAce), nullptr);
+    const ptmpi::CommStats before = c.stats().snapshot();
+    const td::PtImStepStats st = prop.step(s);
+    const ptmpi::CommStats after = c.stats().snapshot();
+    if (c.rank() != 0) return;
+    applies = st.exchange_applications;
+    const auto calls = [](const ptmpi::CommStats& cs) {
+      const auto it = cs.ops.find("Allgatherv");
+      return it == cs.ops.end() ? 0L : it->second.calls;
+    };
+    gathers = calls(after) - calls(before);
+  });
+  EXPECT_GT(applies, 1);
+  EXPECT_EQ(gathers, 0);
 }
 
 // -------------------------------------------- core::Simulation threading ---
