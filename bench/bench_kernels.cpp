@@ -6,14 +6,17 @@
 // comparisons below always build — per-pair vs batched exchange, FP64 vs
 // FP32, dense vs ISDF, the per-SIMD-ISA c2c vs Γ-point r2c engine
 // head-to-head, the engine at the production grids (14^3, 7^3) with its
-// FP32 error, the complex vs gamma_real exchange pipeline, and the
-// Rayleigh–Ritz eigensolver at the Davidson subspace sizes — and the
-// latter four record gated rows (FFT counts, the FP32 error, the
-// eigensolver residual) to BENCH_kernels.json.
+// FP32 error, the sphere <-> grid transforms, the complex vs gamma_real
+// exchange pipeline, and the Rayleigh–Ritz eigensolver at the Davidson
+// subspace sizes — and the latter five record gated rows (FFT counts, the
+// FP32 error, line transforms per column, the eigensolver residual) to
+// BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
 #include <benchmark/benchmark.h>
 #endif
+
+#include <omp.h>
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +38,7 @@
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "la/util.hpp"
+#include "pseudo/atoms.hpp"
 #include "pw/transforms.hpp"
 #include "pw/wavefunction.hpp"
 
@@ -497,6 +501,7 @@ struct KernelRow {
   long ffts;
   std::string box;  // grid of the production-grid rows; "" = none
   double rel_rms;   // FP32-vs-FP64 error rows only; < 0 = none
+  long lines = -1;  // line transforms per column (sphere rows); < 0 = none
 };
 std::vector<KernelRow> kernel_rows;
 
@@ -637,6 +642,71 @@ void fft_production_grids() {
   }
 }
 
+// Sphere <-> grid transforms at the perfbench system's grids (the ecut 2
+// Si cell: 147 coefficients, 14^3 density and 7^3 wavefunction grids), 20
+// columns on one thread: the single-column to_real of the density, and
+// the batched to_real_batch / to_sphere_batch_inplace of the semilocal
+// apply. Every transform runs only the FFT lines its sphere reaches; the
+// line count per column is gated, the time is not.
+void sphere_transforms() {
+  grid::Lattice lat = grid::Lattice::cubic(1.0);
+  pseudo::silicon_supercell(1, 1, 1, &lat);
+  const grid::GSphere sphere(lat, 2.0);
+  const size_t ncols = 20;
+  const int reps = 40;
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  std::printf("\nSphere <-> grid transforms: %zu coefficients, %zu columns, "
+              "one thread (min of %d)\n",
+              sphere.npw(), ncols, reps);
+  std::printf("%6s %24s %12s %10s %14s\n", "box", "variant", "seconds",
+              "us/column", "lines/column");
+  for (const int factor : {2, 1}) {
+    const grid::FftGrid g(lat, sphere.suggest_dims(factor));
+    const pw::SphereGridMap map(sphere, g);
+    const auto& d = g.dims();
+    const std::string box = std::to_string(d[0]) + "^3";
+    const size_t full = d[1] * d[2] + d[0] * d[2] + d[0] * d[1];
+    const la::MatC coeffs = random_mat(sphere.npw(), ncols, 31);
+    la::MatC real, back;
+    map.to_real_batch(coeffs, real);
+    std::vector<cplx> column(g.size());
+    struct Variant {
+      const char* name;
+      std::function<void()> run;  // transforms all ncols columns
+    };
+    la::MatC work;
+    const std::vector<Variant> variants = {
+        {"to_real",
+         [&] {
+           for (size_t b = 0; b < ncols; ++b)
+             map.to_real(coeffs.col(b), column.data());
+         }},
+        {"to_real_batch", [&] { map.to_real_batch(coeffs, work); }},
+        {"to_sphere_batch_inplace",
+         [&] { map.to_sphere_batch_inplace(work, back); }}};
+    for (const Variant& v : variants) {
+      double best = 1e300;
+      for (int r = 0; r <= reps; ++r) {  // r = 0 warms up
+        work = real;
+        const auto t0 = std::chrono::steady_clock::now();
+        v.run();
+        const auto t1 = std::chrono::steady_clock::now();
+        if (r > 0)
+          best =
+              std::min(best, std::chrono::duration<double>(t1 - t0).count());
+      }
+      std::printf("%6s %24s %12.6f %10.2f %8zu of %zu\n", box.c_str(), v.name,
+                  best, best / static_cast<double>(ncols) * 1e6,
+                  map.lines_per_column(), full);
+      kernel_rows.push_back({"sphere_grid", "-", v.name, ncols, best,
+                             static_cast<long>(ncols), box, -1.0,
+                             static_cast<long>(map.lines_per_column())});
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
 // Γ-point gamma_real exchange: real orbitals through the packed pair-FFT
 // path vs the complex pipeline on the same 8x8 problem — the FFT count
 // halves (gated) and wall-clock follows.
@@ -741,6 +811,8 @@ void write_kernels_json() {
                    r.fields, r.seconds, r.ffts);
       if (r.rel_rms >= 0.0)
         std::fprintf(f, ", \"rel_rms_error\": %.6e", r.rel_rms);
+      if (r.lines >= 0)
+        std::fprintf(f, ", \"lines_per_column\": %ld", r.lines);
       std::fprintf(f, "}%s\n", i + 1 < nrows ? "," : "");
     }
     for (size_t i = 0; i < eig_rows.size(); ++i) {
@@ -756,7 +828,7 @@ void write_kernels_json() {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("(engine/gamma/eig rows written to %s)\n", path);
+    std::printf("(engine/sphere/gamma/eig rows written to %s)\n", path);
   }
 }
 
@@ -777,6 +849,7 @@ int main(int argc, char** argv) {
   exchange_isdf_comparison();
   fft_engine_comparison();
   fft_production_grids();
+  sphere_transforms();
   exchange_gamma_comparison();
   eig_rayleigh_ritz();
   write_kernels_json();

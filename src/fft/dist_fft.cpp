@@ -153,8 +153,7 @@ void DistFft3T<R>::forward(const C* slab, C* pencil, size_t nbatch) const {
   // input is const: stage through the persistent scratch so callers can
   // keep their real-space payloads (the circulating ring slabs) intact.
   work_.assign(slab, slab + nbatch * nreal_1);
-  const detail::BoxAxes ax =
-      detail::box_axes(n0_, n1_, n2_, zloc, pplane, nbatch);
+  const detail::BoxAxes ax(n0_, n1_, n2_, zloc, pplane, nbatch);
   detail::axis_pass(p0_, ax.a0, work_.data(), true);
   detail::axis_pass(p1_, ax.a1, work_.data(), true);
 
@@ -179,8 +178,7 @@ void DistFft3T<R>::inverse(const C* pencil, C* slab, size_t nbatch) const {
   // Mirror of forward: axis 2 on the pencil, transpose back, axes 1 and 0
   // on the slab, then the serial engine's single trailing 1/size() scale.
   work_.assign(pencil, pencil + nbatch * npencil_1);
-  const detail::BoxAxes ax =
-      detail::box_axes(n0_, n1_, n2_, zloc, pplane, nbatch);
+  const detail::BoxAxes ax(n0_, n1_, n2_, zloc, pplane, nbatch);
   detail::axis_pass(p2_, ax.a2, work_.data(), false);
 
   pencil_to_slab(work_.data(), slab, nbatch);

@@ -268,15 +268,17 @@ Fft3T<R>::Fft3T(size_t n0, size_t n1, size_t n2)
     : n0_(n0), n1_(n1), n2_(n2), p0_(n0), p1_(n1), p2_(n2) {}
 
 template <typename R>
-void Fft3T<R>::forward_batch(C* data, size_t nbatch) const {
+void Fft3T<R>::forward_batch(C* data, size_t nbatch,
+                             const LineSubset* lines) const {
   if (nbatch == 0) return;
-  transform_batch(data, nbatch, Dir::kForward);
+  transform_batch(data, nbatch, Dir::kForward, lines);
 }
 
 template <typename R>
-void Fft3T<R>::inverse_batch(C* data, size_t nbatch) const {
+void Fft3T<R>::inverse_batch(C* data, size_t nbatch,
+                             const LineSubset* lines) const {
   if (nbatch == 0) return;
-  transform_batch(data, nbatch, Dir::kInverse);
+  transform_batch(data, nbatch, Dir::kInverse, lines);
   const R s = R(1) / static_cast<R>(size());
   const size_t total = nbatch * size();
 #pragma omp parallel for schedule(static)
@@ -290,20 +292,23 @@ void Fft3T<R>::inverse_batch(C* data, size_t nbatch) const {
 // tile, R-wide vectorization over the lanes), and scattered back.
 // Consecutive line indices are chosen so that tile gathers walk memory
 // contiguously on the strided axes. The distributed slab engine
-// (DistFft3T) calls the SAME axis_pass on the same box_axes line sets over
+// (DistFft3T) calls the SAME axis_pass on the same BoxAxes line sets over
 // its local extents, which is what makes it bit-identical to this engine
 // by construction.
 //
 // Axis order: forward sweeps 0 -> 1 -> 2, the inverse sweeps 2 -> 1 -> 0.
 // The reversed inverse is what makes a z-slab-distributed transform
 // bit-identical with one transpose per direction: both directions touch
-// the z axis only while the data is pencil-distributed (full z).
+// the z axis only while the data is pencil-distributed (full z). It is
+// also what lets a line subset prune both directions alike: the inverse
+// skips axis-2 lines that hold only zeros and then axis-1 lines that
+// still do, the forward skips the axis-1 and axis-2 lines whose outputs
+// no listed column reads.
 template <typename R>
-void Fft3T<R>::transform_batch(C* data, size_t nbatch, Dir dir) const {
-  const bool fwd = dir == Dir::kForward;
-  const detail::BoxAxes ax =
-      detail::box_axes(n0_, n1_, n2_, n2_, n0_ * n1_, nbatch);
-  if (fwd) {
+void Fft3T<R>::transform_batch(C* data, size_t nbatch, Dir dir,
+                               const LineSubset* lines) const {
+  const detail::BoxAxes ax(n0_, n1_, n2_, n2_, n0_ * n1_, nbatch, lines);
+  if (dir == Dir::kForward) {
     detail::axis_pass(p0_, ax.a0, data, true);
     detail::axis_pass(p1_, ax.a1, data, true);
     detail::axis_pass(p2_, ax.a2, data, true);
@@ -318,13 +323,18 @@ void Fft3T<R>::transform_batch(C* data, size_t nbatch, Dir dir) const {
 // is bit-identical to the corresponding batch member by construction (the
 // per-line split-plane arithmetic is independent of the tile width).
 template <typename R>
-void Fft3T<R>::forward(C* data) const {
-  transform_batch(data, 1, Dir::kForward);
+void Fft3T<R>::forward(C* data, const LineSubset* lines) const {
+  transform_batch(data, 1, Dir::kForward, lines);
 }
 
 template <typename R>
-void Fft3T<R>::inverse(C* data) const {
-  transform_batch(data, 1, Dir::kInverse);
+void Fft3T<R>::inverse_unscaled(C* data, const LineSubset* lines) const {
+  transform_batch(data, 1, Dir::kInverse, lines);
+}
+
+template <typename R>
+void Fft3T<R>::inverse(C* data, const LineSubset* lines) const {
+  transform_batch(data, 1, Dir::kInverse, lines);
   const R s = R(1) / static_cast<R>(size());
   const size_t ng = size();
   for (size_t i = 0; i < ng; ++i) data[i] *= s;

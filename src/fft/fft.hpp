@@ -125,6 +125,24 @@ size_t next_fft_size(size_t n);
 // Returns true when n factors into {2,3,5,7} primes only.
 bool fft_size_ok(size_t n);
 
+// `count` consecutive lines of one axis of a box; the first one starts at
+// element `offset` of the box. A run list names a subset of an axis's
+// lines in line order (fft/axis_pass.hpp walks it).
+struct LineRun {
+  size_t offset;
+  size_t count;
+};
+
+// The axis-1 and axis-2 lines a transform of band-limited data visits: the
+// G-sphere's "sticks" (pw::SphereGridMap builds them from its scatter map).
+// `x` lists the i0 of the axis-1 lines of one xy plane, the same in every
+// plane; `columns` lists the axis-2 lines of one box by i0 + n0*i1. Axis 0
+// always runs every line. Every i0 of a column must be in `x`.
+struct LineSubset {
+  std::vector<LineRun> x;
+  std::vector<LineRun> columns;
+};
+
 template <typename R>
 class Fft3T {
  public:
@@ -142,20 +160,33 @@ class Fft3T {
   // 2 -> 1 -> 0. The reversed inverse order is load-bearing: it lets the
   // z-slab-distributed transform (fft::DistFft3) reproduce this engine
   // bit-for-bit with a single pencil transpose per direction.
-  void forward(C* data) const;
-  void inverse(C* data) const;  // scaled by 1/size()
+  //
+  // Every entry point takes an optional line subset (absent = every line).
+  // With one, the inverse runs only the listed axis-2 and axis-1 lines and
+  // requires the input to be zero outside the listed columns; its output
+  // equals the full transform's (an exact zero may change sign). The
+  // forward computes only the listed lines: entries in the listed columns
+  // equal the full transform's bit for bit, all others are left undefined.
+  void forward(C* data, const LineSubset* lines = nullptr) const;
+  void inverse(C* data, const LineSubset* lines = nullptr) const;  // 1/size()
+  // inverse() without the 1/size() scale, for callers that fold it into a
+  // pass of their own.
+  void inverse_unscaled(C* data, const LineSubset* lines = nullptr) const;
 
   // In-place transforms on `nbatch` consecutive size()-element arrays.
   // Lines from the whole batch are tiled through the vector 1-D transforms
   // inside a single OpenMP region with per-thread scratch. Single-array
   // forward()/inverse() are width-1 batches of the SAME engine, so batched
   // and single calls are bit-identical per array by construction.
-  void forward_batch(C* data, size_t nbatch) const;
-  void inverse_batch(C* data, size_t nbatch) const;  // each scaled 1/size()
+  void forward_batch(C* data, size_t nbatch,
+                     const LineSubset* lines = nullptr) const;
+  void inverse_batch(C* data, size_t nbatch,
+                     const LineSubset* lines = nullptr) const;  // 1/size()
 
  private:
   enum class Dir { kForward, kInverse };
-  void transform_batch(C* data, size_t nbatch, Dir dir) const;
+  void transform_batch(C* data, size_t nbatch, Dir dir,
+                       const LineSubset* lines) const;
 
   size_t n0_, n1_, n2_;
   Plan1DT<R> p0_, p1_, p2_;

@@ -47,10 +47,14 @@ std::vector<real_t> density_theta(const la::MatC& phi_coeffs,
   for (size_t b = 0; b < phi_coeffs.cols(); ++b) {
     map.to_real(phi_coeffs.col(b), wphi.data());
     map.to_real(theta.col(b), wtheta.data());
-    // rho += 2 * Re(theta_b(r) * conj(phi_b(r)))
+    // rho += 2 * Re(theta_b(r) * conj(phi_b(r))), in real arithmetic: the
+    // same IEEE operations as the complex product's real part, because
+    // a*c - b*(-d) == a*c + b*d exactly, but without the product's
+    // NaN-recovery branch (a libgcc call), which kept the loop scalar.
 #pragma omp parallel for schedule(static)
     for (size_t j = 0; j < ng; ++j)
-      rho[j] += 2.0 * std::real(wtheta[j] * std::conj(wphi[j]));
+      rho[j] += 2.0 * (wtheta[j].real() * wphi[j].real() +
+                       wtheta[j].imag() * wphi[j].imag());
   }
   return rho;
 }

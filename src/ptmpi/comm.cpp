@@ -1,5 +1,7 @@
 #include "ptmpi/comm.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -530,8 +532,13 @@ void run_ranks(int nranks, int ranks_per_node,
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(nranks));
   threads.reserve(static_cast<size_t>(nranks));
+  // The caller's OpenMP budget is split across the ranks: a new thread
+  // starts from the process default, so without this p ranks would each
+  // start a full team and run p times as many threads as the caller.
+  const int omp_threads = std::max(1, omp_get_max_threads() / nranks);
   for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&world, &fn, &errors, r] {
+    threads.emplace_back([&world, &fn, &errors, r, omp_threads] {
+      omp_set_num_threads(omp_threads);
       // Tag the rank thread so obs spans recorded anywhere below fn carry
       // the world rank.
       obs::set_thread_rank(r);

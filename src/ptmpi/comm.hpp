@@ -217,8 +217,10 @@ class Comm {
 // while the pipelined ring pays max(compute, wire).
 void set_wire_model(double base_seconds, double seconds_per_byte);
 
-// Launch `nranks` std::threads, each running fn(comm). Exceptions in any
-// rank are re-thrown on the caller thread.
+// Launch `nranks` std::threads, each running fn(comm). Each rank thread's
+// OpenMP team is max(1, T / nranks) threads, T being the caller's
+// omp_get_max_threads(), so the ranks together use the caller's budget.
+// Exceptions in any rank are re-thrown on the caller thread.
 void run_ranks(int nranks, int ranks_per_node,
                const std::function<void(Comm&)>& fn);
 

@@ -1,13 +1,16 @@
 // Cross-variant FFT conformance suite: one randomized property set
 // (linearity, Parseval, impulse, round-trip, Bluestein odd-prime dims,
-// width-1 tiles) replayed against EVERY engine variant —
+// width-1 tiles, run-list passes) replayed against EVERY engine variant —
 // scalar/AVX2/AVX-512/NEON kernels x FP64/FP32 — plus the bitwise pins
 // that make engine selection a pure performance knob:
 //   * every vector ISA produces bit-identical transforms to the scalar
 //     kernels (no FMA, -ffp-contract=off; see fft/simd.hpp),
+//   * an axis pass over a run list equals the full pass on the lines it
+//     keeps and leaves all others untouched (the sphere-pruned
+//     transforms of pw::SphereGridMap ride on it),
 //   * concurrent callers (distinct plans or a shared plan) never race —
-//     all tile scratch is per-thread and function-local (the TSan CI job
-//     runs this suite via the dist label).
+//     all tile scratch is per-thread (the TSan CI job runs this suite via
+//     the dist label).
 // CI runs the suite twice through `ctest -L fftconf`: once with
 // PTIM_SIMD=scalar and once with the default best-available ISA.
 
@@ -16,12 +19,14 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fft/axis_pass.hpp"
 #include "fft/fft.hpp"
 #include "fft/simd.hpp"
 
@@ -116,6 +121,38 @@ void check_impulse(std::array<size_t, 3> d) {
     ASSERT_NEAR(std::abs(x[i] - C(1)), 0.0, prop_tol<R>()) << "i=" << i;
 }
 
+// One axis pass over a run list against the full pass of the same axis:
+// every line the list keeps must equal the full pass bit for bit, and
+// every element off the kept lines must be left untouched. `lines` is the
+// pruned set; the full set is the same geometry with `all` as its run.
+template <typename R>
+void check_run_list_pass(size_t n, fft::detail::AxisLines lines,
+                         fft::LineRun all, size_t box_size, unsigned seed) {
+  using C = std::complex<R>;
+  const fft::Plan1DT<R> p(n);
+  const auto input = random_box<R>(lines.nboxes * box_size, seed);
+  std::vector<char> kept(input.size(), 0);
+  for (size_t b = 0; b < lines.nboxes; ++b)
+    for (size_t r = 0; r < lines.nruns; ++r)
+      for (size_t i = 0; i < lines.runs[r].count; ++i)
+        for (size_t k = 0; k < n; ++k)
+          kept[b * lines.box_stride + lines.runs[r].offset +
+               i * lines.line_step + k * lines.stride] = 1;
+  fft::detail::AxisLines full = lines;
+  full.runs = &all;
+  full.nruns = 1;
+  for (const bool fwd : {true, false}) {
+    std::vector<C> pruned = input, ref = input;
+    fft::detail::axis_pass(p, lines, pruned.data(), fwd);
+    fft::detail::axis_pass(p, full, ref.data(), fwd);
+    for (size_t i = 0; i < input.size(); ++i) {
+      const C& want = kept[i] ? ref[i] : input[i];
+      ASSERT_EQ(std::memcmp(&pruned[i], &want, sizeof(C)), 0)
+          << (fwd ? "fwd" : "inv") << " i=" << i << " kept=" << int(kept[i]);
+    }
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------- ISA-parameterized run --
@@ -175,6 +212,25 @@ TEST_P(FftConformance, Width1Tiles) {
   f.forward(a.data());
   f.forward_batch(b.data(), 1);
   for (size_t i = 0; i < f.size(); ++i) ASSERT_EQ(a[i], b[i]) << "i=" << i;
+}
+
+TEST_P(FftConformance, RunListPassMatchesFullPass) {
+  // A 6x5x7 box, 3 boxes. Axis-2 shape (line_step 1): 30 lines of 7 per
+  // box, 19 kept; the second tile starts exactly at a run, the others in
+  // the middle of one, and tiles cross box boundaries. Axis-0 shape
+  // (line_step n0): 35 lines of 6 per box, 19 kept, one run ending where
+  // the next begins.
+  const size_t n0 = 6, n1 = 5, n2 = 7, box = n0 * n1 * n2;
+  using fft::detail::AxisLines;
+  const std::vector<fft::LineRun> cols{{1, 3}, {5, 13}, {22, 2}, {29, 1}};
+  const AxisLines a2{cols.data(), cols.size(), 3, box, 1, n0 * n1};
+  check_run_list_pass<double>(n2, a2, {0, n0 * n1}, box, 1100);
+  check_run_list_pass<float>(n2, a2, {0, n0 * n1}, box, 1101);
+  const std::vector<fft::LineRun> rows{
+      {0, 2}, {2 * n0, 9}, {13 * n0, 1}, {20 * n0, 5}, {30 * n0, 2}};
+  const AxisLines a0{rows.data(), rows.size(), 3, box, n0, 1};
+  check_run_list_pass<double>(n0, a0, {0, n1 * n2}, box, 1102);
+  check_run_list_pass<float>(n0, a0, {0, n1 * n2}, box, 1103);
 }
 
 // ------------------------------------------------ bitwise scalar-vs-SIMD --
@@ -282,7 +338,7 @@ void roundtrip_worker(const std::array<size_t, 3>& d, size_t nbatch,
 
 // Satellite of the scratch audit: ALL per-transform scratch of the serial
 // engines (axis-pass tiles, Bluestein convolution buffers, packing lanes)
-// is function-local — concurrent std::thread callers on DISTINCT plans and
+// is per-thread — concurrent std::thread callers on DISTINCT plans and
 // on one SHARED plan must both be race-free (the TSan CI job executes this
 // suite) and exact. Only DistFft3T carries persistent mutable scratch,
 // which its API contract pins to one call stream per instance.

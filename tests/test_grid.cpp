@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <type_traits>
 
 #include "grid/fft_grid.hpp"
 #include "grid/gsphere.hpp"
@@ -159,6 +161,204 @@ TEST_F(TransformFixture, PlaneWaveValueOnGrid) {
         const cplx expect = s * cplx{std::cos(ph), std::sin(ph)};
         EXPECT_NEAR(std::abs(u[grid_->linear(i0, i1, i2)] - expect), 0.0, 1e-10);
       }
+}
+
+// ------------------------------------------- sphere-pruned == full box --
+// Every SphereGridMap transform runs only the FFT lines its sphere reaches.
+// The references below run the full-box engine (every line) in the order
+// the transforms used before they pruned: forward outputs must match them
+// byte for byte, inverse outputs compare == (an exact zero may flip sign).
+
+namespace {
+
+template <typename CS>
+const fft::Fft3T<typename CS::value_type>& full_fft(const grid::FftGrid& g) {
+  if constexpr (std::is_same_v<CS, cplxf>)
+    return g.fft_f32();
+  else
+    return g.fft();
+}
+
+// Inverse reference. The FP64 single-column path scales after the
+// transform; the batch and FP32 paths fold the scale into the scatter.
+template <typename CS>
+la::Matrix<CS> full_to_real(const pw::SphereGridMap& m, const la::MatC& c,
+                            bool single) {
+  const size_t ng = m.grid().size();
+  const bool fold = !single || std::is_same_v<CS, cplxf>;
+  la::Matrix<CS> r(ng, c.cols());  // zero-filled
+  for (size_t b = 0; b < c.cols(); ++b)
+    for (size_t i = 0; i < m.map().size(); ++i)
+      r.col(b)[m.map()[i]] = static_cast<CS>(
+          fold ? c.col(b)[i] * m.scale_to_real() : c.col(b)[i]);
+  const auto& f = full_fft<CS>(m.grid());
+  if (single) {
+    for (size_t b = 0; b < c.cols(); ++b) f.inverse(r.col(b));
+  } else {
+    f.inverse_batch(r.data(), c.cols());
+  }
+  if (!fold)
+    for (size_t j = 0; j < r.size(); ++j) r.data()[j] *= m.scale_to_real();
+  return r;
+}
+
+// Forward reference: every line, then the gather.
+template <typename CS>
+la::MatC full_to_sphere(const pw::SphereGridMap& m, la::Matrix<CS> r) {
+  full_fft<CS>(m.grid()).forward_batch(r.data(), r.cols());
+  la::MatC c(m.map().size(), r.cols());
+  for (size_t b = 0; b < r.cols(); ++b)
+    for (size_t i = 0; i < m.map().size(); ++i)
+      c.col(b)[i] = static_cast<cplx>(r.col(b)[m.map()[i]]) *
+                    m.scale_to_sphere();
+  return c;
+}
+
+template <typename CS>
+void expect_values_equal(const CS* got, const CS* want, size_t n,
+                         const char* what) {
+  for (size_t i = 0; i < n; ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " i=" << i;
+}
+
+void expect_bytes_equal(const la::MatC& got, const la::MatC& want,
+                        const char* what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(cplx)),
+            0)
+      << what;
+}
+
+// Lines a transform must run, counted by propagating "holds a nonzero"
+// through the inverse's axis order (2, 1, 0): a line runs iff it holds a
+// nonzero, and afterwards all of it does.
+size_t brute_force_lines(const pw::SphereGridMap& m) {
+  const auto& d = m.grid().dims();
+  std::vector<char> nz(m.grid().size(), 0);
+  for (const size_t g : m.map()) nz[g] = 1;
+  const size_t step[3] = {1, d[0], d[0] * d[1]};
+  size_t lines = 0;
+  for (const size_t a : {size_t{2}, size_t{1}, size_t{0}}) {
+    for (size_t start = 0; start < nz.size(); ++start) {
+      if ((start / step[a]) % d[a] != 0) continue;  // not a line's start
+      bool any = false;
+      for (size_t k = 0; k < d[a]; ++k) any = any || nz[start + k * step[a]];
+      if (!any) continue;
+      ++lines;
+      for (size_t k = 0; k < d[a]; ++k) nz[start + k * step[a]] = 1;
+    }
+  }
+  return lines;
+}
+
+void check_pruned_equals_full(const grid::GSphere& s, const grid::FftGrid& g,
+                              unsigned seed) {
+  const pw::SphereGridMap m(s, g);
+  const size_t ng = g.size(), npw = s.npw(), nb = 3;
+  EXPECT_EQ(m.lines_per_column(), brute_force_lines(m));
+
+  const la::MatC c = test::random_matrix(npw, nb, seed);
+  // Forward input with every grid point nonzero, not band-limited.
+  const la::MatC r = test::random_matrix(ng, nb, seed + 1);
+  la::MatCf rf(ng, nb);
+  for (size_t i = 0; i < r.size(); ++i)
+    rf.data()[i] = static_cast<cplxf>(r.data()[i]);
+
+  {  // inverse, FP64 and FP32, single column and batch
+    const la::MatC want1 = full_to_real<cplx>(m, c, true);
+    const la::MatC wantb = full_to_real<cplx>(m, c, false);
+    const la::MatCf wantf1 = full_to_real<cplxf>(m, c, true);
+    const la::MatCf wantfb = full_to_real<cplxf>(m, c, false);
+    std::vector<cplx> u(ng);
+    std::vector<cplxf> uf(ng);
+    for (size_t b = 0; b < nb; ++b) {
+      m.to_real(c.col(b), u.data());
+      expect_values_equal(u.data(), want1.col(b), ng, "to_real");
+      m.to_real(c.col(b), uf.data());
+      expect_values_equal(uf.data(), wantf1.col(b), ng, "to_real f32");
+    }
+    la::MatC ub;
+    la::MatCf ufb;
+    m.to_real_batch(c, ub);
+    m.to_real_batch(c, ufb);
+    expect_values_equal(ub.data(), wantb.data(), ub.size(), "to_real_batch");
+    expect_values_equal(ufb.data(), wantfb.data(), ufb.size(),
+                        "to_real_batch f32");
+  }
+  {  // forward, FP64 and FP32, single column, batch and in place
+    const la::MatC want = full_to_sphere<cplx>(m, r);
+    const la::MatC wantf = full_to_sphere<cplxf>(m, rf);
+    la::MatC got(npw, nb), gotf(npw, nb);
+    for (size_t b = 0; b < nb; ++b) {
+      m.to_sphere(r.col(b), got.col(b));
+      m.to_sphere(rf.col(b), gotf.col(b));
+    }
+    expect_bytes_equal(got, want, "to_sphere");
+    expect_bytes_equal(gotf, wantf, "to_sphere f32");
+    la::MatC batch, batchf, inplace;
+    m.to_sphere_batch(r, batch);
+    m.to_sphere_batch(rf, batchf);
+    la::MatC work = r;
+    m.to_sphere_batch_inplace(work, inplace);
+    expect_bytes_equal(batch, want, "to_sphere_batch");
+    expect_bytes_equal(batchf, wantf, "to_sphere_batch f32");
+    expect_bytes_equal(inplace, want, "to_sphere_batch_inplace");
+  }
+}
+
+size_t full_box_lines(const grid::FftGrid& g) {
+  const auto& d = g.dims();
+  return d[1] * d[2] + d[0] * d[2] + d[0] * d[1];
+}
+
+}  // namespace
+
+TEST_F(TransformFixture, PrunedEqualsFullBox) {
+  check_pruned_equals_full(*sphere_, *grid_, 30);
+  check_pruned_equals_full(*sphere_, *dense_, 40);
+  EXPECT_LT(dmap_->lines_per_column(), full_box_lines(*dense_));
+}
+
+TEST(SpherePruning, SkewedLatticeSphereWraps) {
+  // A triclinic cell on boxes of different sizes per axis: the sphere's
+  // negative frequencies wrap to the top of every axis, so its i0 set and
+  // its columns are runs on both ends of each row, and column runs join
+  // across rows.
+  const grid::Lattice lat({7.0, 0.0, 0.0}, {1.5, 8.5, 0.0}, {0.5, 1.0, 6.0});
+  const grid::GSphere s(lat, 3.0);
+  const auto d1 = s.suggest_dims(1), d2 = s.suggest_dims(2);
+  const grid::FftGrid tight(lat, d1);
+  const grid::FftGrid loose(lat, {d2[0], d1[1], d2[2]});
+  check_pruned_equals_full(s, tight, 50);
+  check_pruned_equals_full(s, loose, 60);
+  const pw::SphereGridMap m(s, loose);
+  EXPECT_EQ(m.lines().x.size(), 2u);
+  bool joined = false;
+  for (const fft::LineRun& r : m.lines().columns)
+    joined = joined || r.offset % loose.dims()[0] + r.count > loose.dims()[0];
+  EXPECT_TRUE(joined);
+}
+
+TEST(SpherePruning, SphereReachingEveryLine) {
+  // b = 1: the sphere is {-1, 0, 1}^3 (|G|^2/2 <= 1.5 < 2), and on a 3^3
+  // box it holds every column and every i0: nothing is skipped.
+  const auto lat = grid::Lattice::cubic(kTwoPi);
+  const grid::GSphere s(lat, 1.75);
+  ASSERT_EQ(s.npw(), 27u);
+  const grid::FftGrid g(lat, {3, 3, 3});
+  check_pruned_equals_full(s, g, 70);
+  EXPECT_EQ(pw::SphereGridMap(s, g).lines_per_column(), full_box_lines(g));
+}
+
+TEST(SpherePruning, OneGSphere) {
+  // Only G = 0: one column, one i0, so n2 axis-1 lines and all n1*n2
+  // axis-0 lines.
+  const auto lat = grid::Lattice::cubic(kTwoPi);
+  const grid::GSphere s(lat, 0.3);
+  ASSERT_EQ(s.npw(), 1u);
+  const grid::FftGrid g(lat, {4, 3, 5});
+  check_pruned_equals_full(s, g, 80);
+  EXPECT_EQ(pw::SphereGridMap(s, g).lines_per_column(), 1u + 5u + 3u * 5u);
 }
 
 TEST(Orthonormalize, CholeskyAndLowdin) {

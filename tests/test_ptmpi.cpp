@@ -5,6 +5,7 @@
 // contention) covering the paths the band-parallel propagator leans on.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <mutex>
@@ -570,6 +571,25 @@ TEST(Ptmpi, ExceptionPropagates) {
     EXPECT_NE(std::string(e.what()).find("exploded"), std::string::npos);
   }
   EXPECT_TRUE(threw);
+}
+
+TEST(Ptmpi, RanksSplitTheCallersOpenMpBudget) {
+  // Each rank's team is the caller's budget over the rank count (at least
+  // one thread), not the process default: p ranks together start no more
+  // OpenMP threads than the caller would alone.
+  const int saved = omp_get_max_threads();
+  auto seen_by_ranks = [](int caller_threads, int nranks) {
+    omp_set_num_threads(caller_threads);
+    std::vector<int> seen(static_cast<size_t>(nranks), 0);
+    ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
+      seen[static_cast<size_t>(c.rank())] = omp_get_max_threads();
+    });
+    return seen;
+  };
+  EXPECT_EQ(seen_by_ranks(6, 3), std::vector<int>(3, 2));
+  EXPECT_EQ(seen_by_ranks(2, 3), std::vector<int>(3, 1));
+  EXPECT_EQ(seen_by_ranks(6, 1), std::vector<int>(1, 6));
+  omp_set_num_threads(saved);
 }
 
 TEST(Ptmpi, FetchAddClaimsDisjointPartition) {
