@@ -7,10 +7,11 @@
 // FP32, dense vs ISDF, the per-SIMD-ISA c2c vs Γ-point r2c engine
 // head-to-head, the engine at the production grids (14^3, 7^3) with its
 // FP32 error, the sphere <-> grid transforms, the complex vs gamma_real
-// exchange pipeline, and the Rayleigh–Ritz eigensolver at the Davidson
-// subspace sizes — and the latter five record gated rows (FFT counts, the
-// FP32 error, line transforms per column, the eigensolver residual) to
-// BENCH_kernels.json.
+// exchange pipeline, the Rayleigh–Ritz eigensolver at the Davidson
+// subspace sizes, and the la lanes per SIMD ISA at the solver's shapes —
+// and the latter six record gated rows (FFT counts, the FP32 error, line
+// transforms per column, the eigensolver residual, the la lanes' bitwise
+// agreement with the scalar table) to BENCH_kernels.json.
 
 #ifdef PTIM_HAVE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,7 +38,9 @@
 #include "ham/density.hpp"
 #include "ham/exchange.hpp"
 #include "la/blas.hpp"
+#include "la/cholesky.hpp"
 #include "la/eig.hpp"
+#include "la/qr.hpp"
 #include "la/util.hpp"
 #include "pseudo/atoms.hpp"
 #include "pw/transforms.hpp"
@@ -531,10 +535,10 @@ void fft_engine_comparison() {
               "seconds", "FFTs", "speedup");
   const int reps = 6;
   double scalar_c2c = 0.0;
-  using fft::simd::Isa;
+  using isa::Isa;
   for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
-    if (!fft::simd::available(isa)) continue;
-    fft::simd::force_isa(isa);
+    if (!isa::available(isa)) continue;
+    isa::force(isa);
     struct Variant {
       const char* name;
       std::function<void()> run;
@@ -565,13 +569,12 @@ void fft_engine_comparison() {
       }
       if (isa == Isa::kScalar && std::string(v.name) == "c2c")
         scalar_c2c = best;
-      std::printf("%8s %12s %8zu %12.5f %6ld %9.2fx\n",
-                  fft::simd::isa_name(isa), v.name, nfields, best, v.ffts,
-                  scalar_c2c / best);
-      kernel_rows.push_back({"fft_engine", fft::simd::isa_name(isa), v.name,
-                             nfields, best, v.ffts, "", -1.0});
+      std::printf("%8s %12s %8zu %12.5f %6ld %9.2fx\n", isa::name(isa), v.name,
+                  nfields, best, v.ffts, scalar_c2c / best);
+      kernel_rows.push_back({"fft_engine", isa::name(isa), v.name, nfields,
+                             best, v.ffts, "", -1.0});
     }
-    fft::simd::clear_forced_isa();
+    isa::clear_forced();
   }
 }
 
@@ -588,7 +591,7 @@ void fft_production_grids() {
               nfields, reps);
   std::printf("%8s %6s %12s %6s %10s\n", "isa", "box", "seconds", "FFTs",
               "us/FFT");
-  using fft::simd::Isa;
+  using isa::Isa;
   for (const size_t n : {size_t{14}, size_t{7}}) {
     const std::string box = std::to_string(n) + "^3";
     fft::Fft3 f(n, n, n);
@@ -599,8 +602,8 @@ void fft_production_grids() {
     for (auto& v : input) v = cplx(rng.uniform() - 0.5, rng.uniform() - 0.5);
     const long ffts = 2L * static_cast<long>(nfields);
     for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
-      if (!fft::simd::available(isa)) continue;
-      fft::simd::force_isa(isa);
+      if (!isa::available(isa)) continue;
+      isa::force(isa);
       std::vector<cplx> data = input;
       f.forward_batch(data.data(), nfields);  // warm-up
       f.inverse_batch(data.data(), nfields);
@@ -613,12 +616,11 @@ void fft_production_grids() {
         best =
             std::min(best, std::chrono::duration<double>(t1 - t0).count());
       }
-      std::printf("%8s %6s %12.6f %6ld %10.2f\n", fft::simd::isa_name(isa),
-                  box.c_str(), best, ffts,
-                  best / static_cast<double>(ffts) * 1e6);
-      kernel_rows.push_back({"fft_engine", fft::simd::isa_name(isa), "c2c",
-                             nfields, best, ffts, box, -1.0});
-      fft::simd::clear_forced_isa();
+      std::printf("%8s %6s %12.6f %6ld %10.2f\n", isa::name(isa), box.c_str(),
+                  best, ffts, best / static_cast<double>(ffts) * 1e6);
+      kernel_rows.push_back({"fft_engine", isa::name(isa), "c2c", nfields,
+                             best, ffts, box, -1.0});
+      isa::clear_forced();
     }
     // FP32 forward transform vs the FP64 one of the same (rounded) input.
     std::vector<cplx> ref = input;
@@ -795,11 +797,119 @@ void eig_rayleigh_ritz() {
   }
 }
 
+// The la lanes (la/simd.hpp) per SIMD ISA at the solver's shapes, one
+// thread: the ISDF fit's 160 x 160 Cholesky and 160 x 343 solve and its
+// 343 x 20 by (160 x 20)^H samples, Davidson's and the band overlap's
+// gemm_cn, the ISDF point selection's 169 x 640 -> 160 QR, the PT-IM fixed
+// point's 20 x 20 solve and ring_wire's 147 x 5 by 5 x 5 rotation. Each
+// output is compared by memcmp with the scalar table's: bitwise_vs_scalar
+// (1 = equal) is gated, the time (min over repeats of `batch` calls, per
+// call) is not.
+struct LaRow {
+  std::string isa, variant, size;
+  double seconds;
+  int bitwise_vs_scalar;
+};
+std::vector<LaRow> la_rows;
+
+void la_lanes() {
+  struct Case {
+    const char* variant;
+    std::string size;
+    int batch;
+    std::function<void()> reset;  // restores an in-place operand (untimed)
+    std::function<void()> run;    // the timed call
+    std::function<std::vector<double>()> output;
+  };
+  auto bytes = [](const la::MatC& m) {
+    const double* p = la::as_doubles(m.data());
+    return std::vector<double>(p, p + 2 * m.size());
+  };
+  auto spd = [](size_t n, unsigned seed) {
+    la::MatC a = random_mat(n, n, seed);
+    la::hermitize(a);
+    for (size_t i = 0; i < n; ++i) a(i, i) += static_cast<real_t>(n);
+    return a;
+  };
+  const la::MatC a160 = spd(160, 41), l160 = la::cholesky(a160);
+  const la::MatC l20 = la::cholesky(spd(20, 42));
+  const la::MatC b343 = random_mat(160, 343, 43), b20 = random_mat(20, 20, 44);
+  const la::MatC phi = random_mat(343, 20, 45), p1 = random_mat(160, 20, 46);
+  const la::MatC v60 = random_mat(147, 60, 47), t20 = random_mat(147, 20, 48);
+  const la::MatC s37 = random_mat(37, 20, 49), u37 = random_mat(37, 20, 50);
+  const la::MatC cand = random_mat(169, 640, 51);
+  const la::MatC x147 = random_mat(147, 5, 52), r5 = random_mat(5, 5, 53);
+  la::MatC l, b, c;
+  la::PivotedQr qr;
+  const std::vector<Case> cases = {
+      {"cholesky", "n=160", 1, [] {}, [&] { l = la::cholesky(a160); },
+       [&] { return bytes(l); }},
+      {"cholesky_solve", "160x343", 1, [&] { b = b343; },
+       [&] { la::cholesky_solve(l160, b); }, [&] { return bytes(b); }},
+      {"gemm_nc", "343x20*(160x20)^H", 1, [&] { c.resize(343, 160); },
+       [&] { la::gemm_nc(phi, p1, c); }, [&] { return bytes(c); }},
+      {"gemm_cn", "(147x60)^H*147x20", 10, [&] { c.resize(60, 20); },
+       [&] { la::gemm_cn(v60, t20, c); }, [&] { return bytes(c); }},
+      {"gemm_cn", "(37x20)^H*37x20", 100, [&] { c.resize(20, 20); },
+       [&] { la::gemm_cn(s37, u37, c); }, [&] { return bytes(c); }},
+      {"qr_column_pivot", "169x640->160", 1, [] {},
+       [&] { qr = la::qr_column_pivot(cand, 160); },
+       [&] {
+         std::vector<double> out(qr.rdiag);
+         for (const size_t p : qr.pivots) out.push_back(static_cast<double>(p));
+         return out;
+       }},
+      {"cholesky_solve", "20x20", 100, [&] { b = b20; },
+       [&] { la::cholesky_solve(l20, b); }, [&] { return bytes(b); }},
+      {"gemm_nn", "147x5*5x5", 100, [&] { c.resize(147, 5); },
+       [&] { la::gemm_nn(x147, r5, c); }, [&] { return bytes(c); }}};
+
+  const int reps = 20;
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  std::printf("\nla lanes per SIMD ISA at the solver's shapes, one thread "
+              "(min of %d; per call)\n",
+              reps);
+  std::printf("%8s %16s %20s %12s %8s\n", "isa", "kernel", "size", "seconds",
+              "bitwise");
+  using isa::Isa;
+  for (const Case& k : cases) {
+    std::vector<double> scalar;
+    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
+      if (!isa::available(isa)) continue;
+      isa::force(isa);
+      double best = 1e300;
+      for (int r = 0; r <= reps; ++r) {  // r = 0 warms up
+        double t = 0.0;
+        for (int i = 0; i < k.batch; ++i) {
+          k.reset();
+          const auto t0 = std::chrono::steady_clock::now();
+          k.run();
+          const auto t1 = std::chrono::steady_clock::now();
+          t += std::chrono::duration<double>(t1 - t0).count();
+        }
+        if (r > 0) best = std::min(best, t / k.batch);
+      }
+      const std::vector<double> out = k.output();
+      if (isa == Isa::kScalar) scalar = out;
+      const int same =
+          out.size() == scalar.size() &&
+          std::memcmp(out.data(), scalar.data(),
+                      out.size() * sizeof(double)) == 0;
+      std::printf("%8s %16s %20s %12.3e %8d\n", isa::name(isa), k.variant,
+                  k.size.c_str(), best, same);
+      la_rows.push_back({isa::name(isa), k.variant, k.size, best, same});
+      isa::clear_forced();
+    }
+  }
+  omp_set_num_threads(saved_threads);
+}
+
 void write_kernels_json() {
   const char* path = "BENCH_kernels.json";
   if (std::FILE* f = std::fopen(path, "w")) {
     std::fprintf(f, "{\n  \"kernels\": [\n");
-    const size_t nrows = kernel_rows.size() + eig_rows.size();
+    const size_t nrows = kernel_rows.size() + eig_rows.size() + la_rows.size();
     for (size_t i = 0; i < kernel_rows.size(); ++i) {
       const KernelRow& r = kernel_rows[i];
       std::fprintf(f,
@@ -826,9 +936,20 @@ void write_kernels_json() {
                    variant.c_str(), r.n, r.seconds, r.max_rel_residual,
                    kernel_rows.size() + i + 1 < nrows ? "," : "");
     }
+    for (size_t i = 0; i < la_rows.size(); ++i) {
+      const LaRow& r = la_rows[i];
+      std::fprintf(f,
+                   "    {\"name\": \"la_kernel\", \"isa\": \"%s\", "
+                   "\"variant\": \"%s\", \"size\": \"%s\", "
+                   "\"seconds\": %.6e, \"bitwise_vs_scalar\": %d}%s\n",
+                   r.isa.c_str(), r.variant.c_str(), r.size.c_str(), r.seconds,
+                   r.bitwise_vs_scalar,
+                   kernel_rows.size() + eig_rows.size() + i + 1 < nrows ? ","
+                                                                        : "");
+    }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("(engine/sphere/gamma/eig rows written to %s)\n", path);
+    std::printf("(engine/sphere/gamma/eig/la rows written to %s)\n", path);
   }
 }
 
@@ -852,6 +973,7 @@ int main(int argc, char** argv) {
   sphere_transforms();
   exchange_gamma_comparison();
   eig_rayleigh_ritz();
+  la_lanes();
   write_kernels_json();
   return 0;
 }

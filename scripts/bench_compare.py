@@ -39,7 +39,9 @@ A metric regresses when the candidate exceeds
 i.e. higher is worse for everything gated. The atol term keeps near-zero
 accuracy metrics (1e-12-level energy drifts) from tripping the relative gate
 on harmless last-digit changes; anything that grows past atol in absolute
-terms must still clear the relative bar. Exit status is nonzero iff at
+terms must still clear the relative bar. The exact metrics (EXACT_KEYS:
+bitwise_vs_scalar, 1 when a vector ISA's output equals the scalar table's)
+regress on any change, a drop included. Exit status is nonzero iff at
 least one metric regressed or a candidate file is missing.
 """
 
@@ -64,6 +66,10 @@ IDENTITY_KEYS = {
     "nbatch",
     "fields",
 }
+
+# Metrics that must equal the baseline: a flag dropping from 1 to 0 would
+# pass the higher-is-worse rule.
+EXACT_KEYS = {"bitwise_vs_scalar"}
 
 # Noisy wall-clock metrics, skipped unless --include-timing: "seconds",
 # "step_seconds", "speedup_vs_serialized", ...
@@ -123,6 +129,9 @@ def compare_rows(base_row, cand_row, threshold, atol, include_timing):
         cand = cand_row.get(key)
         if not isinstance(cand, (int, float)):
             yield key, base, cand, True
+            continue
+        if key in EXACT_KEYS:
+            yield key, base, cand, cand != base
             continue
         if base == 0 and cand == 0:
             continue

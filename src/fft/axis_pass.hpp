@@ -18,7 +18,7 @@
 // This is also where the SIMD dispatch seam sits: each
 // forward_many_split / inverse_unscaled_many_split call selects the active
 // codelet table (fft/simd.hpp — scalar, AVX2, AVX-512F or NEON, forced via
-// PTIM_SIMD or simd::force_isa) once and runs its stages through it, so
+// PTIM_SIMD or isa::force) once and runs its stages through it, so
 // one dispatch covers the serial and distributed engines alike. Every ISA
 // is bitwise-identical to the scalar path (one codelet source, no FMA, all
 // kernel TUs built with -ffp-contract=off), pinned by

@@ -211,7 +211,7 @@ void Plan1DT<R>::transform_many_split(const R* in_re, const R* in_im,
   }
   // Fetch the active ISA's kernel table once per transform; the stages
   // below touch data only through it.
-  const simd::PassKernels<R>& ker = simd::pass_kernels<R>(simd::active_isa());
+  const simd::PassKernels<R>& ker = simd::pass_kernels<R>(isa::active());
   run_stage(0, n_, in_re, in_im, 1, out_re, out_im, vlen, ker);
 }
 

@@ -13,20 +13,17 @@
 // the scalar path in both FP64 and FP32 by construction — pinned by
 // tests/test_fft_conformance.cpp.
 //
-// Selection order: force_isa() (test hook) > the PTIM_SIMD environment
-// variable (scalar|avx2|avx512|neon|native) > best_available(). An
-// unavailable request warns once on stderr and falls back to the best
-// available ISA. The seam sits under Plan1DT::transform_many_split, which
-// both the serial batched engine (Fft3T via fft/axis_pass.hpp) and the
-// distributed slab engine (DistFft3T) drive — one dispatch covers both.
+// The ISA is the one choice of common/isa.hpp (isa::force, PTIM_SIMD, or
+// the best available), shared with the la lanes. The seam sits under
+// Plan1DT::transform_many_split, which both the serial batched engine
+// (Fft3T via fft/axis_pass.hpp) and the distributed slab engine (DistFft3T)
+// drive — one dispatch covers both.
 
 #include <cstddef>
 
+#include "common/isa.hpp"
+
 namespace ptim::fft::simd {
-
-enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
-
-const char* isa_name(Isa isa);
 
 // The codelets of one (scalar type, ISA) pair, indexed by radix (null
 // outside {2, 3, 4, 5, 7}). Both operate on element-major split-plane
@@ -48,27 +45,15 @@ struct PassKernels {
   Stage stage[kRadixSlots];
 };
 
-// --- variant queries ------------------------------------------------------
-bool compiled(Isa isa);   // this build contains the ISA's kernel TU
-bool available(Isa isa);  // compiled AND supported by the running CPU
-Isa best_available();
-
-// --- active selection -----------------------------------------------------
-Isa active_isa();
-// Test hooks: force_isa() overrides every other selection source until
-// clear_forced_isa(); forcing an unavailable ISA throws.
-void force_isa(Isa isa);
-void clear_forced_isa();
-
 // Kernel table of one ISA; falls back to the scalar table when the ISA is
 // not available in this build.
 template <typename R>
-const PassKernels<R>& pass_kernels(Isa isa);
+const PassKernels<R>& pass_kernels(isa::Isa isa);
 
 template <>
-const PassKernels<double>& pass_kernels<double>(Isa isa);
+const PassKernels<double>& pass_kernels<double>(isa::Isa isa);
 template <>
-const PassKernels<float>& pass_kernels<float>(Isa isa);
+const PassKernels<float>& pass_kernels<float>(isa::Isa isa);
 
 namespace detail {
 // Per-TU kernel table getters; nullptr when the TU was compiled without

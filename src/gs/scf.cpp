@@ -124,6 +124,7 @@ ScfResult ground_state(ham::Hamiltonian& h, ScfOptions opt) {
 
   // Stage 2: hybrid outer ACE loop.
   if (h.hybrid()) {
+    res.outer_converged = false;
     real_t efock_prev = 0.0;
     for (int outer = 1; outer <= opt.max_outer_ace; ++outer) {
       ++res.outer_iterations;
@@ -143,7 +144,10 @@ ScfResult ground_state(ham::Hamiltonian& h, ScfOptions opt) {
         std::fprintf(stderr, " hybrid outer=%d Efock=%.8f dE=%.2e\n", outer,
                      efock, change);
       efock_prev = efock;
-      if (outer > 1 && change < opt.tol_fock) break;
+      if (outer > 1 && change < opt.tol_fock) {
+        res.outer_converged = true;
+        break;
+      }
     }
   }
 

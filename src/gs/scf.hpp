@@ -41,6 +41,9 @@ struct ScfResult {
   // The final density loop met tol_rho and its last eigensolve met
   // davidson_tol.
   bool converged = false;
+  // The hybrid outer loop ended on its Fock-energy test (tol_fock), not at
+  // max_outer_ace; true when there is no hybrid stage.
+  bool outer_converged = true;
 };
 
 // H is reconfigured in place (density, exchange sources, ACE). On return it

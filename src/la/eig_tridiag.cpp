@@ -9,8 +9,8 @@
 #include <limits>
 #include <numeric>
 
+#include "la/blas.hpp"
 #include "la/eig.hpp"
-#include "la/kernels.hpp"
 
 namespace ptim::la {
 
@@ -57,11 +57,11 @@ void householder_tridiag(MatC& A, std::vector<real_t>& d, std::vector<cplx>& e,
     // Hermitian rank-2 update of the trailing block A22 <- H A22 H with
     // H = I - beta v v^H:  p = beta*A22*v, K = beta/2 * v^H p, q = p - K v,
     // A22 -= v q^H + q v^H. The loops run down columns in explicit real
-    // arithmetic (the la/kernels.hpp formulas, so every row sums in the
-    // same order and d, e keep their bits).
+    // arithmetic (la::axpy's formulas, so every row sums in the same order
+    // and d, e keep their bits).
     std::fill(p.begin(), p.begin() + static_cast<long>(m), cplx(0.0));
     for (size_t l = 0; l < m; ++l)
-      cx_axpy(m, v[l], &A(k + 1, k + 1 + l), p.data());
+      axpy(m, v[l], &A(k + 1, k + 1 + l), p.data());
     for (size_t i = 0; i < m; ++i) p[i] *= beta;
     cplx vhp = 0.0;
     for (size_t i = 0; i < m; ++i) vhp += std::conj(v[i]) * p[i];
@@ -94,10 +94,10 @@ void householder_tridiag(MatC& A, std::vector<real_t>& d, std::vector<cplx>& e,
     // Q(:, k+1:n) -= beta * (Q(:, k+1:n) v) v^H.
     std::fill(qv.begin(), qv.end(), cplx(0.0));
     for (size_t l = 0; l < m; ++l)
-      cx_axpy(n, v[l], Q.col(k + 1 + l), qv.data());
+      axpy(n, v[l], Q.col(k + 1 + l), qv.data());
     for (size_t r = 0; r < n; ++r) qv[r] *= beta;
     for (size_t l = 0; l < m; ++l)
-      cx_axpy(n, -std::conj(v[l]), qv.data(), Q.col(k + 1 + l));
+      axpy(n, -std::conj(v[l]), qv.data(), Q.col(k + 1 + l));
   }
 
   for (size_t i = 0; i < n; ++i) d[i] = std::real(A(i, i));

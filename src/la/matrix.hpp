@@ -66,6 +66,13 @@ class Matrix {
   std::vector<T> data_;
 };
 
+// A complex array as interleaved (re, im) doubles: the layout std::complex
+// guarantees, and the one the la lanes (la/simd.hpp) take.
+inline const double* as_doubles(const cplx* p) {
+  return reinterpret_cast<const double*>(p);
+}
+inline double* as_doubles(cplx* p) { return reinterpret_cast<double*>(p); }
+
 using MatC = Matrix<cplx>;
 using MatR = Matrix<real_t>;
 // Single-precision complex block: the down-converted-at-the-edge buffers of

@@ -62,6 +62,41 @@ TEST(Simulation, GroundStateProperties) {
   EXPECT_LT(gs.energy.total(), 0.0);
 }
 
+TEST(GroundState, OuterConvergedWhenTheFockTestEndsTheLoop) {
+  // The perfbench system (ecut 2, 8000 K, tol_rho 1e-6): the hybrid outer
+  // loop is still drifting when max_outer_ace = 10 stops it. converged
+  // keeps its meaning, the density loop's.
+  core::SystemSpec spec;
+  spec.ecut = 2.0;
+  spec.temperature_k = 8000.0;
+  spec.scf.tol_rho = 1e-6;
+  core::Simulation capped(spec);
+  const gs::ScfResult& r = capped.prepare_ground_state();
+  EXPECT_EQ(r.outer_iterations, spec.scf.max_outer_ace);
+  EXPECT_TRUE(r.converged);
+  EXPECT_FALSE(r.outer_converged);
+
+  // A small hybrid ground state whose Fock-energy test passes before the
+  // cap, and one with no hybrid stage.
+  auto hybrid = test::TinySystem::make(3.0);
+  gs::ScfOptions scf;
+  scf.nbands = 5;
+  scf.nelec = 8.0;
+  scf.temperature_k = 1000.0;
+  scf.tol_fock = 1e-4;
+  scf.max_outer_ace = 30;
+  const gs::ScfResult h = gs::ground_state(*hybrid.ham, scf);
+  EXPECT_LT(h.outer_iterations, scf.max_outer_ace);
+  EXPECT_TRUE(h.outer_converged);
+
+  ham::HamiltonianOptions semilocal;
+  semilocal.hybrid = false;
+  auto lda = test::TinySystem::make(3.0, 8.0, semilocal);
+  const gs::ScfResult s = gs::ground_state(*lda.ham, scf);
+  EXPECT_EQ(s.outer_iterations, 0);
+  EXPECT_TRUE(s.outer_converged);
+}
+
 TEST(Simulation, InitialStateMatchesOccupations) {
   auto& sim = shared_sim();
   const auto s = sim.initial_state();

@@ -31,7 +31,7 @@
 #include "fft/simd.hpp"
 
 using namespace ptim;
-using fft::simd::Isa;
+using isa::Isa;
 
 namespace {
 
@@ -53,8 +53,8 @@ constexpr double prop_tol() {
 
 // Force an ISA for the current scope (exception-safe clear).
 struct IsaGuard {
-  explicit IsaGuard(Isa isa) { fft::simd::force_isa(isa); }
-  ~IsaGuard() { fft::simd::clear_forced_isa(); }
+  explicit IsaGuard(Isa isa) { isa::force(isa); }
+  ~IsaGuard() { isa::clear_forced(); }
 };
 
 constexpr std::array<Isa, 4> kAllIsas{Isa::kScalar, Isa::kAvx2, Isa::kAvx512,
@@ -160,19 +160,19 @@ void check_run_list_pass(size_t n, fft::detail::AxisLines lines,
 class FftConformance : public ::testing::TestWithParam<Isa> {
  protected:
   void SetUp() override {
-    if (!fft::simd::available(GetParam()))
+    if (!isa::available(GetParam()))
       GTEST_SKIP() << "ISA not available in this build/CPU: "
-                   << fft::simd::isa_name(GetParam());
-    fft::simd::force_isa(GetParam());
+                   << isa::name(GetParam());
+    isa::force(GetParam());
   }
-  void TearDown() override { fft::simd::clear_forced_isa(); }
+  void TearDown() override { isa::clear_forced(); }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     Isas, FftConformance,
     ::testing::Values(Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kNeon),
     [](const ::testing::TestParamInfo<Isa>& info) {
-      return std::string(fft::simd::isa_name(info.param));
+      return std::string(isa::name(info.param));
     });
 
 TEST_P(FftConformance, RoundTripC2C) {
@@ -257,17 +257,15 @@ void check_bitwise_vs_scalar(std::array<size_t, 3> d, size_t nbatch,
   }
 
   for (const Isa isa : kAllIsas) {
-    if (isa == Isa::kScalar || !fft::simd::available(isa)) continue;
+    if (isa == Isa::kScalar || !isa::available(isa)) continue;
     IsaGuard g(isa);
     auto fwd = input;
     f.forward_batch(fwd.data(), nbatch);
     auto inv = fwd;
     f.inverse_batch(inv.data(), nbatch);
     for (size_t i = 0; i < fwd.size(); ++i) {
-      ASSERT_EQ(fwd[i], ref_fwd[i])
-          << fft::simd::isa_name(isa) << " fwd i=" << i;
-      ASSERT_EQ(inv[i], ref_inv[i])
-          << fft::simd::isa_name(isa) << " inv i=" << i;
+      ASSERT_EQ(fwd[i], ref_fwd[i]) << isa::name(isa) << " fwd i=" << i;
+      ASSERT_EQ(inv[i], ref_inv[i]) << isa::name(isa) << " inv i=" << i;
     }
   }
 }
@@ -296,15 +294,15 @@ TEST(FftSimdBitwise, VectorIsasMatchScalarFp32) {
 
 TEST(FftSimdDispatch, SelectionAndForcing) {
   // The scalar table is always compiled and available; best_available()
-  // and active_isa() return something this CPU can run; forcing an
+  // and active() return something this CPU can run; forcing an
   // unavailable ISA throws instead of silently misdispatching.
-  EXPECT_TRUE(fft::simd::compiled(Isa::kScalar));
-  EXPECT_TRUE(fft::simd::available(Isa::kScalar));
-  EXPECT_TRUE(fft::simd::available(fft::simd::best_available()));
-  EXPECT_TRUE(fft::simd::available(fft::simd::active_isa()));
+  EXPECT_TRUE(isa::compiled(Isa::kScalar));
+  EXPECT_TRUE(isa::available(Isa::kScalar));
+  EXPECT_TRUE(isa::available(isa::best_available()));
+  EXPECT_TRUE(isa::available(isa::active()));
   for (const Isa isa : kAllIsas) {
-    if (!fft::simd::available(isa)) {
-      EXPECT_THROW(fft::simd::force_isa(isa), Error);
+    if (!isa::available(isa)) {
+      EXPECT_THROW(isa::force(isa), Error);
     }
   }
 }
