@@ -12,8 +12,8 @@
 #include "common/timer.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
-#include "dist/rotate.hpp"
 #include "dist/slab_exchange.hpp"
+#include "dist/transpose.hpp"
 #include "gs/scf.hpp"
 #include "ham/density.hpp"
 #include "pseudo/atoms.hpp"

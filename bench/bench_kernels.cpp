@@ -801,7 +801,7 @@ void eig_rayleigh_ritz() {
 // thread: the ISDF fit's 160 x 160 Cholesky and 160 x 343 solve and its
 // 343 x 20 by (160 x 20)^H samples, Davidson's and the band overlap's
 // gemm_cn, the ISDF point selection's 169 x 640 -> 160 QR, the PT-IM fixed
-// point's 20 x 20 solve and ring_wire's 147 x 5 by 5 x 5 rotation. Each
+// point's 20 x 20 solve and a ring_wire band block (147 x 5) by 5 x 5. Each
 // output is compared by memcmp with the scalar table's: bitwise_vs_scalar
 // (1 = equal) is gated, the time (min over repeats of `batch` calls, per
 // call) is not.

@@ -78,7 +78,10 @@ int main(int argc, char** argv) {
       for (size_t j = 0; j < gs.phi.cols(); ++j)
         for (size_t i = 0; i < rows.count(c.rank()); ++i)
           mine(i, j) = gs.phi(rows.offset(c.rank()) + i, j);
-      la::MatC s = dist::overlap_distributed(c, mine, mine, shm);
+      // The node communicator: this communicator's ranks on the node.
+      ptmpi::Comm node = c.split(c.node(), c.rank());
+      la::MatC s =
+          dist::overlap_distributed(c, mine, mine, shm ? &node : nullptr);
       if (c.rank() == 0) result = std::move(s);
     });
     real_t defect = 0.0;  // ground-state orbitals are orthonormal

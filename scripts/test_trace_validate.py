@@ -5,7 +5,7 @@
 
 Each trace has two ranks with one lane each, wrapped in a compute span
 that encloses the step's transfers, the way ptim.ace_prepare encloses the
-ring rotation of a band-parallel ACE build.
+row transposes of a band-parallel ACE build.
 """
 
 import io

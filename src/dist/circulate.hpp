@@ -1,6 +1,6 @@
 #pragma once
-// Slab-circulation engine behind the band-parallel collectives: the 1-D
-// exchange, the band ring of the 2-D slab exchange, and the rotation.
+// Slab-circulation engine of the band-parallel exact exchange: the 1-D
+// exchange and the band ring of the 2-D slab exchange.
 // `mine` holds this rank's payload — src_bands.count(me) bands of `stride`
 // elements each — and apply(slab, origin) accumulates the contribution of
 // the block that originated on rank `origin`. The three patterns match

@@ -5,7 +5,7 @@
 
 #include "dist/circulate.hpp"
 #include "dist/isdf_dist.hpp"
-#include "dist/rotate.hpp"
+#include "dist/transpose.hpp"
 
 namespace ptim::dist {
 

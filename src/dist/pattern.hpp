@@ -1,11 +1,12 @@
 #pragma once
-// Circulation patterns for band-distributed collectives (paper Table I):
+// Circulation patterns of the band-parallel exact exchange (paper Table I):
 //  * kBcast     — each round one rank broadcasts its slab (the ACE-era
 //                 baseline; Bcast dominates the comm budget),
 //  * kRing      — slabs hop neighbor-to-neighbor with Sendrecv,
 //  * kAsyncRing — ring with Isend/Irecv posted before the compute so the
 //                 transfer overlaps the local work.
-// Shared by the exact-exchange circulation and the wavefunction rotation.
+// The exchange is the only circulation: every other band-parallel product
+// runs on the row layout (dist/transpose).
 
 namespace ptim::dist {
 

@@ -88,37 +88,91 @@ la::MatC grid_to_band(ptmpi::Comm& c, const la::MatC& grid_block,
   return band;
 }
 
-la::MatC overlap_distributed(ptmpi::Comm& c, const la::MatC& a,
-                             const la::MatC& b, bool use_shm) {
-  PTIM_CHECK(a.rows() == b.rows());
-  const size_t m = a.cols(), n = b.cols();
-  la::MatC local(m, n);
-  la::gemm_cn(a, b, local);
+la::MatC rotate_distributed(ptmpi::Comm& c, const la::MatC& a_local,
+                            const la::MatC& r, const BlockLayout& bands,
+                            const BlockLayout& rows) {
+  PTIM_CHECK(r.rows() == bands.total() && r.cols() == bands.total());
+  const la::MatC a = band_to_grid(c, a_local, bands, rows);
+  la::MatC ar(a.rows(), r.cols());
+  la::gemm_nn(a, r, ar);
+  return grid_to_band(c, ar, bands, rows);
+}
 
-  std::vector<cplx> buf(m * n, cplx(0.0));
-  if (use_shm) {
-    // Accumulate node-locally through a shared window; only node leaders
-    // then carry data into the (single) Allreduce.
-    cplx* win = c.shm_allocate("overlap_shm", m * n);
-    for (int nr = 0; nr < c.ranks_per_node(); ++nr) {
-      if (c.node_rank() == nr) {
+void reduce_partials(ptmpi::Comm& c, ptmpi::Comm* node, cplx* data,
+                     size_t n) {
+  if (node) {
+    // Accumulate node-locally through the shared window; only the node's
+    // rank 0 then carries data into the (single) Allreduce.
+    cplx* win = node->shm_allocate("overlap_shm", n);
+    for (int nr = 0; nr < node->size(); ++nr) {
+      if (node->rank() == nr) {
         if (nr == 0)
-          std::copy(local.data(), local.data() + m * n, win);
+          std::copy(data, data + n, win);
         else
-          for (size_t i = 0; i < m * n; ++i) win[i] += local.data()[i];
+          for (size_t i = 0; i < n; ++i) win[i] += data[i];
       }
-      c.barrier();
+      node->barrier();
     }
-    if (c.node_rank() == 0) std::copy(win, win + m * n, buf.begin());
-    c.barrier();  // everyone reads/zeroes before the window is reused
-  } else {
-    std::copy(local.data(), local.data() + m * n, buf.begin());
+    if (node->rank() == 0)
+      std::copy(win, win + n, data);
+    else
+      std::fill(data, data + n, cplx(0.0));
+    node->barrier();  // rank 0 reads the window before it is reused
   }
-  c.allreduce_sum(buf.data(), m * n);
+  c.allreduce_sum(data, n);
+}
 
-  la::MatC s(m, n);
-  std::copy(buf.begin(), buf.end(), s.data());
+void reduce_partials(ptmpi::Comm& c, ptmpi::Comm* node,
+                     std::initializer_list<la::MatC*> mats) {
+  size_t n = 0;
+  for (const la::MatC* m : mats) n += m->size();
+  std::vector<cplx> buf(n);
+  cplx* pos = buf.data();
+  for (const la::MatC* m : mats)
+    pos = std::copy(m->data(), m->data() + m->size(), pos);
+  reduce_partials(c, node, buf.data(), n);
+  pos = buf.data();
+  for (la::MatC* m : mats) {
+    std::copy(pos, pos + m->size(), m->data());
+    pos += m->size();
+  }
+}
+
+la::MatC overlap_distributed(ptmpi::Comm& c, const la::MatC& a,
+                             const la::MatC& b, ptmpi::Comm* node) {
+  PTIM_CHECK(a.rows() == b.rows());
+  la::MatC s(a.cols(), b.cols());
+  la::gemm_cn(a, b, s);
+  reduce_partials(c, node, s.data(), s.size());
   return s;
+}
+
+la::MatC scatter_bands(const la::MatC& full, const BlockLayout& bands,
+                       int rank) {
+  const size_t npw = full.rows();
+  PTIM_CHECK_MSG(bands.offset(rank) + bands.count(rank) <= full.cols(),
+                 "scatter_bands: layout of " << bands.total()
+                     << " bands overruns a block of " << full.cols());
+  la::MatC local(npw, bands.count(rank));
+  for (size_t b = 0; b < bands.count(rank); ++b)
+    std::copy(full.col(bands.offset(rank) + b),
+              full.col(bands.offset(rank) + b) + npw, local.col(b));
+  return local;
+}
+
+la::MatC gather_bands(ptmpi::Comm& c, const la::MatC& a_local,
+                      const BlockLayout& bands) {
+  const int p = c.size();
+  // Local blocks always carry npw rows, even at zero width (scatter_bands
+  // and the propagator construct them that way), so the shape is known.
+  const size_t npw = a_local.rows();
+  PTIM_CHECK(a_local.cols() == bands.count(c.rank()));
+  std::vector<size_t> counts(static_cast<size_t>(p));
+  for (int r = 0; r < p; ++r)
+    counts[static_cast<size_t>(r)] = npw * bands.count(r);
+  la::MatC full(npw, bands.total());
+  c.allgatherv(a_local.data(), a_local.size(), full.data(), counts);
+  return full;
 }
 
 }  // namespace ptim::dist

@@ -1,7 +1,7 @@
 #pragma once
 // In-process MPI substitute ("ptmpi"): thread ranks with real message
-// passing. The paper's system-level contributions (ring-based wavefunction
-// rotation, asynchronous overlap, MPI-3 shared-memory windows) are coded
+// passing. The paper's system-level contributions (the exchange ring,
+// asynchronous overlap, MPI-3 shared-memory windows) are coded
 // against this interface exactly as they would be against MPI, so their
 // correctness is testable on one machine; the netsim module supplies the
 // large-scale timing model.

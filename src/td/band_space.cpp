@@ -1,6 +1,6 @@
 #include "td/band_space.hpp"
 
-#include "dist/rotate.hpp"
+#include "dist/transpose.hpp"
 #include "ham/density.hpp"
 #include "ham/isdf.hpp"
 #include "la/blas.hpp"
@@ -49,6 +49,7 @@ class SerialBandSpace final : public BandSpace {
 
   void set_density(const la::MatC& phi, const la::MatC& sigma,
                    bool baseline) override {
+    mid_ = phi;
     h_->set_density(baseline
                         ? ham::density_sigma_naive(phi, sigma, h_->den_map())
                         : ham::density_sigma(phi, sigma, h_->den_map()));
@@ -65,24 +66,29 @@ class SerialBandSpace final : public BandSpace {
     h_->set_exchange_source_diag(std::move(rotated), std::move(occ));
   }
 
-  void apply(const la::MatC& phi, la::MatC& hphi) override {
-    h_->apply(phi, hphi);
-  }
-  la::MatC overlap(const la::MatC& a, const la::MatC& b) override {
-    return pw::overlap(a, b);
-  }
-  void overlap_pair(const la::MatC& a, const la::MatC& b, la::MatC* aa,
-                    la::MatC* ab) override {
-    *ab = pw::overlap(a, b);
-    *aa = pw::overlap(a, a);
+  void project_midpoint(la::MatC* r, la::MatC* m) override {
+    la::MatC hphi(mid_.rows(), mid_.cols());
+    h_->apply(mid_, hphi);
+    *m = pw::overlap(mid_, hphi);
+    const la::MatC s = pw::overlap(mid_, mid_);
+    // Projector part: P~ H Phi_h = Phi_h S^{-1} M.
+    la::MatC x = *m;
+    const la::MatC l = la::cholesky(s);
+    la::cholesky_solve(l, x);
+    const la::MatC proj = rotate(mid_, x);
+    r->resize(hphi.rows(), hphi.cols());
+    for (size_t i = 0; i < hphi.size(); ++i)
+      r->data()[i] = hphi.data()[i] - proj.data()[i];
   }
   la::MatC rotate(const la::MatC& a, const la::MatC& r) override {
     la::MatC out(a.rows(), r.cols());
     la::gemm_nn(a, r, out);
     return out;
   }
-  void solve_upper_right(const la::MatC& l, la::MatC& a) override {
-    la::solve_upper_right(l, a);
+  la::MatC orthonormalize(la::MatC& phi) override {
+    const la::MatC l = la::cholesky(pw::overlap(phi, phi));
+    la::solve_upper_right(l, phi);
+    return l;
   }
 
   void exchange_diag(const la::MatC& src, const std::vector<real_t>& occ,
@@ -107,6 +113,7 @@ class SerialBandSpace final : public BandSpace {
 
  private:
   ham::Hamiltonian* h_;
+  la::MatC mid_;  // the midpoint of the last set_density
 };
 
 }  // namespace

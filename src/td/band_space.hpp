@@ -10,9 +10,10 @@
 //            propagator builds and owns it (serial_space);
 //   band   — dist::BandDistributedHamiltonian (dist/band_ham.hpp) itself:
 //            this rank's BlockLayout block of Phi, for band-parallel and
-//            2-D runs (band->grid transposes + Allreduce, ring rotations,
-//            ring or slab exchange, dist/isdf_dist selection). The caller
-//            owns it, and the propagator refers to it.
+//            2-D runs (band<->row Alltoallv transposes with the nb x nb
+//            products as row-slab GEMMs + one Allreduce, ring or slab
+//            exchange, dist/isdf_dist selection). The caller owns it, and
+//            the propagator refers to it.
 //
 // Phi-shaped arguments hold the rank's band block (every band when
 // serial). nb x nb matrices and occupation vectors cover all nb bands and
@@ -22,6 +23,11 @@
 // band space is a valid layout but does not compute like the serial one
 // (its ACE apply, baseline density and ISDF selection differ), so serial
 // runs use the serial space.
+//
+// Iteration state: set_density keeps the midpoint Phi_h it was given (the
+// band space also its row slab, and the theta = Phi_h sigma_h block the
+// baseline exchange reuses); project_midpoint works on that midpoint with
+// the exchange configured since.
 
 #include <memory>
 #include <vector>
@@ -52,9 +58,10 @@ class BandSpace {
   virtual size_t band_offset() = 0;
 
   // --- midpoint Hamiltonian (paper Eq. 5) -------------------------------
-  // Density of (Phi, sigma) and set_density. `baseline` selects the serial
-  // Alg. 2 pair-loop density; the band space always forms theta = Phi sigma
-  // and keeps it for set_exchange_mixed.
+  // Density of (Phi, sigma) and set_density; Phi becomes the midpoint of
+  // project_midpoint. `baseline` selects the serial Alg. 2 pair-loop
+  // density; the band space always forms theta = Phi sigma and keeps it
+  // for set_exchange_mixed.
   virtual void set_density(const la::MatC& phi, const la::MatC& sigma,
                            bool baseline) = 0;
   virtual void set_exchange_none() = 0;
@@ -64,17 +71,15 @@ class BandSpace {
   // Diag exchange from rotated sources Phi Q and eigen-occupations D.
   virtual void set_exchange_diag(la::MatC rotated, std::vector<real_t> occ) = 0;
 
-  // --- band-block algebra -------------------------------------------------
-  virtual void apply(const la::MatC& phi, la::MatC& hphi) = 0;
-  // A^H B (replicated).
-  virtual la::MatC overlap(const la::MatC& a, const la::MatC& b) = 0;
-  // A^H A and A^H B.
-  virtual void overlap_pair(const la::MatC& a, const la::MatC& b,
-                            la::MatC* aa, la::MatC* ab) = 0;
+  // --- the fixed point's products (paper Eq. 6) ---------------------------
+  // On the midpoint Phi_h of the last set_density, with S = Phi_h^H Phi_h:
+  // r = H Phi_h - Phi_h S^{-1} M (the rank's block) and m = M =
+  // Phi_h^H H Phi_h (replicated).
+  virtual void project_midpoint(la::MatC* r, la::MatC* m) = 0;
   // A R for replicated nb x nb R.
   virtual la::MatC rotate(const la::MatC& a, const la::MatC& r) = 0;
-  // A <- A L^{-H} for replicated lower-triangular L.
-  virtual void solve_upper_right(const la::MatC& l, la::MatC& a) = 0;
+  // Phi <- Phi L^{-H} with L L^H = Phi^H Phi; returns L (replicated).
+  virtual la::MatC orthonormalize(la::MatC& phi) = 0;
 
   // --- ACE and ISDF ---------------------------------------------------------
   // w = (alpha Vx[src, occ]) src: the expensive exchange apply of an ACE

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "la/blas.hpp"
-#include "la/cholesky.hpp"
 #include "la/util.hpp"
 
 namespace ptim::td {
@@ -79,8 +78,7 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
   if (laser_)
     space_->local().set_vector_potential(laser_->vector_potential(t_half));
 
-  la::MatC phih(npw, nloc), sigmah(nb, nb), hphi(npw, nloc);
-  la::MatC x(nb, nb);
+  la::MatC phih(npw, nloc), sigmah(nb, nb), r, m;
   std::vector<cplx> xv(phin.size() + sigman.size()), fv(xv.size());
 
   int it = 1;
@@ -95,23 +93,14 @@ int PtImPropagator::fixed_point(const TdState& start, la::MatC& phi1,
     // Midpoint Hamiltonian (Eq. 5); in band runs rho is reduced, so every
     // rank's Hamiltonian sees identical potentials.
     set_midpoint(phih, sigmah);
-    space_->apply(phih, hphi);
-
-    // Overlap S = Phi_h^H Phi_h and M = Phi_h^H H Phi_h (replicated).
-    la::MatC s, m;
-    space_->overlap_pair(phih, hphi, &s, &m);
-
-    // Projector part: P~ H Phi_h = Phi_h S^{-1} M.
-    x = m;
-    const la::MatC l = la::cholesky(s);
-    la::cholesky_solve(l, x);
-    const la::MatC proj = space_->rotate(phih, x);
+    // r = H Phi_h - Phi_h S^{-1} M, with S = Phi_h^H Phi_h and
+    // M = Phi_h^H H Phi_h (replicated): P~ H Phi_h is the projector part.
+    space_->project_midpoint(&r, &m);
 
     // Updates (Eq. 6).
     la::MatC phi_new(npw, nloc), sigma_new(nb, nb);
     for (size_t i = 0; i < phi_new.size(); ++i)
-      phi_new.data()[i] =
-          phin.data()[i] - idt * (hphi.data()[i] - proj.data()[i]);
+      phi_new.data()[i] = phin.data()[i] - idt * r.data()[i];
     if (opt_.evolve_sigma) {
       la::MatC msh(nb, nb), shm(nb, nb);
       la::gemm_nn(m, sigmah, msh);
@@ -235,8 +224,7 @@ PtImStepStats PtImPropagator::step_finish(TdState& s, StepSession& sess) {
   // congruence sigma -> L^H sigma L keeps P = Phi sigma Phi^H invariant.
   la::MatC& phi1 = sess.phi1;
   la::MatC& sigma1 = sess.sigma1;
-  const la::MatC l = la::cholesky(space_->overlap(phi1, phi1));
-  space_->solve_upper_right(l, phi1);  // Phi <- Phi L^{-H}
+  const la::MatC l = space_->orthonormalize(phi1);  // Phi <- Phi L^{-H}
   la::MatC tmp(sigma1.rows(), sigma1.cols());
   la::gemm('C', 'N', 1.0, l, sigma1, 0.0, tmp);  // L^H sigma
   la::gemm_nn(tmp, l, sigma1);                   // (L^H sigma) L

@@ -1,22 +1,23 @@
 // Distributed kernels: block layouts, the Fig. 1 Alltoallv transpose, the
-// Fig. 6 SHM overlap reduction, the ring-based wavefunction rotation, the
-// distributed Anderson mixer, the slab-circulation engine (persistent
+// Fig. 6 SHM overlap reduction (on split communicators too), the
+// row-layout rotation (bitwise the serial gemm), the distributed Anderson
+// mixer, the slab-circulation engine (persistent
 // buffers, error path), and — centrally — the equality of the Bcast /
 // Ring / Async-Ring exchange patterns (rank-local and legacy
 // full-replication APIs) with the serial operator.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include "backend/buffer.hpp"
 #include "dist/circulate.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/layout.hpp"
-#include "dist/rotate.hpp"
 #include "dist/transpose.hpp"
 #include "la/blas.hpp"
-#include "la/cholesky.hpp"
 #include "la/mixer.hpp"
 #include "test_helpers.hpp"
 
@@ -92,6 +93,23 @@ TEST_P(TransposeParam, BandGridRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, TransposeParam,
                          ::testing::Values(1, 2, 3, 4, 7));
 
+namespace {
+
+// The row slab of rank `me` of a full matrix.
+la::MatC row_slab(const la::MatC& full, const dist::BlockLayout& rows,
+                  int me) {
+  la::MatC out(rows.count(me), full.cols());
+  for (size_t j = 0; j < full.cols(); ++j)
+    for (size_t i = 0; i < rows.count(me); ++i)
+      out(i, j) = full(rows.offset(me) + i, j);
+  return out;
+}
+
+// The node communicator of a staged reduction over c.
+ptmpi::Comm node_comm(ptmpi::Comm& c) { return c.split(c.node(), c.rank()); }
+
+}  // namespace
+
 TEST(Overlap, DistributedMatchesSerial) {
   const size_t npw = 48, m = 5, n = 4;
   const la::MatC a = test::random_matrix(npw, m, 301);
@@ -105,15 +123,10 @@ TEST(Overlap, DistributedMatchesSerial) {
     std::vector<la::MatC> results(static_cast<size_t>(p));
     ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
       const int me = c.rank();
-      la::MatC ar(rows.count(me), m), br(rows.count(me), n);
-      for (size_t j = 0; j < m; ++j)
-        for (size_t i = 0; i < rows.count(me); ++i)
-          ar(i, j) = a(rows.offset(me) + i, j);
-      for (size_t j = 0; j < n; ++j)
-        for (size_t i = 0; i < rows.count(me); ++i)
-          br(i, j) = b(rows.offset(me) + i, j);
-      results[static_cast<size_t>(me)] =
-          dist::overlap_distributed(c, ar, br, use_shm);
+      ptmpi::Comm node = node_comm(c);
+      results[static_cast<size_t>(me)] = dist::overlap_distributed(
+          c, row_slab(a, rows, me), row_slab(b, rows, me),
+          use_shm ? &node : nullptr);
     });
     for (int r = 0; r < p; ++r)
       EXPECT_LT(la::frob_diff(results[static_cast<size_t>(r)], ref), 1e-11)
@@ -132,16 +145,49 @@ TEST(Overlap, ShmReducesAllreduceTraffic) {
   const int p = 4;
   const dist::BlockLayout rows(npw, p);
   ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-    const int me = c.rank();
-    la::MatC ar(rows.count(me), m);
-    for (size_t j = 0; j < m; ++j)
-      for (size_t i = 0; i < rows.count(me); ++i)
-        ar(i, j) = a(rows.offset(me) + i, j);
-    (void)dist::overlap_distributed(c, ar, ar, true);
+    ptmpi::Comm node = node_comm(c);
+    const la::MatC ar = row_slab(a, rows, c.rank());
+    (void)dist::overlap_distributed(c, ar, ar, &node);
   });
   const auto& stats = ptmpi::last_run_stats();
   for (const auto& s : stats)
     EXPECT_EQ(s.ops.at("Allreduce").calls, 1);
+}
+
+TEST(Overlap, ShmStagingOnTwoDBandCommunicators) {
+  // The band communicators of a 2-D layout, split as dist::GridContext
+  // splits them, with pg dividing the ranks per node: the communicator of
+  // grid column g holds world node ranks g, g + pg, ... only, so no member
+  // leads its node in the world. The staged overlap must still equal the
+  // unstaged one on every column (the node leader is rank 0 of the band
+  // communicator's ranks on the node).
+  const size_t npw = 41, m = 6, n = 5;
+  const la::MatC a = test::random_matrix(npw, m, 304);
+  const la::MatC b = test::random_matrix(npw, n, 305);
+  for (const auto& layout : {std::pair{4, 2}, std::pair{8, 4}}) {
+    const int nranks = layout.first, per_node = layout.second;
+    const dist::ProcessGrid pgrid{nranks / 2, 2};
+    const dist::BlockLayout rows(npw, pgrid.pb);
+    std::vector<real_t> rel(static_cast<size_t>(nranks), -1.0);
+    ptmpi::run_ranks(nranks, per_node, [&](ptmpi::Comm& world) {
+      ptmpi::Comm band = world.split(pgrid.grid_rank_of(world.rank()),
+                                     pgrid.band_rank_of(world.rank()));
+      ptmpi::Comm node = node_comm(band);
+      const la::MatC ar = row_slab(a, rows, band.rank());
+      const la::MatC br = row_slab(b, rows, band.rank());
+      const la::MatC plain = dist::overlap_distributed(band, ar, br);
+      // Twice: the window must be reset between calls.
+      la::MatC staged;
+      for (int k = 0; k < 2; ++k)
+        staged = dist::overlap_distributed(band, ar, br, &node);
+      rel[static_cast<size_t>(world.rank())] =
+          la::frob_diff(staged, plain) / la::frob_norm(plain);
+    });
+    for (int r = 0; r < nranks; ++r)
+      EXPECT_LE(rel[static_cast<size_t>(r)], 1e-14)
+          << nranks << " ranks, " << per_node << " per node, world rank "
+          << r;
+  }
 }
 
 // ------------------------------------------------------- exchange dist ---
@@ -462,65 +508,60 @@ TEST(ExchangeDist, GammaRealVoteFailureFallsBackOnEveryRank) {
 
 class RotateParam : public ::testing::TestWithParam<int> {};
 
-TEST_P(RotateParam, MatchesSerialGemm) {
+TEST_P(RotateParam, RowLayoutEqualsSerialGemmBitwise) {
+  // band -> row, la::gemm_nn on the row slab, row -> band: each output row
+  // is the full gemm's row, so the band blocks equal the serial product's
+  // columns bit for bit at every rank count (zero-width band blocks and
+  // uneven row slabs included).
   const int p = GetParam();
-  const size_t npw = 41, nb = 7;
-  const la::MatC a = test::random_matrix(npw, nb, 500 + p);
-  const la::MatC r = test::random_matrix(nb, nb, 510 + p);
-  la::MatC ref(npw, nb);
-  la::gemm_nn(a, r, ref);
+  for (const size_t npw : {size_t{41}, size_t{147}})
+    for (const size_t nb : {size_t{7}, size_t{20}}) {
+      const la::MatC a = test::random_matrix(npw, nb, 500 + p);
+      const la::MatC r = test::random_matrix(nb, nb, 510 + p);
+      la::MatC ref(npw, nb);
+      la::gemm_nn(a, r, ref);
 
-  const dist::BlockLayout bands(nb, p);
-  for (const auto pat :
-       {dist::ExchangePattern::kBcast, dist::ExchangePattern::kRing,
-        dist::ExchangePattern::kAsyncRing}) {
-    std::vector<la::MatC> blocks(static_cast<size_t>(p));
-    ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
-      blocks[static_cast<size_t>(c.rank())] = dist::rotate_bands(
-          c, dist::scatter_bands(a, bands, c.rank()), r, bands, pat);
-    });
-    for (int q = 0; q < p; ++q)
-      for (size_t b = 0; b < bands.count(q); ++b)
-        for (size_t i = 0; i < npw; ++i)
-          EXPECT_NEAR(std::abs(blocks[static_cast<size_t>(q)](i, b) -
-                               ref(i, bands.offset(q) + b)),
-                      0.0, 1e-12)
-              << dist::pattern_name(pat) << " p=" << p;
-  }
+      const dist::BlockLayout bands(nb, p), rows(npw, p);
+      std::vector<la::MatC> blocks(static_cast<size_t>(p));
+      ptmpi::run_ranks(p, 2, [&](ptmpi::Comm& c) {
+        blocks[static_cast<size_t>(c.rank())] = dist::rotate_distributed(
+            c, dist::scatter_bands(a, bands, c.rank()), r, bands, rows);
+      });
+      for (int q = 0; q < p; ++q) {
+        const la::MatC want = dist::scatter_bands(ref, bands, q);
+        const la::MatC& got = blocks[static_cast<size_t>(q)];
+        ASSERT_TRUE(got.same_shape(want));
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(cplx)),
+                  0)
+            << "p=" << p << " npw=" << npw << " nb=" << nb << " rank " << q;
+      }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, RotateParam,
                          ::testing::Values(1, 2, 3, 4, 9));
 
-TEST(Rotate, SolveUpperRightDistributedMatchesSerial) {
-  const size_t npw = 33, nb = 6;
+TEST(Rotate, NoCirculation) {
+  // A rotation is two transposes: one Alltoallv each way, no ring or
+  // broadcast traffic.
+  const size_t npw = 41, nb = 7;
   const la::MatC a = test::random_matrix(npw, nb, 520);
-  const la::MatC spd = [&] {
-    la::MatC h = test::random_hermitian(nb, 521);
-    for (size_t i = 0; i < nb; ++i) h(i, i) += 4.0;
-    return h;
-  }();
-  const la::MatC l = la::cholesky(spd);
-  la::MatC ref = a;
-  la::solve_upper_right(l, ref);
-
+  const la::MatC r = test::random_matrix(nb, nb, 521);
   const int p = 3;
   const dist::BlockLayout bands(nb, p), rows(npw, p);
-  std::vector<la::MatC> blocks(static_cast<size_t>(p));
   ptmpi::run_ranks(p, 1, [&](ptmpi::Comm& c) {
-    blocks[static_cast<size_t>(c.rank())] = dist::solve_upper_right_distributed(
-        c, l, dist::scatter_bands(a, bands, c.rank()), bands, rows);
+    (void)dist::rotate_distributed(
+        c, dist::scatter_bands(a, bands, c.rank()), r, bands, rows);
   });
-  for (int q = 0; q < p; ++q)
-    for (size_t b = 0; b < bands.count(q); ++b)
-      for (size_t i = 0; i < npw; ++i)
-        // The transpose-solve-transpose path runs the identical per-row
-        // arithmetic as the serial solve: exact agreement.
-        EXPECT_EQ(blocks[static_cast<size_t>(q)](i, b),
-                  ref(i, bands.offset(q) + b));
+  for (const auto& s : ptmpi::last_run_stats()) {
+    EXPECT_EQ(s.ops.at("Alltoallv").calls, 2);
+    for (const char* ring : {"Sendrecv", "Wait", "Bcast"})
+      EXPECT_EQ(s.ops.count(ring), 0u) << ring;
+  }
 }
 
-TEST(Rotate, GatherScatterRoundTrip) {
+TEST(Transpose, GatherScatterRoundTrip) {
   const size_t npw = 29, nb = 5;
   const la::MatC full = test::random_matrix(npw, nb, 530);
   const int p = 4;

@@ -100,7 +100,8 @@ std::vector<test::GoldenStep> run_serial(test::TinySystem& sys,
 std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
                                               dist::ProcessGrid pgrid,
                                               dist::ExchangePattern pattern,
-                                              bool gamma = false) {
+                                              bool gamma = false,
+                                              bool overlap_shm = false) {
   const int nranks = pgrid.resolve_pb(pgrid.pb * pgrid.pg) * pgrid.pg;
   const dist::BlockLayout bands(kBands, pgrid.pb);
   const td::TdState init = initial_state(sys.sphere->npw());
@@ -112,6 +113,7 @@ std::vector<test::GoldenStep> run_distributed(test::TinySystem& sys,
     h->set_exchange_gamma_real(gamma);
     dist::BandHamOptions bopt;
     bopt.pattern = pattern;
+    bopt.overlap_shm = overlap_shm;
     if (pgrid.pg > 1) bopt.grid = pgrid;
     dist::BandDistributedHamiltonian bdh(c, *h, kBands, bopt);
     const int br = pgrid.pg > 1 ? pgrid.band_rank_of(c.rank()) : c.rank();
@@ -184,6 +186,14 @@ TEST(Golden, TwoDGridMatchesFixture) {
       run_distributed(sys, dist::ProcessGrid{2, 2},
                       dist::ExchangePattern::kAsyncRing),
       "2-D 2x2 async");
+  // The same with the overlaps staged through the node-shared windows: at
+  // 2 ranks per node, grid column 1's band communicator holds no rank that
+  // leads its node in the world.
+  expect_matches_fixture(
+      run_distributed(sys, dist::ProcessGrid{2, 2},
+                      dist::ExchangePattern::kAsyncRing, /*gamma=*/false,
+                      /*overlap_shm=*/true),
+      "2-D 2x2 async shm");
   // pb = 1, pg = 3: the pure grid-parallel column, bit-identical to the
   // serial operator by construction.
   expect_matches_fixture(

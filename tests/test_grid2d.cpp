@@ -20,8 +20,8 @@
 #include "common/rng.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
-#include "dist/rotate.hpp"
 #include "dist/slab_exchange.hpp"
+#include "dist/transpose.hpp"
 #include "fft/dist_fft.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"

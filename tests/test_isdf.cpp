@@ -25,7 +25,7 @@
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
 #include "dist/isdf_dist.hpp"
-#include "dist/rotate.hpp"
+#include "dist/transpose.hpp"
 #include "ham/density.hpp"
 #include "ham/exchange.hpp"
 #include "ham/isdf.hpp"

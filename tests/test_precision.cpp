@@ -19,7 +19,7 @@
 #include <cmath>
 
 #include "dist/exchange_dist.hpp"
-#include "dist/rotate.hpp"
+#include "dist/transpose.hpp"
 #include "gs/scf.hpp"
 #include "ham/ace.hpp"
 #include "ham/density.hpp"

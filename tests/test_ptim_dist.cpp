@@ -6,18 +6,25 @@
 // checks that the measured CommStats of the real propagator show the
 // Table I pattern shift (no Bcast traffic under the rings), that band runs
 // honour HamiltonianOptions::hybrid, and that the staged ACE protocol
-// drives a band run bitwise like step().
+// drives a band run bitwise like step(). The band space's nb x nb algebra
+// runs on the row layout: its rotations and orthonormalization compute the
+// serial rows, and the exchange is the step's only circulation.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/simulation.hpp"
 #include "dist/band_ham.hpp"
+#include "dist/transpose.hpp"
 #include "ham/density.hpp"
 #include "la/blas.hpp"
+#include "la/cholesky.hpp"
+#include "pw/wavefunction.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
 #include "test_helpers.hpp"
@@ -245,6 +252,133 @@ TEST(PtImDist, AceStepSharesNoOccupations) {
   });
   EXPECT_GT(applies, 1);
   EXPECT_EQ(gathers, 0);
+}
+
+// ---------------------------------------------- row-layout band algebra ---
+
+namespace {
+
+long op_calls(const ptmpi::CommStats& cs, const char* op) {
+  const auto it = cs.ops.find(op);
+  return it == cs.ops.end() ? 0L : it->second.calls;
+}
+
+// World rank 0's traffic in one band PT-IM-ACE step (async ring) on a
+// pb x pg layout. The step runs through the staged protocol, so the
+// Alltoallv calls of the exchange applies themselves (the 2-D slab FFTs)
+// are told apart from the band space's transposes.
+struct StepComm {
+  td::PtImStepStats stats;
+  long waits = 0, sendrecvs = 0, bcasts = 0;
+  long transposes = 0;  // Alltoallv calls outside the exchange applies
+};
+
+StepComm ace_step_comm(test::TinySystem& sys, size_t nb,
+                       dist::ProcessGrid pgrid) {
+  const td::TdState init = initial_state(sys.sphere->npw(), nb);
+  const dist::BlockLayout bands(nb, pgrid.pb);
+  StepComm out;
+  ptmpi::run_ranks(pgrid.pb * pgrid.pg, 2, [&](ptmpi::Comm& c) {
+    ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                       *sys.den_grid, ham::HamiltonianOptions{});
+    dist::BandHamOptions bopt;
+    bopt.grid = pgrid;
+    dist::BandDistributedHamiltonian bdh(c, h, nb, bopt);
+    td::TdState s =
+        td::scatter_state(init, bands, pgrid.band_rank_of(c.rank()));
+    td::PtImPropagator prop(bdh, ptim_options(td::PtImVariant::kAce), nullptr);
+    const ptmpi::CommStats before = c.stats().snapshot();
+    long exchange_alltoallv = 0;
+    auto sess = prop.step_begin(s);
+    la::MatC w;
+    do {
+      const long a0 = op_calls(c.stats().snapshot(), "Alltoallv");
+      prop.space().exchange_diag(sess.ace_phi, sess.ace_occ, w);
+      exchange_alltoallv += op_calls(c.stats().snapshot(), "Alltoallv") - a0;
+    } while (prop.step_advance(s, sess, w));
+    const td::PtImStepStats st = prop.step_finish(s, sess);
+    const ptmpi::CommStats after = c.stats().snapshot();
+    if (c.rank() != 0) return;
+    const auto delta = [&](const char* op) {
+      return op_calls(after, op) - op_calls(before, op);
+    };
+    out.stats = st;
+    out.waits = delta("Wait");
+    out.sendrecvs = delta("Sendrecv");
+    out.bcasts = delta("Bcast");
+    out.transposes = delta("Alltoallv") - exchange_alltoallv;
+  });
+  return out;
+}
+
+}  // namespace
+
+TEST(PtImDist, AceStepCirculatesOnlyTheExchange) {
+  // Rank 0's ring calls in a band PT-IM-ACE step are exactly the exchange
+  // applies' rounds: 2 (p - 1) Waits per apply under the async ring, p the
+  // band communicator's size. The nb x nb algebra moves by transposes only:
+  // at most four per SCF iteration, four per ACE build and three at the
+  // step end.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 7;
+  for (const dist::ProcessGrid pgrid :
+       {dist::ProcessGrid{4, 1}, dist::ProcessGrid{2, 2}}) {
+    const StepComm sc = ace_step_comm(sys, nb, pgrid);
+    const long applies = sc.stats.exchange_applications;
+    const long scf = sc.stats.scf_iterations;
+    const std::string label =
+        std::to_string(pgrid.pb) + "x" + std::to_string(pgrid.pg);
+    EXPECT_GT(applies, 1) << label;
+    EXPECT_EQ(sc.waits, 2L * (pgrid.pb - 1) * applies) << label;
+    EXPECT_EQ(sc.sendrecvs, 0) << label;
+    EXPECT_EQ(sc.bcasts, 0) << label;
+    EXPECT_GT(sc.transposes, 0) << label;
+    EXPECT_LE(sc.transposes, 4 * scf + 4 * applies + 3) << label;
+  }
+}
+
+TEST(PtImDist, BandRotationsAndSolveComputeSerialRows) {
+  // rotate = band -> row, la::gemm_nn, row -> band: the serial product's
+  // bits. orthonormalize returns the replicated factor L of Phi^H Phi and
+  // Phi L^{-H} with the serial solve's bits for that L.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  const size_t nb = 7, npw = sys.sphere->npw();
+  const la::MatC a = test::random_orbitals(npw, nb, 903);
+  const la::MatC r = test::random_matrix(nb, nb, 904);
+  la::MatC rot_ref(npw, nb);
+  la::gemm_nn(a, r, rot_ref);
+  const la::MatC l_ref = la::cholesky(pw::overlap(a, a));
+  const auto same_bits = [](const la::MatC& x, const la::MatC& y) {
+    return x.same_shape(y) &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(cplx)) == 0;
+  };
+  for (const int p : {2, 3, 4}) {
+    const dist::BlockLayout bands(nb, p);
+    std::vector<la::MatC> rot(static_cast<size_t>(p)),
+        orth(static_cast<size_t>(p)), ls(static_cast<size_t>(p));
+    ptmpi::run_ranks(p, 1, [&](ptmpi::Comm& c) {
+      ham::Hamiltonian h(*sys.lattice, sys.atoms, *sys.sphere, *sys.wfc_grid,
+                         *sys.den_grid, ham::HamiltonianOptions{});
+      dist::BandDistributedHamiltonian bdh(c, h, nb);
+      const auto me = static_cast<size_t>(c.rank());
+      la::MatC phi = dist::scatter_bands(a, bands, c.rank());
+      rot[me] = bdh.rotate(phi, r);
+      ls[me] = bdh.orthonormalize(phi);
+      orth[me] = std::move(phi);
+    });
+    la::MatC orth_ref = a;
+    la::solve_upper_right(ls[0], orth_ref);
+    EXPECT_LT(la::frob_diff(ls[0], l_ref), 1e-12) << "p=" << p;
+    for (int q = 0; q < p; ++q) {
+      const auto qi = static_cast<size_t>(q);
+      EXPECT_TRUE(same_bits(rot[qi], dist::scatter_bands(rot_ref, bands, q)))
+          << "p=" << p << " rank " << q;
+      EXPECT_TRUE(same_bits(ls[qi], ls[0])) << "p=" << p << " rank " << q;
+      EXPECT_TRUE(
+          same_bits(orth[qi], dist::scatter_bands(orth_ref, bands, q)))
+          << "p=" << p << " rank " << q;
+    }
+  }
 }
 
 // -------------------------------------------- core::Simulation threading ---
