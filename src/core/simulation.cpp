@@ -18,8 +18,7 @@ obs::StepCounters sample_counters(const ham::ExchangeOperator& xop,
   obs::StepCounters sc;
   sc.ffts = xop.fft_count.load(std::memory_order_relaxed);
   sc.alloc_count = backend::buffer_alloc_count();
-  sc.isdf_fit_seconds = obs::profile_get(obs::intern("isdf.fit")).seconds +
-                        obs::profile_get(obs::intern("isdf.fit_dist")).seconds;
+  sc.isdf_fit_seconds = obs::profile_get(obs::intern("isdf.fit")).seconds;
   if (comm) sc.comm = comm->stats().snapshot();
   return sc;
 }

@@ -2,7 +2,6 @@
 
 #include "common/timer.hpp"
 #include "dist/exchange_dist.hpp"
-#include "dist/isdf_dist.hpp"
 #include "dist/transpose.hpp"
 #include "ham/density.hpp"
 #include "la/blas.hpp"
@@ -121,12 +120,6 @@ void BandDistributedHamiltonian::set_ace(const la::MatC& src_local,
       *c_, band_to_grid(*c_, src_local, bands_, rows_), xi_rows_, node()));
   la::solve_upper_right(l, xi_rows_);  // xi = W L^{-H}
   xmode_ = BandExchangeMode::kAce;
-}
-
-ham::IsdfPointHold BandDistributedHamiltonian::hold_isdf_points(
-    const la::MatC& src_local, const std::vector<real_t>& occ) {
-  return h_->hold_isdf_points(isdf_select_distributed(
-      *c_, h_->exchange_op(), src_local, occ, src_local, bands_));
 }
 
 std::vector<real_t> BandDistributedHamiltonian::density(const td::TdState& s) {

@@ -18,6 +18,10 @@
 //                              round (dist/exchange_dist), weighted by the
 //                              replicated occupations (no collective); the
 //                              only circulation,
+//  * ISDF exchange (kIsdf)   — no circulation: ham/isdf's selection and fit
+//                              on the band block, its sketches,
+//                              quasi-density and Gram blocks Allreduced,
+//                              one Allgatherv of the target widths,
 //  * nb x nb products        — band->row Alltoallv transpose, local GEMMs
 //    (theta = Phi sigma, the   on the row slab, row->band transpose
 //    ACE term, the projector,  (dist/transpose). Per SCF iteration Phi_h
@@ -115,7 +119,7 @@ class BandDistributedHamiltonian final : public td::BandSpace {
   la::MatC orthonormalize(la::MatC& phi_local) override;
 
   // The circulating batched-FFT exchange, or the slab pipeline under the
-  // 2-D layout (ISDF only on the 1-D one).
+  // 2-D layout; under kIsdf the band-summed ham/isdf apply (1-D only).
   void exchange_diag(const la::MatC& src_local, const std::vector<real_t>& occ,
                      la::MatC& w_local) override;
   // One transpose of W serves B = Phi'^H W on the row slabs and, after the
@@ -123,10 +127,6 @@ class BandDistributedHamiltonian final : public td::BandSpace {
   // on W's row slab, which is all of xi this rank keeps. Switches the
   // mode to kAce.
   void set_ace(const la::MatC& src_local, const la::MatC& w_local) override;
-  // Points from dist/isdf_dist's collective selection, bitwise identical
-  // on every rank.
-  ham::IsdfPointHold hold_isdf_points(const la::MatC& src_local,
-                                      const std::vector<real_t>& occ) override;
 
   std::vector<real_t> density(const td::TdState& s) override;
   td::TdState gather(const td::TdState& s) override;

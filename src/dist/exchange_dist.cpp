@@ -4,8 +4,8 @@
 #include <type_traits>
 
 #include "dist/circulate.hpp"
-#include "dist/isdf_dist.hpp"
 #include "dist/transpose.hpp"
+#include "ham/isdf.hpp"
 
 namespace ptim::dist {
 
@@ -150,6 +150,27 @@ la::MatC circulate_any(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
                          tgt_local, src_bands, pat, vote_gamma);
 }
 
+// This rank's slice of a band-parallel ISDF apply, summed over c. The
+// targets need not follow src_bands (an ACE rebuild may apply onto a
+// differently sliced block), so one Allgatherv of the target widths places
+// this rank's among them.
+ham::isdf::BandSlice isdf_slice(ptmpi::Comm& c, const la::MatC& tgt_local,
+                                const BlockLayout& src_bands) {
+  const size_t p = static_cast<size_t>(c.size());
+  const size_t me = static_cast<size_t>(c.rank());
+  const real_t mine = static_cast<real_t>(tgt_local.cols());
+  std::vector<real_t> widths(p);
+  c.allgatherv(&mine, 1, widths.data(), std::vector<size_t>(p, 1));
+  ham::isdf::BandSlice b;
+  b.src_off = src_bands.offset(c.rank());
+  for (size_t r = 0; r < p; ++r) {
+    if (r < me) b.tgt_off += static_cast<size_t>(widths[r]);
+    b.ntgt += static_cast<size_t>(widths[r]);
+  }
+  b.band_sum = [&c](real_t* v, size_t n) { c.allreduce_sum(v, n); };
+  return b;
+}
+
 }  // namespace
 
 la::MatC circulate_pairs(ptmpi::Comm& band, const ham::ExchangeOperator& xop,
@@ -172,11 +193,15 @@ la::MatC exchange_apply_distributed_local(ptmpi::Comm& c,
   PTIM_CHECK(d_all.size() == src_bands.total());
   PTIM_CHECK(src_local.cols() == src_bands.count(c.rank()));
 
-  // ISDF replaces the slab circulation wholesale: band-parallel fit from
-  // Allreduced Gram partials, then a local GEMM apply (dist/isdf_dist).
-  if (xop.options().compression == ham::ExchangeCompression::kIsdf)
-    return exchange_apply_isdf_local(c, xop, src_local, d_all, tgt_local,
-                                     src_bands);
+  // ISDF replaces the slab circulation wholesale: the one fit of ham/isdf
+  // with its band-summed blocks Allreduced, then a local GEMM apply.
+  if (xop.options().compression == ham::ExchangeCompression::kIsdf) {
+    la::MatC out(tgt_local.rows(), tgt_local.cols());
+    ham::isdf::apply_diag(xop, src_local, d_all, tgt_local, out,
+                          /*accumulate=*/false,
+                          isdf_slice(c, tgt_local, src_bands));
+    return out;
+  }
 
   // The Γ-point vote binds only this communicator, so only this entry
   // takes it: a 2-D band ring could not carry it into the grid

@@ -491,9 +491,10 @@ void ExchangeOperator::apply_diag(const la::MatC& src,
   PTIM_CHECK(d.size() == src.cols());
   if (opt_.compression == ExchangeCompression::kIsdf) {
     // Low-rank route: fit + GEMM apply (ham/isdf), handling the precision
-    // edge itself. The distributed ISDF path replaces the circulation
-    // wholesale (dist/isdf_dist) instead of intercepting per-round applies.
-    isdf::apply_diag(*this, src, d, tgt, out, accumulate);
+    // edge itself. A band-parallel apply calls the same route with its
+    // band slice instead of circulating (dist/exchange_dist).
+    isdf::apply_diag(*this, src, d, tgt, out, accumulate,
+                     isdf::whole(tgt.cols()));
     return;
   }
   if (!accumulate) out.fill(cplx(0.0));
@@ -560,7 +561,7 @@ void ExchangeOperator::apply_diag_packed(const std::vector<DiagApplyJob>& jobs,
     // standalone apply_diag on this operator by construction.
     for (const DiagApplyJob& job : jobs)
       isdf::apply_diag(*this, *job.src, *job.d, *job.tgt, *job.out,
-                       /*accumulate=*/true);
+                       /*accumulate=*/true, isdf::whole(job.tgt->cols()));
     return;
   }
   if (opt_.precision != Precision::kDouble)

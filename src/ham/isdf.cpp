@@ -96,8 +96,7 @@ std::vector<size_t> select_points(const la::MatC& g1, const la::MatC& g2,
 }
 
 Fit fit(const ExchangeOperator& x, std::vector<size_t> points,
-        const la::MatC& c_src, const la::MatC& c_tgt, const la::MatC& g,
-        const la::MatC* a_explicit) {
+        const la::MatC& c_src, const la::MatC& c_tgt, const la::MatC& g) {
   ScopedTimer t("isdf.fit");
   const size_t ng = x.map().grid().size();
   const size_t nmu = points.size();
@@ -114,15 +113,9 @@ Fit fit(const ExchangeOperator& x, std::vector<size_t> points,
   // conj(c_src(r_mu, nu)) c_tgt(r_mu, nu), Hermitian PSD (a Hadamard
   // product of Gram matrices).
   la::MatC a(nmu, nmu);
-  if (a_explicit) {
-    PTIM_CHECK(a_explicit->rows() == nmu && a_explicit->cols() == nmu);
-    a = *a_explicit;
-  } else {
-    for (size_t nu = 0; nu < nmu; ++nu)
-      for (size_t mu = 0; mu < nmu; ++mu)
-        a(mu, nu) =
-            std::conj(c_src(f.points[mu], nu)) * c_tgt(f.points[mu], nu);
-  }
+  for (size_t nu = 0; nu < nmu; ++nu)
+    for (size_t mu = 0; mu < nmu; ++mu)
+      a(mu, nu) = std::conj(c_src(f.points[mu], nu)) * c_tgt(f.points[mu], nu);
   real_t trace = 0.0;
   for (size_t mu = 0; mu < nmu; ++mu) trace += std::real(a(mu, mu));
   if (!(trace > 0.0)) return f;  // zero sources or targets: null operator
@@ -232,23 +225,29 @@ void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
 
 namespace {
 
-// The occupied sources of a diag problem, compacted; phid carries d into
-// the occupation-weighted G block.
+// The rank's occupied sources, compacted; phid carries d into the
+// occupation-weighted G block. na counts the occupied bands of the whole
+// problem (replicated), idx holds the global band index per local one.
 struct ActiveSources {
-  std::vector<size_t> idx;  // column of src_real per active source
-  la::MatC phi, phid;       // Ng x na
+  std::vector<size_t> idx;  // global band index per active local source
+  la::MatC phi, phid;       // Ng x idx.size()
+  size_t na = 0;
 };
 
 ActiveSources compact_active(const la::MatC& src_real,
-                             const std::vector<real_t>& d, bool weighted) {
+                             const std::vector<real_t>& d, size_t src_off,
+                             bool weighted) {
+  PTIM_CHECK(src_off + src_real.cols() <= d.size());
   ActiveSources a;
   for (size_t i = 0; i < d.size(); ++i)
-    if (d[i] != 0.0) a.idx.push_back(i);
-  const size_t ng = src_real.rows(), na = a.idx.size();
-  a.phi.resize(ng, na);
-  if (weighted) a.phid.resize(ng, na);
-  for (size_t i = 0; i < na; ++i) {
-    const cplx* s = src_real.col(a.idx[i]);
+    if (d[i] != 0.0) ++a.na;
+  for (size_t i = 0; i < src_real.cols(); ++i)
+    if (d[src_off + i] != 0.0) a.idx.push_back(src_off + i);
+  const size_t ng = src_real.rows(), nloc = a.idx.size();
+  a.phi.resize(ng, nloc);
+  if (weighted) a.phid.resize(ng, nloc);
+  for (size_t i = 0; i < nloc; ++i) {
+    const cplx* s = src_real.col(a.idx[i] - src_off);
     std::copy(s, s + ng, a.phi.col(i));
     if (!weighted) continue;
     const real_t di = d[a.idx[i]];
@@ -256,6 +255,11 @@ ActiveSources compact_active(const la::MatC& src_real,
     for (size_t r = 0; r < ng; ++r) pd[r] = di * s[r];
   }
   return a;
+}
+
+// Adds a block's rank partials over the bands; a no-op on one rank.
+void sum_bands(const BandSlice& b, la::MatC& m) {
+  if (b.band_sum) b.band_sum(la::as_doubles(m.data()), 2 * m.size());
 }
 
 }  // namespace
@@ -278,31 +282,34 @@ la::MatC to_real_policy(const ExchangeOperator& x, const la::MatC& v) {
 std::vector<size_t> select_diag(const ExchangeOperator& x,
                                 const la::MatC& src_real,
                                 const std::vector<real_t>& d,
-                                const la::MatC& tgt_real) {
+                                const la::MatC& tgt_real, const BandSlice& b) {
   const size_t ng = x.map().grid().size();
   PTIM_CHECK(src_real.rows() == ng && tgt_real.rows() == ng);
-  PTIM_CHECK(d.size() == src_real.cols());
+  PTIM_CHECK(b.tgt_off + tgt_real.cols() <= b.ntgt);
   const size_t ntgt = tgt_real.cols();
-  const ActiveSources act = compact_active(src_real, d, /*weighted=*/false);
+  const ActiveSources act =
+      compact_active(src_real, d, b.src_off, /*weighted=*/false);
   const size_t na = act.idx.size();
-  if (na == 0 || ntgt == 0) return {};
+  if (act.na == 0 || b.ntgt == 0) return {};
 
-  const size_t nmu = rank(x.isdf_rank_factor(), na, ntgt, ng);
+  const size_t nmu = rank(x.isdf_rank_factor(), act.na, b.ntgt, ng);
   const size_t k = sketch_width(nmu);
 
   // Sketch rows are indexed by the band's position in the FULL source /
   // target blocks, so the same bands give the same mixtures regardless of
   // occupation compaction or band distribution.
-  const la::MatC r1 = sketch_matrix(src_real.cols(), k, kSeedSources);
-  const la::MatC r2 = sketch_matrix(ntgt, k, kSeedTargets);
-  la::MatC r1a(na, k);
-  for (size_t j = 0; j < k; ++j)
+  const la::MatC r1 = sketch_matrix(d.size(), k, kSeedSources);
+  const la::MatC r2 = sketch_matrix(b.ntgt, k, kSeedTargets);
+  la::MatC r1a(na, k), r2l(ntgt, k);
+  for (size_t j = 0; j < k; ++j) {
     for (size_t i = 0; i < na; ++i) r1a(i, j) = r1(act.idx[i], j);
+    for (size_t i = 0; i < ntgt; ++i) r2l(i, j) = r2(b.tgt_off + i, j);
+  }
 
   Timer tsk;
   la::MatC g1(ng, k), g2(ng, k);
   la::gemm_nn(act.phi, r1a, g1);
-  la::gemm_nn(tgt_real, r2, g2);
+  la::gemm_nn(tgt_real, r2l, g2);
 
   std::vector<real_t> rho(ng, 0.0);
 #pragma omp parallel for schedule(static)
@@ -313,6 +320,9 @@ std::vector<size_t> select_diag(const ExchangeOperator& x,
     for (size_t j = 0; j < ntgt; ++j) s += std::norm(tgt_real(r, j));
     rho[r] = s;
   }
+  sum_bands(b, g1);
+  sum_bands(b, g2);
+  if (b.band_sum) b.band_sum(rho.data(), ng);
 
   ProfileRegistry::instance().add("isdf.sketch", tsk.seconds());
   return select_points(g1, g2, rho, nmu);
@@ -320,22 +330,22 @@ std::vector<size_t> select_diag(const ExchangeOperator& x,
 
 Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
              const std::vector<real_t>& d, const la::MatC& tgt_real,
-             std::vector<size_t> points) {
+             std::vector<size_t> points, const BandSlice& b) {
   const size_t ng = x.map().grid().size();
   PTIM_CHECK(src_real.rows() == ng && tgt_real.rows() == ng);
-  PTIM_CHECK(d.size() == src_real.cols());
+  PTIM_CHECK(b.tgt_off + tgt_real.cols() <= b.ntgt);
   const size_t ntgt = tgt_real.cols();
-  const ActiveSources act = compact_active(src_real, d, /*weighted=*/true);
+  const ActiveSources act =
+      compact_active(src_real, d, b.src_off, /*weighted=*/true);
   const size_t na = act.idx.size();
-  if (na == 0 || ntgt == 0 || points.empty()) return Fit{};
+  if (act.na == 0 || b.ntgt == 0 || points.empty()) return Fit{};
   const size_t nmu = points.size();
   Timer tsk;
 
-  // Point samples and the band-summed Gram blocks (plain GEMMs serially;
-  // the distributed fit sums the same blocks across ranks instead). When
-  // the target block aliases the (fully active) source block — the PT-IM
-  // and ACE shape — c_tgt is c_src elementwise, so the gemm is skipped.
-  const bool tgt_is_src = tgt_real.data() == src_real.data() && na == d.size();
+  // Point samples and the band-summed Gram blocks. When the target block
+  // is the (fully occupied) source block — the PT-IM and ACE shape — c_tgt
+  // is c_src elementwise, so its GEMM and band sum are skipped.
+  const bool tgt_is_src = &tgt_real == &src_real && act.na == d.size();
   la::MatC p1(nmu, na);
   for (size_t i = 0; i < na; ++i)
     for (size_t mu = 0; mu < nmu; ++mu) p1(mu, i) = act.phi(points[mu], i);
@@ -343,6 +353,8 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
   la::MatC c_src(ng, nmu), g(ng, nmu);
   la::gemm_nc(act.phi, p1, c_src);
   la::gemm_nc(act.phid, p1, g);
+  sum_bands(b, c_src);
+  sum_bands(b, g);
   la::MatC c_tgt_own;
   if (!tgt_is_src) {
     la::MatC p2(nmu, ntgt);
@@ -350,6 +362,7 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
       for (size_t mu = 0; mu < nmu; ++mu) p2(mu, j) = tgt_real(points[mu], j);
     c_tgt_own.resize(ng, nmu);
     la::gemm_nc(tgt_real, p2, c_tgt_own);
+    sum_bands(b, c_tgt_own);
   }
   const la::MatC& c_tgt = tgt_is_src ? c_src : c_tgt_own;
 
@@ -359,26 +372,25 @@ Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
 
 void apply_diag(const ExchangeOperator& x, const la::MatC& src,
                 const std::vector<real_t>& d, const la::MatC& tgt,
-                la::MatC& out, bool accumulate) {
+                la::MatC& out, bool accumulate, const BandSlice& b) {
   ScopedTimer t("exchange.isdf_diag");
-  PTIM_CHECK(d.size() == src.cols());
+  PTIM_CHECK(b.src_off + src.cols() <= d.size());
   if (!accumulate) out.fill(cplx(0.0));
   PTIM_CHECK(out.rows() == tgt.rows() && out.cols() == tgt.cols());
-  if (tgt.cols() == 0) return;
+  if (b.ntgt == 0) return;
 
   // Real-space edge, honoring the precision policy. When the target block
   // IS the source block (the PT-IM / ACE shape), one transform serves
-  // both: downstream stages detect the aliasing by data pointer and skip
-  // the duplicated target-side work.
+  // both, and fit_diag sees the aliasing.
   const bool same_block = &src == &tgt;
   const la::MatC src_real = to_real_policy(x, src);
   const la::MatC tgt_real_own = same_block ? la::MatC() : to_real_policy(x, tgt);
   const la::MatC& tgt_real = same_block ? src_real : tgt_real_own;
 
   std::vector<size_t> points = x.isdf_points().empty()
-                                   ? select_diag(x, src_real, d, tgt_real)
+                                   ? select_diag(x, src_real, d, tgt_real, b)
                                    : x.isdf_points();
-  const Fit f = fit_diag(x, src_real, d, tgt_real, std::move(points));
+  const Fit f = fit_diag(x, src_real, d, tgt_real, std::move(points), b);
   if (f.points.empty()) return;
 
   la::MatC tgt_pts(f.points.size(), tgt_real.cols());

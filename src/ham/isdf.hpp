@@ -41,15 +41,18 @@
 // batched FFTs; the fit algebra and the final accumulation stay FP64, with
 // the apply contraction Kahan-compensated under kSingleCompensated.
 //
-// Everything band-summed is exposed as explicit Gram-block inputs so the
-// band-parallel layer (dist/isdf_dist) can feed deterministically
-// Allreduced partial sums through the same fit and get a bitwise-identical
-// fit on every rank.
+// One implementation serves every layout. A band-parallel rank passes its
+// band block and a BandSlice: each band-summed quantity (the sketches, the
+// quasi-density, the Gram blocks) is the rank's partial followed by one
+// band sum, as in PWDFT. The sum adds in rank order, so every rank derives
+// the same points and the same fit, bit for bit. A serial run passes the
+// whole problem and no sum, and its partials are the sums.
 
 #include <cstdint>
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "la/mixer.hpp"
 
 namespace ptim::ham {
 
@@ -74,6 +77,24 @@ size_t sketch_width(size_t nmu);
 // same matrix, so their band-sum partials add up to the serial sketch.
 la::MatC sketch_matrix(size_t nbands, size_t k, std::uint64_t seed);
 
+// A rank's place in a diag problem. It holds the sources src_off.. of the
+// nb bands the occupations cover, and the targets tgt_off.. of ntgt.
+// band_sum adds n reals over the band communicator in place, in rank order
+// (Comm::allreduce_sum); a complex block goes as 2n reals, which gives the
+// complex sum's bits. It is empty when one rank holds the whole problem.
+// Every decision to run a band sum reads only replicated values (the
+// occupations, nb, ntgt, and whether the targets are the sources), so a
+// rank with an empty block joins every sum.
+struct BandSlice {
+  size_t src_off = 0;
+  size_t tgt_off = 0;
+  size_t ntgt = 0;
+  la::AndersonMixer::Reduction band_sum;
+};
+
+// The whole problem on one rank: every source, ntgt targets, no band sum.
+inline BandSlice whole(size_t ntgt) { return {0, 0, ntgt, {}}; }
+
 // Centroid-weighted randomized QRCP point selection. g1 = Phi R1 and
 // g2 = Psi R2 are the band-summed sketches (Ng x k each), rho the
 // band-summed quasi-density weight (sum_i |d_i| |phi_i|^2 + sum_j
@@ -96,13 +117,9 @@ struct Fit {
 //   c_tgt(r, nu) = sum_j psi_j(r) conj(psi_j(r_nu))      (Ng x Nmu)
 //   g(r, mu)     = sum_i d_i phi_i(r) conj(phi_i(r_mu))  (Ng x Nmu)
 // The normal-equation matrix A(mu, nu) = conj(c_src(r_mu, nu)) *
-// c_tgt(r_mu, nu) is sampled from the Gram rows when a_explicit is null;
-// the distributed fit passes the A it assembled from the Allgathered
-// interpolation-point values instead (identical math, rank-invariant
-// association).
+// c_tgt(r_mu, nu) is sampled from the Gram rows.
 Fit fit(const ExchangeOperator& x, std::vector<size_t> points,
-        const la::MatC& c_src, const la::MatC& c_tgt, const la::MatC& g,
-        const la::MatC* a_explicit = nullptr);
+        const la::MatC& c_src, const la::MatC& c_tgt, const la::MatC& g);
 
 // Apply the fitted kernel: tgt_pts (Nmu x ntgt) holds the targets sampled
 // at the interpolation points; column j of out accumulates
@@ -117,29 +134,35 @@ void apply(const ExchangeOperator& x, const Fit& f, const la::MatC& tgt_pts,
 // rounded values.
 la::MatC to_real_policy(const ExchangeOperator& x, const la::MatC& v);
 
-// Serial point selection for diag sources/targets already in real space
-// (FP64 containers, already through the precision edge): builds the
-// sketches and the quasi-density of the active sources and runs
-// select_points: the set apply_diag selects when none is held. Empty when
-// no source is occupied or there are no targets.
+// Point selection for diag sources/targets already in real space (FP64
+// containers, already through the precision edge): the rank's blocks of
+// the problem `b` places. Sums the sketches and the quasi-density of the
+// active sources over the bands and runs select_points: the set apply_diag
+// selects when none is held, the same on every rank. Empty when no source
+// is occupied or there are no targets. Collective under a band sum.
 std::vector<size_t> select_diag(const ExchangeOperator& x,
                                 const la::MatC& src_real,
                                 const std::vector<real_t>& d,
-                                const la::MatC& tgt_real);
+                                const la::MatC& tgt_real, const BandSlice& b);
 
-// Serial fit on the given interpolation points: samples the active sources
-// and targets there, assembles the Gram blocks with GEMMs and solves.
+// The fit on the given interpolation points: samples the rank's active
+// sources and targets there, sums the Gram blocks over the bands and
+// solves. Passing the source block itself as tgt_real (the PT-IM and ACE
+// shape) reuses c_src as c_tgt when every source is occupied. Collective
+// under a band sum.
 Fit fit_diag(const ExchangeOperator& x, const la::MatC& src_real,
              const std::vector<real_t>& d, const la::MatC& tgt_real,
-             std::vector<size_t> points);
+             std::vector<size_t> points, const BandSlice& b);
 
-// Full serial ISDF diag apply (the ExchangeCompression::kIsdf route of
-// ExchangeOperator::apply_diag): sphere-coefficient sources/targets,
-// handles the precision edge conversion, then fits on the operator's held
-// point set, or on a fresh select_diag when none is held, and applies.
+// Full ISDF diag apply (the ExchangeCompression::kIsdf route of
+// ExchangeOperator::apply_diag, and of the band-parallel diag exchange):
+// the rank's sphere-coefficient source and target blocks. Handles the
+// precision edge conversion, then fits on the operator's held point set,
+// or on a fresh select_diag when none is held, and applies the fit to the
+// rank's targets. Collective under a band sum.
 void apply_diag(const ExchangeOperator& x, const la::MatC& src,
                 const std::vector<real_t>& d, const la::MatC& tgt,
-                la::MatC& out, bool accumulate);
+                la::MatC& out, bool accumulate, const BandSlice& b);
 
 }  // namespace isdf
 }  // namespace ptim::ham

@@ -35,8 +35,4 @@ EigResult eig_herm(const MatC& A, size_t nvec = static_cast<size_t>(-1));
 EigResult eig_herm_jacobi(const MatC& A, real_t tol = 1e-13,
                           int max_sweeps = 60);
 
-// Generalized symmetric-definite problem A x = lambda B x with B Hermitian
-// positive definite: reduce via the Cholesky factor of B.
-EigResult eig_herm_gen(const MatC& A, const MatC& B);
-
 }  // namespace ptim::la

@@ -44,14 +44,6 @@ real_t hermiticity_defect(const MatC& A) {
   return defect;
 }
 
-MatC lincomb(cplx alpha, const MatC& A, cplx beta, const MatC& B) {
-  PTIM_CHECK(A.same_shape(B));
-  MatC C(A.rows(), A.cols());
-  for (size_t i = 0; i < A.size(); ++i)
-    C.data()[i] = alpha * A.data()[i] + beta * B.data()[i];
-  return C;
-}
-
 real_t max_abs(const MatC& A) {
   real_t m = 0.0;
   for (size_t i = 0; i < A.size(); ++i)

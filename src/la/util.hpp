@@ -18,9 +18,6 @@ cplx trace(const MatC& A);
 // Max |A_ij - conj(A_ji)| — Hermiticity defect, used in invariant tests.
 real_t hermiticity_defect(const MatC& A);
 
-// C = alpha*A + beta*B elementwise (shape-checked).
-MatC lincomb(cplx alpha, const MatC& A, cplx beta, const MatC& B);
-
 // Max-abs element.
 real_t max_abs(const MatC& A);
 

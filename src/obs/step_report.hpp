@@ -49,7 +49,7 @@ struct StepReport {
   long long alltoallv_bytes = 0; // pencil transposes
   long long allreduce_bytes = 0;
   double comm_seconds = 0.0;     // wall seconds inside all comm ops
-  double isdf_fit_seconds = 0.0; // isdf.fit / isdf.fit_dist profile delta
+  double isdf_fit_seconds = 0.0; // isdf.fit profile delta (solve + filter)
   long alloc_delta = 0;          // backend buffer allocations
 };
 

@@ -2,7 +2,6 @@
 
 #include "dist/transpose.hpp"
 #include "ham/density.hpp"
-#include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
@@ -98,12 +97,6 @@ class SerialBandSpace final : public BandSpace {
   }
   void set_ace(const la::MatC& src, const la::MatC& w) override {
     h_->set_ace(ham::AceOperator::build(src, w));
-  }
-  ham::IsdfPointHold hold_isdf_points(
-      const la::MatC& src, const std::vector<real_t>& occ) override {
-    const ham::ExchangeOperator& xop = h_->exchange_op();
-    const la::MatC real = ham::isdf::to_real_policy(xop, src);
-    return h_->hold_isdf_points(ham::isdf::select_diag(xop, real, occ, real));
   }
 
   std::vector<real_t> density(const TdState& s) override {

@@ -6,14 +6,14 @@
 // the layouts:
 //
 //   serial — all nb bands on one ham::Hamiltonian (gemm overlaps and
-//            rotations, AceOperator::apply, isdf::select_diag); the
-//            propagator builds and owns it (serial_space);
+//            rotations, AceOperator::apply); the propagator builds and
+//            owns it (serial_space);
 //   band   — dist::BandDistributedHamiltonian (dist/band_ham.hpp) itself:
 //            this rank's BlockLayout block of Phi, for band-parallel and
 //            2-D runs (band<->row Alltoallv transposes with the nb x nb
 //            products as row-slab GEMMs + one Allreduce, ring or slab
-//            exchange, dist/isdf_dist selection). The caller owns it, and
-//            the propagator refers to it.
+//            exchange). The caller owns it, and the propagator refers to
+//            it.
 //
 // Phi-shaped arguments hold the rank's band block (every band when
 // serial). nb x nb matrices and occupation vectors cover all nb bands and
@@ -21,8 +21,10 @@
 // bit-identical on every rank and reach the exchange ring as they are.
 // Each implementation calls exactly its own layer's kernels; a one-rank
 // band space is a valid layout but does not compute like the serial one
-// (its ACE apply, baseline density and ISDF selection differ), so serial
-// runs use the serial space.
+// (its ACE apply and baseline density differ), so serial runs use the
+// serial space. ISDF point selection is not a seam call: the propagator
+// runs ham::isdf::select_diag on its band block with reduction() as the
+// band sum, the same code on every layout.
 //
 // Iteration state: set_density keeps the midpoint Phi_h it was given (the
 // band space also its row slab, and the theta = Phi_h sigma_h block the
@@ -81,17 +83,13 @@ class BandSpace {
   // Phi <- Phi L^{-H} with L L^H = Phi^H Phi; returns L (replicated).
   virtual la::MatC orthonormalize(la::MatC& phi) = 0;
 
-  // --- ACE and ISDF ---------------------------------------------------------
+  // --- ACE ----------------------------------------------------------------
   // w = (alpha Vx[src, occ]) src: the expensive exchange apply of an ACE
   // build. Collective in the band space.
   virtual void exchange_diag(const la::MatC& src,
                              const std::vector<real_t>& occ, la::MatC& w) = 0;
   // Install the ACE surrogate compressed from (src, w).
   virtual void set_ace(const la::MatC& src, const la::MatC& w) = 0;
-  // Select ISDF interpolation points on rotated sources and hold them on
-  // the local exchange operator until the returned scope ends.
-  [[nodiscard]] virtual ham::IsdfPointHold hold_isdf_points(
-      const la::MatC& src, const std::vector<real_t>& occ) = 0;
 
   // --- committed states ---------------------------------------------------
   // rho of a state (reduced over bands).

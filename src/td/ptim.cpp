@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/util.hpp"
 
@@ -208,10 +209,18 @@ bool PtImPropagator::step_advance(const TdState& s, StepSession& sess,
   stage_ace_sources(sess, phih, std::move(sigmah));
   // ISDF: the first midpoint build selects its points once more and every
   // later build of the step fits on that set, so successive Fock energies
-  // differ by the iterate alone, not by a new point set.
-  if (sess.outer == 1 && space_->local().exchange_compression() ==
-                             ham::ExchangeCompression::kIsdf)
-    sess.isdf_points = space_->hold_isdf_points(sess.ace_phi, sess.ace_occ);
+  // differ by the iterate alone, not by a new point set. The selection is
+  // the apply's own (ham/isdf) on this rank's block, band-summed.
+  ham::Hamiltonian& h = space_->local();
+  if (sess.outer == 1 &&
+      h.exchange_compression() == ham::ExchangeCompression::kIsdf) {
+    const ham::ExchangeOperator& xop = h.exchange_op();
+    const la::MatC real = ham::isdf::to_real_policy(xop, sess.ace_phi);
+    const size_t off = space_->band_offset();
+    sess.isdf_points = h.hold_isdf_points(ham::isdf::select_diag(
+        xop, real, sess.ace_occ, real,
+        {off, off, sess.ace_occ.size(), reduce_}));
+  }
   return true;
 }
 

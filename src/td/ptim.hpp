@@ -27,8 +27,9 @@
 // while sigma and every nb x nb matrix stay replicated; each call is then
 // collective, and the returned stats are identical on every rank. The band
 // trajectory matches the serial one to rounding for every variant (pinned
-// at 1e-10 over 10 steps); under ISDF the two layouts select points
-// differently.
+// at 1e-10 over 10 steps). Under ISDF both layouts select and fit through
+// ham/isdf, the band one with its band sums, so they differ only by how
+// those sums associate (pinned at 1e-8 over 5 steps in test_isdf).
 
 #include <memory>
 #include <optional>

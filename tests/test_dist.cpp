@@ -531,6 +531,7 @@ TEST_P(RotateParam, RowLayoutEqualsSerialGemmBitwise) {
         const la::MatC want = dist::scatter_bands(ref, bands, q);
         const la::MatC& got = blocks[static_cast<size_t>(q)];
         ASSERT_TRUE(got.same_shape(want));
+        if (want.size() == 0) continue;  // data() may be null: no memcmp
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               want.size() * sizeof(cplx)),
                   0)

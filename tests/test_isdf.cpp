@@ -1,4 +1,5 @@
-// ISDF low-rank exchange (ham/isdf + la/qr + dist/isdf_dist):
+// ISDF low-rank exchange (ham/isdf + la/qr, and its band sums over
+// dist/exchange_dist's band communicator):
 //  * the pivoted-QR primitive — pivot quality on a matrix with known
 //    dominant columns, non-increasing |R| diagonal, bitwise determinism;
 //  * ExchangeOptions validation (batch_size, isdf_rank_factor);
@@ -7,8 +8,9 @@
 //  * FP32 / FP32+Kahan policy parity on the compressed path;
 //  * bitwise-deterministic point selection (repeat fits, and across the
 //    ranks of a band-parallel fit);
-//  * band-parallel ISDF vs the serial operator, packed-vs-single routing,
-//    and the pg > 1 rejection;
+//  * band-parallel ISDF vs the serial operator (exact on one rank, empty
+//    band blocks included), its collectives and fit-time counter,
+//    packed-vs-single routing, and the pg > 1 rejection;
 //  * a 10-step golden-trajectory replay under kIsdf within 1e-7;
 //  * the per-step held point set: the staged protocol driven from outside
 //    equals step() bitwise with two selections per step, an abandoned
@@ -22,15 +24,17 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "core/simulation.hpp"
 #include "dist/band_ham.hpp"
 #include "dist/exchange_dist.hpp"
-#include "dist/isdf_dist.hpp"
 #include "dist/transpose.hpp"
 #include "ham/density.hpp"
 #include "ham/exchange.hpp"
 #include "ham/isdf.hpp"
 #include "la/blas.hpp"
 #include "la/qr.hpp"
+#include "obs/obs.hpp"
+#include "obs/step_report.hpp"
 #include "td/observables.hpp"
 #include "td/ptim.hpp"
 #include "test_helpers.hpp"
@@ -80,6 +84,11 @@ real_t isdf_rel_error(const pw::SphereGridMap& map, const ApplyProblem& p,
   la::MatC out(npw, p.tgt.cols());
   xisdf.apply_diag(p.phi, p.d, p.tgt, out);
   return la::frob_diff(out, ref) / std::max(la::frob_norm(ref), real_t(1e-30));
+}
+
+// The band sum of a rank of c: its deterministic Allreduce.
+la::AndersonMixer::Reduction band_sum(ptmpi::Comm& c) {
+  return [&c](real_t* v, size_t n) { c.allreduce_sum(v, n); };
 }
 
 }  // namespace
@@ -214,10 +223,11 @@ TEST(Isdf, PointSelectionIsBitwiseDeterministic) {
   map.to_real_batch(p.tgt, tgt_real);
   ASSERT_EQ(src_real.rows(), ng);
 
+  const ham::isdf::BandSlice b = ham::isdf::whole(tgt_real.cols());
   auto select_and_fit = [&] {
     return ham::isdf::fit_diag(
         xop, src_real, p.d, tgt_real,
-        ham::isdf::select_diag(xop, src_real, p.d, tgt_real));
+        ham::isdf::select_diag(xop, src_real, p.d, tgt_real, b), b);
   };
   const ham::isdf::Fit f1 = select_and_fit();
   const ham::isdf::Fit f2 = select_and_fit();
@@ -246,10 +256,15 @@ TEST(IsdfDist, FitIsBitwiseIdenticalAcrossRanks) {
   ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
     const int me = c.rank();
     const auto xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
-    const la::MatC src_local = dist::scatter_bands(p.phi, bands, me);
-    const la::MatC tgt_local = dist::scatter_bands(p.tgt, tgt_bands, me);
-    fits[static_cast<size_t>(me)] =
-        dist::isdf_fit_distributed(c, xop, src_local, p.d, tgt_local, bands);
+    const la::MatC src_real = ham::isdf::to_real_policy(
+        xop, dist::scatter_bands(p.phi, bands, me));
+    const la::MatC tgt_real = ham::isdf::to_real_policy(
+        xop, dist::scatter_bands(p.tgt, tgt_bands, me));
+    const ham::isdf::BandSlice b{bands.offset(me), tgt_bands.offset(me),
+                                 p.tgt.cols(), band_sum(c)};
+    fits[static_cast<size_t>(me)] = ham::isdf::fit_diag(
+        xop, src_real, p.d, tgt_real,
+        ham::isdf::select_diag(xop, src_real, p.d, tgt_real, b), b);
   });
 
   ASSERT_FALSE(fits[0].points.empty());
@@ -277,7 +292,10 @@ TEST(IsdfDist, MatchesSerialOperator) {
   xser.apply_diag(p.phi, p.d, p.phi, ref);
   const real_t scale = std::max(la::frob_norm(ref), real_t(1.0));
 
-  for (const int nranks : {2, 3}) {
+  // One rank's band sums add nothing, so its apply is the serial one
+  // exactly; p = 9 leaves two ranks with empty blocks, which join every
+  // band sum.
+  for (const int nranks : {1, 2, 3, 9}) {
     const dist::BlockLayout bands(nb, nranks);
     std::vector<la::MatC> outs(static_cast<size_t>(nranks));
     ptmpi::run_ranks(nranks, 1, [&](ptmpi::Comm& c) {
@@ -288,16 +306,49 @@ TEST(IsdfDist, MatchesSerialOperator) {
           c, xop, src_local, p.d, src_local, bands,
           dist::ExchangePattern::kAsyncRing);
     });
+    // The apply selects its own points: three band sums for the selection
+    // (two sketches, the quasi-density), three for the fit (c_src, G and,
+    // with unoccupied sources, c_tgt), and one Allgatherv of the target
+    // widths.
+    const ptmpi::CommStats& cs = ptmpi::last_run_stats()[0];
+    EXPECT_EQ(cs.ops.at("Allreduce").calls, 6) << "p=" << nranks;
+    EXPECT_EQ(cs.ops.at("Allgatherv").calls, 1) << "p=" << nranks;
+    const real_t tol = nranks == 1 ? 0.0 : 1e-8 * scale;
     for (int r = 0; r < nranks; ++r) {
       const auto& o = outs[static_cast<size_t>(r)];
       ASSERT_EQ(o.cols(), bands.count(r));
       for (size_t b = 0; b < o.cols(); ++b)
         for (size_t i = 0; i < npw; ++i)
-          EXPECT_LE(std::abs(o(i, b) - ref(i, bands.offset(r) + b)),
-                    1e-8 * scale)
+          EXPECT_LE(std::abs(o(i, b) - ref(i, bands.offset(r) + b)), tol)
               << "p=" << nranks << " rank " << r;
     }
   }
+}
+
+TEST(IsdfDist, StepCountersCountTheFitOnce) {
+  // A step row's isdf_fit_seconds is the isdf.fit profile delta on every
+  // layout: the fit solve and filter, counted once.
+  test::TinySystem sys = test::TinySystem::make(3.0);
+  pw::SphereGridMap map{*sys.sphere, *sys.wfc_grid};
+  const size_t nb = 7;
+  const auto p = ApplyProblem::make(sys.sphere->npw(), nb, 427);
+  const auto xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
+  const uint32_t fit_id = obs::intern("isdf.fit");
+
+  const obs::StepCounters before = core::sample_counters(xop, nullptr);
+  const double fit_before = obs::profile_get(fit_id).seconds;
+  const dist::BlockLayout bands(nb, 2);
+  ptmpi::run_ranks(2, 1, [&](ptmpi::Comm& c) {
+    const auto rank_xop = make_xop(map, ham::ExchangeCompression::kIsdf, 6.0);
+    const la::MatC src_local = dist::scatter_bands(p.phi, bands, c.rank());
+    (void)dist::exchange_apply_distributed_local(
+        c, rank_xop, src_local, p.d, src_local, bands,
+        dist::ExchangePattern::kAsyncRing);
+  });
+  const obs::StepCounters after = core::sample_counters(xop, nullptr);
+  const double fit_delta = obs::profile_get(fit_id).seconds - fit_before;
+  EXPECT_GT(fit_delta, 0.0);
+  EXPECT_EQ(after.isdf_fit_seconds - before.isdf_fit_seconds, fit_delta);
 }
 
 TEST(IsdfDist, SlabGridLayoutIsRejected) {
@@ -591,9 +642,13 @@ TEST(IsdfDist, TrajectoryMatchesSerialWithRankIdenticalHeldSets) {
         la::MatC rotated;
         std::vector<real_t> occ;
         prop.space().diagonalize(s.phi, s.sigma, &rotated, &occ);
+        const ham::ExchangeOperator& xop = h.exchange_op();
+        const la::MatC real = ham::isdf::to_real_policy(xop, rotated);
+        const size_t off = bands.offset(me);
         const ham::IsdfPointHold hold =
-            prop.space().hold_isdf_points(rotated, occ);
-        held[k][me] = h.exchange_op().isdf_points();
+            h.hold_isdf_points(ham::isdf::select_diag(
+                xop, real, occ, real, {off, off, nb, bdh.reduction()}));
+        held[k][me] = xop.isdf_points();
       }
       const td::TdState full = td::gather_state(c, s, bands);
       if (me == 0) dst = full;

@@ -199,26 +199,6 @@ TEST(Eig, DegenerateSpectrum) {
     }
 }
 
-TEST(Eig, GeneralizedProblem) {
-  const size_t n = 10;
-  const la::MatC a = random_hermitian(n, 21);
-  la::MatC b = random_hermitian(n, 22);
-  for (size_t i = 0; i < n; ++i) b(i, i) += 4.0;  // make B positive definite
-
-  const auto r = la::eig_herm_gen(a, b);
-  // A x = w B x.
-  la::MatC ax(n, n), bx(n, n);
-  la::gemm_nn(a, r.V, ax);
-  la::gemm_nn(b, r.V, bx);
-  for (size_t j = 0; j < n; ++j)
-    for (size_t i = 0; i < n; ++i) ax(i, j) -= r.w[j] * bx(i, j);
-  EXPECT_LT(la::frob_norm(ax), 1e-9);
-  // B-orthonormal: V^H B V = I.
-  la::MatC vhbv(n, n);
-  la::gemm_cn(r.V, bx, vhbv);
-  EXPECT_LT(la::frob_diff(vhbv, la::MatC::identity(n)), 1e-9);
-}
-
 TEST(Cholesky, FactorAndSolves) {
   const size_t n = 12;
   la::MatC a = random_hermitian(n, 31);
